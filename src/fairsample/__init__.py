@@ -23,13 +23,11 @@ from .config import ConfigError, RunConfig, config_from_dict, config_to_dict, lo
 from .detection import (
     BlockCounts,
     EfficiencyConfig,
-    HiddenVariable,
     PairDetections,
     PolicyKind,
     SamplingPolicy,
+    category_probs,
     count_detections,
-    detection_probability,
-    sample_pair_outcome,
     simulate_block,
     simulate_pair_detections,
 )

@@ -18,6 +18,9 @@ from .quantum import SettingsPair, SourceState, Station
 
 SCHEMA_VERSION = 1
 
+# Emission times are float64 sums; past 2**53 ticks they lose whole ticks.
+MAX_EMISSION_CLOCK_TICKS = 2.0**53
+
 _STATION_NAMES = {"alice": Station.ALICE, "bob": Station.BOB}
 
 
@@ -62,6 +65,15 @@ class RunConfig:
             raise ConfigError("pair_rate_hz", "must be > 0")
         if self.tick_resolution_ps <= 0:
             raise ConfigError("tick_resolution_ps", "must be > 0")
+        clock_ticks = (
+            self.pairs_per_point / self.pair_rate_hz * (1e12 / self.tick_resolution_ps)
+        )
+        if clock_ticks > MAX_EMISSION_CLOCK_TICKS:
+            raise ConfigError(
+                "pairs_per_point",
+                f"a point lasts {clock_ticks:.6g} ticks at this pair rate and "
+                "tick resolution; emission times stay exact only up to 2**53 ticks",
+            )
         if self.jitter_sd_ticks < 0:
             raise ConfigError("jitter_sd_ticks", "must be >= 0")
         if self.coincidence_window_ticks < 0:

@@ -1,16 +1,14 @@
-"""Monte-Carlo detection model: pair outcomes, channel efficiencies, sampling policies.
+"""Detection model: pair outcomes, channel efficiencies, sampling policies.
 
-Per emitted pair the simulation draws, in this fixed order:
-
-1. a shared polarization-like variable ``lam`` uniform on [0, pi),
-2. the outcome pair from the quantum joint-probability table,
-3. Alice's detection decision, 4. Bob's detection decision.
-
-Detection decisions are local: each consumes only the local setting, the
-local outcome sign, the local base efficiencies and the shared ``lam``.
-Under the FAIR policy the detection probability is exactly the base
-channel efficiency, so the detected pairs are an unbiased sample.  The
-UNFAIR_MALUS policy modulates *only the Plus channel* of each station:
+Every emitted pair falls into one of 16 categories: its outcome cell
+(Alice sign, Bob sign), drawn from the quantum joint-probability table,
+and whether each station detects its photon.  Detection decisions are
+local: each depends only on the local setting, the local outcome sign,
+the local base efficiencies and a shared polarization-like variable
+``lam``, uniform on [0, pi).  Under the FAIR policy the detection
+probability is exactly the base channel efficiency, so the detected pairs
+are an unbiased sample.  The UNFAIR_MALUS policy modulates *only the Plus
+channel* of each station:
 
     P(detect | Plus)  = eta_plus * (1 - d + d * cos^2(lam - setting))
     P(detect | Minus) = eta_minus
@@ -23,8 +21,29 @@ quantity for the maximally entangled source, leaving no observable
 signature — see tests/test_detection.py for the frozen consequences.)
 The averaged singles rates are unaffected (the lam-average of the
 modulation is the constant 1 - d/2), mimicking setups where singles look
-steady while the coincidence sample is biased.  With d=0 the policy is
-behaviorally identical to FAIR, down to the RNG stream.
+steady while the coincidence sample is biased.
+
+``lam`` enters only the detection decisions, so :func:`category_probs`
+integrates it out in closed form, using
+
+    E[cos^2(lam - a)]                    = 1/2
+    E[cos^2(lam - a) * cos^2(lam - b)]   = 1/4 + cos(2(a - b))/8,
+
+and is the single source of the model's probabilities.  Both sampling
+modes draw from it:
+
+* block mode (:func:`simulate_block`): one multinomial draw of the
+  block's pairs over the 16 categories;
+* event mode (:func:`simulate_pair_detections`): only the observed pairs,
+  those detected at one station at least.  Their positions in the
+  emission sequence are a Bernoulli(q) thinning of it, q = P(any
+  detection), drawn as geometric skips; their categories are drawn from
+  the category probabilities conditioned on being observed.  The cost is
+  proportional to the observed pairs, not the emitted ones.
+
+With d=0 the category probabilities are bit-identical to FAIR's, so the
+two policies consume the RNG identically.  The per-pair sampler that
+draws ``lam`` explicitly lives in the tests as the reference.
 """
 
 from __future__ import annotations
@@ -38,6 +57,10 @@ import numpy as np
 from .quantum import OutcomeSign, SettingsPair, SourceState, Station, joint_prob_table
 
 Seed = "int | tuple[int, ...] | np.random.SeedSequence"
+
+# Recorded in run manifests; bump the version whenever a seed's draws change.
+SAMPLER_NAME = "closed-form-categories"
+SAMPLER_VERSION = 2
 
 
 class PolicyKind(enum.Enum):
@@ -80,13 +103,6 @@ class SamplingPolicy:
     def __post_init__(self) -> None:
         if not (0.0 <= self.d <= 1.0):
             raise ValueError(f"d must be in [0, 1], got {self.d!r}")
-
-
-@dataclass(frozen=True)
-class HiddenVariable:
-    """Shared per-pair polarization-like variable, uniform on [0, pi)."""
-
-    lam: float
 
 
 @dataclass(frozen=True)
@@ -141,20 +157,21 @@ class BlockCounts:
 
 @dataclass(frozen=True)
 class PairDetections:
-    """Per-pair outcomes and detection decisions (event-generation mode).
+    """The observed pairs of one block (event-generation mode).
 
-    Arrays all have length n_pairs; signs use the OutcomeSign encoding
-    (0 = Plus, 1 = Minus).
+    ``index`` holds the sorted positions (int64, in [0, n_pairs)) of the
+    observed pairs in the emission sequence of ``n_pairs`` pairs; the
+    other arrays are parallel to it.  Signs use the OutcomeSign encoding
+    (0 = Plus, 1 = Minus).  Every pair the sampler returns is detected at
+    one station at least; pairs seen by neither are never generated.
     """
 
+    index: np.ndarray
     sign_a: np.ndarray
     sign_b: np.ndarray
     detected_a: np.ndarray
     detected_b: np.ndarray
-
-    @property
-    def n_pairs(self) -> int:
-        return self.sign_a.shape[0]
+    n_pairs: int
 
 
 def _rng_from_seed(seed) -> np.random.Generator:
@@ -163,31 +180,78 @@ def _rng_from_seed(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def sample_pair_outcome(
-    state: SourceState, s: SettingsPair, rng: np.random.Generator
-) -> tuple[OutcomeSign, OutcomeSign]:
-    """Draw one outcome pair from the joint probability table."""
-    table = joint_prob_table(state, s)
-    u = rng.random()
-    cell = int(np.searchsorted(np.cumsum(table.as_tuple()), u, side="right"))
-    cell = min(cell, 3)
-    return OutcomeSign((cell >> 1) & 1), OutcomeSign(cell & 1)
+def category_probs(
+    state: SourceState, eff: EfficiencyConfig, policy: SamplingPolicy, s: SettingsPair
+) -> np.ndarray:
+    """P(outcome cell, detected at A, detected at B), as a (4, 2, 2) array.
+
+    The cell axis is indexed (Alice sign << 1) | Bob sign; the detection
+    axes are 0 = missed, 1 = detected.  The hidden variable is integrated
+    out, and the 16 entries sum to 1.
+    """
+    d = policy.d if policy.kind == PolicyKind.UNFAIR_MALUS else 0.0
+    # lam-averages of the Plus-channel modulation m(x) = 1 - d + d cos^2(lam - x):
+    # E[m(alpha)] = E[m(beta)] and E[m(alpha) m(beta)].  Both are exactly 1 at d = 0.
+    mean_m = 1.0 - 0.5 * d
+    mean_mm = (1.0 - d) * (1.0 - d) + d * (1.0 - d) + d * d * (
+        0.25 + math.cos(2.0 * (s.alpha - s.beta)) / 8.0
+    )
+    probs = np.empty((4, 2, 2))
+    for cell, p_cell in enumerate(joint_prob_table(state, s).as_tuple()):
+        a_plus = (cell >> 1) == OutcomeSign.PLUS
+        b_plus = (cell & 1) == OutcomeSign.PLUS
+        eta_a = eff.eta_a_plus if a_plus else eff.eta_a_minus
+        eta_b = eff.eta_b_plus if b_plus else eff.eta_b_minus
+        p_a = eta_a * mean_m if a_plus else eta_a
+        p_b = eta_b * mean_m if b_plus else eta_b
+        # The decisions are independent given lam, so they correlate only
+        # when both channels are modulated.
+        p_ab = eta_a * eta_b * mean_mm if a_plus and b_plus else p_a * p_b
+        probs[cell] = p_cell * np.array(
+            [[1.0 - p_a - p_b + p_ab, p_b - p_ab], [p_a - p_ab, p_ab]]
+        )
+    return np.maximum(probs, 0.0)
 
 
-def detection_probability(
-    policy: SamplingPolicy,
-    eff: EfficiencyConfig,
-    station: Station,
-    e: OutcomeSign,
-    setting: float,
-    hv: HiddenVariable,
-) -> float:
-    """Probability that a photon in channel (station, e) is detected."""
-    base = eff.eta(station, e)
-    if policy.kind == PolicyKind.FAIR or e == OutcomeSign.MINUS:
-        return base
-    c = math.cos(hv.lam - setting)
-    return base * (1.0 - policy.d + policy.d * c * c)
+def _counts_from_categories(
+    cats: np.ndarray, alpha: float, beta: float, n_pairs: int
+) -> BlockCounts:
+    """Reduce (4, 2, 2) category counts to block counts."""
+    coinc = cats[:, 1, 1]
+    at_a = cats[:, 1, :].sum(axis=1)
+    at_b = cats[:, :, 1].sum(axis=1)
+    return BlockCounts(
+        n_pp=int(coinc[0]),
+        n_pm=int(coinc[1]),
+        n_mp=int(coinc[2]),
+        n_mm=int(coinc[3]),
+        s_a_plus=int(at_a[0] + at_a[1]),
+        s_a_minus=int(at_a[2] + at_a[3]),
+        s_b_plus=int(at_b[0] + at_b[2]),
+        s_b_minus=int(at_b[1] + at_b[3]),
+        alpha=alpha,
+        beta=beta,
+        n_pairs_emitted=n_pairs,
+    )
+
+
+def _thinned_indices(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions in range(n) kept by independent Bernoulli(q) trials.
+
+    The gaps between kept positions are geometric, so they are drawn in
+    chunks sized to cover the rest of the range with high probability.
+    """
+    chunks = []
+    last = -1
+    while True:
+        expected = (n - 1 - last) * q
+        gaps = rng.geometric(q, int(expected + 5.0 * math.sqrt(expected)) + 16)
+        positions = last + np.cumsum(gaps)
+        if positions[-1] >= n:
+            chunks.append(positions[: np.searchsorted(positions, n)])
+            return np.concatenate(chunks)
+        chunks.append(positions)
+        last = int(positions[-1])
 
 
 def simulate_pair_detections(
@@ -198,62 +262,40 @@ def simulate_pair_detections(
     n_pairs: int,
     seed,
 ) -> PairDetections:
-    """Vectorized per-pair simulation; the raw material for event streams.
+    """The observed pairs among ``n_pairs`` emitted; the raw material for event streams.
 
-    Deterministic for a given seed: the four draws (lam, outcome, Alice
-    detection, Bob detection) are made as whole arrays in that order,
-    under every policy, so FAIR and UNFAIR_MALUS(d=0) consume the RNG
-    identically.
+    Deterministic for a given seed: the observed positions are drawn
+    first, then one uniform per observed pair picks its category.
     """
     if n_pairs < 0:
         raise ValueError(f"n_pairs must be >= 0, got {n_pairs}")
     rng = _rng_from_seed(seed)
-
-    lam = rng.uniform(0.0, math.pi, n_pairs)
-    u_outcome = rng.random(n_pairs)
-    u_a = rng.random(n_pairs)
-    u_b = rng.random(n_pairs)
-
-    table = joint_prob_table(state, s)
-    cells = np.searchsorted(np.cumsum(table.as_tuple()), u_outcome, side="right")
-    cells = np.minimum(cells, 3).astype(np.uint8)
-    sign_a = (cells >> 1) & 1
-    sign_b = cells & 1
-
-    def station_probs(signs: np.ndarray, setting: float, eta_plus: float,
-                      eta_minus: float) -> np.ndarray:
-        probs = np.where(signs == 0, eta_plus, eta_minus)
-        if policy.kind == PolicyKind.UNFAIR_MALUS and policy.d > 0.0:
-            c = np.cos(lam - setting)
-            modulation = 1.0 - policy.d + policy.d * c * c
-            probs = np.where(signs == 0, probs * modulation, probs)
-        return probs
-
-    detected_a = u_a < station_probs(sign_a, s.alpha, eff.eta_a_plus, eff.eta_a_minus)
-    detected_b = u_b < station_probs(sign_b, s.beta, eff.eta_b_plus, eff.eta_b_minus)
-    return PairDetections(sign_a, sign_b, detected_a, detected_b)
+    # Columns (detected at A << 1) | detected at B; column 0 is unobserved.
+    observed = category_probs(state, eff, policy, s).reshape(4, 4)[:, 1:].ravel()
+    q = float(observed.sum())
+    index = _thinned_indices(n_pairs, q, rng)
+    cdf = np.cumsum(observed) / q
+    cats = np.searchsorted(cdf, rng.random(index.shape[0]), side="right")
+    cell, detection = np.divmod(np.minimum(cats, observed.size - 1), 3)
+    detection += 1
+    return PairDetections(
+        index=index,
+        sign_a=(cell >> 1).astype(np.uint8),
+        sign_b=(cell & 1).astype(np.uint8),
+        detected_a=detection >= 2,
+        detected_b=(detection & 1).astype(bool),
+        n_pairs=n_pairs,
+    )
 
 
 def count_detections(
     det: PairDetections, alpha: float = math.nan, beta: float = math.nan
 ) -> BlockCounts:
-    """Reduce per-pair detections to block counts."""
-    both = det.detected_a & det.detected_b
+    """Reduce pair detections to block counts."""
     cells = (det.sign_a.astype(np.intp) << 1) | det.sign_b
-    coinc = np.bincount(cells[both], minlength=4)
-    return BlockCounts(
-        n_pp=int(coinc[0]),
-        n_pm=int(coinc[1]),
-        n_mp=int(coinc[2]),
-        n_mm=int(coinc[3]),
-        s_a_plus=int(np.count_nonzero(det.detected_a & (det.sign_a == 0))),
-        s_a_minus=int(np.count_nonzero(det.detected_a & (det.sign_a == 1))),
-        s_b_plus=int(np.count_nonzero(det.detected_b & (det.sign_b == 0))),
-        s_b_minus=int(np.count_nonzero(det.detected_b & (det.sign_b == 1))),
-        alpha=alpha,
-        beta=beta,
-        n_pairs_emitted=det.n_pairs,
-    )
+    cats = (cells << 2) | (det.detected_a.astype(np.intp) << 1) | det.detected_b
+    counts = np.bincount(cats, minlength=16).reshape(4, 2, 2)
+    return _counts_from_categories(counts, alpha, beta, det.n_pairs)
 
 
 def simulate_block(
@@ -264,6 +306,9 @@ def simulate_block(
     n_pairs: int,
     seed,
 ) -> BlockCounts:
-    """Simulate one settings block and return its counts."""
-    det = simulate_pair_detections(state, eff, policy, s, n_pairs, seed)
-    return count_detections(det, alpha=s.alpha, beta=s.beta)
+    """Simulate one settings block: one multinomial draw over the 16 categories."""
+    if n_pairs < 0:
+        raise ValueError(f"n_pairs must be >= 0, got {n_pairs}")
+    rng = _rng_from_seed(seed)
+    counts = rng.multinomial(n_pairs, category_probs(state, eff, policy, s).ravel())
+    return _counts_from_categories(counts.reshape(4, 2, 2), s.alpha, s.beta, n_pairs)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coincidence import CoincidenceWindow, count_coincidences
 from .config import RunConfig, config_from_dict, config_to_dict
-from .detection import simulate_pair_detections
+from .detection import SAMPLER_NAME, SAMPLER_VERSION, simulate_pair_detections
 from .estimator import (
     AllZeroRatios,
     EstimateSet,
@@ -124,8 +124,11 @@ def simulate_run(cfg: RunConfig, output_dir, jobs: "int | None" = None) -> Path:
         "config": config_to_dict(cfg),
         "rng": {
             "algorithm": "PCG64",
+            "sampler": {"name": SAMPLER_NAME, "version": SAMPLER_VERSION},
             "seeding": "SeedSequence((seed, point_index, role)); "
-                       "role 0 = pair outcomes and detections, role 1 = event times",
+                       "role 0 = observed-pair positions (geometric skips) and "
+                       "their categories, role 1 = emission times (Gamma "
+                       "increments), jitter and dark counts",
         },
         "format": {"name": "TTG1", "version": 1},
         "points": points,
@@ -135,28 +138,83 @@ def simulate_run(cfg: RunConfig, output_dir, jobs: "int | None" = None) -> Path:
     return manifest_path
 
 
-def load_manifest(manifest_path) -> tuple[dict, RunConfig, Path]:
-    """Read a manifest; returns (document, typed config, base directory)."""
+@dataclass(frozen=True)
+class ManifestPoint:
+    """One validated scan point of a manifest; angles in radians."""
+
+    index: int
+    alpha: float
+    beta: float
+    alice_file: Path
+    bob_file: Path
+
+
+def _parse_point(i: int, doc, base: Path) -> ManifestPoint:
+    """Validate one manifest point; file names must stay inside ``base``."""
+    where = f"points[{i}]"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: must be a JSON object")
+    for key in ("index", "alpha_deg", "beta_deg", "alice_file", "bob_file"):
+        if key not in doc:
+            raise ValueError(f"{where}.{key}: missing required field")
+    index = doc["index"]
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise ValueError(f"{where}.index: must be an integer, got {index!r}")
+    angles = []
+    for key in ("alpha_deg", "beta_deg"):
+        value = doc[key]
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
+            raise ValueError(f"{where}.{key}: must be a finite number, got {value!r}")
+        angles.append(math.radians(value))
+    root = base.resolve()
+    files = []
+    for key in ("alice_file", "bob_file"):
+        name = doc[key]
+        target = (base / name).resolve() if isinstance(name, str) else None
+        if target is None or root not in target.parents:
+            raise ValueError(
+                f"{where}.{key}: must name a file inside the run directory, "
+                f"got {name!r}"
+            )
+        files.append(target)
+    return ManifestPoint(index, angles[0], angles[1], files[0], files[1])
+
+
+def load_manifest(
+    manifest_path,
+) -> tuple[dict, RunConfig, Path, list[ManifestPoint]]:
+    """Read and validate a manifest.
+
+    Returns (document, typed config, base directory, validated points).
+    A malformed document or point raises ValueError.
+    """
     path = Path(manifest_path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("kind") != "fairsample-run":
+    if not isinstance(doc, dict) or doc.get("kind") != "fairsample-run":
         raise ValueError(f"{path}: not a run manifest")
     if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported manifest schema version")
     if not isinstance(doc.get("points"), list):
         raise ValueError(f"{path}: manifest has no point list")
     cfg = config_from_dict(doc.get("config", {}))
-    return doc, cfg, path.parent
+    base = path.parent
+    try:
+        points = [_parse_point(i, pd, base) for i, pd in enumerate(doc["points"])]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return doc, cfg, base, points
 
 
 def _analyze_point(
-    base: Path, point_doc: dict, window: CoincidenceWindow
+    point: ManifestPoint, window: CoincidenceWindow
 ) -> tuple[int, ScanPoint, "str | None"]:
-    index = int(point_doc["index"])
-    stream_a = read_ttg(base / point_doc["alice_file"])
-    stream_b = read_ttg(base / point_doc["bob_file"])
-    alpha = math.radians(float(point_doc["alpha_deg"]))
-    beta = math.radians(float(point_doc["beta_deg"]))
+    stream_a = read_ttg(point.alice_file)
+    stream_b = read_ttg(point.bob_file)
+    index, alpha, beta = point.index, point.alpha, point.beta
     counts = count_coincidences(stream_a, stream_b, window, alpha=alpha, beta=beta)
     est: "EstimateSet | None"
     note: "str | None" = None
@@ -324,22 +382,19 @@ def analyze_run(
     into ``output_dir``).  When fewer than 5 points support fits, the fit
     step is skipped with a note instead of failing the whole analysis.
     """
-    doc, cfg, base = load_manifest(manifest_path)
+    _, cfg, base, points = load_manifest(manifest_path)
     out_dir = Path(output_dir) if output_dir is not None else base
     out_dir.mkdir(parents=True, exist_ok=True)
     window = CoincidenceWindow(
         window_ticks if window_ticks is not None else cfg.coincidence_window_ticks
     )
 
-    point_docs = sorted(doc["points"], key=lambda p: int(p["index"]))
     workers = jobs if jobs and jobs > 0 else 1
     if workers == 1:
-        results = [_analyze_point(base, pd, window) for pd in point_docs]
+        results = [_analyze_point(pt, window) for pt in points]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda pd: _analyze_point(base, pd, window), point_docs)
-            )
+            results = list(pool.map(lambda pt: _analyze_point(pt, window), points))
     results.sort(key=lambda r: r[0])
     scan = ScanResult(points=tuple(r[1] for r in results))
     skipped = tuple((r[0], r[2]) for r in results if r[2] is not None)

@@ -1,9 +1,9 @@
 """Time-tagged event streams and the TTG1 binary file format.
 
-Event generation turns per-pair detection decisions into two per-station
-streams of (timestamp, sign, setting) records: pair emission times are
-drawn from an exponential-gap (Poissonian) process, each detected photon
-gets independent Gaussian timing jitter, and optional dark counts are
+Event generation turns the observed pairs of a block into two per-station
+streams of (timestamp, sign, setting) records: pair emission times follow
+an exponential-gap (Poissonian) process, each detected photon gets
+independent Gaussian timing jitter, and optional dark counts are
 superimposed as a uniform Poisson background with random signs.
 
 The TTG1 format is this project's own container for such streams:
@@ -172,13 +172,16 @@ def generate_streams(
     setting_index: int = 0,
     dark_rate_hz: float = 0.0,
 ) -> tuple[EventStream, EventStream]:
-    """Expand per-pair detections into two time-tagged streams.
+    """Expand the observed pairs of a block into two time-tagged streams.
 
-    Pair emission times are an exponential-gap process at ``pair_rate_hz``;
-    each detected photon's timestamp is the emission tick plus Gaussian
-    jitter (rounded, clamped at zero).  Dark counts, if enabled, arrive
-    uniformly over the nominal duration n_pairs / pair_rate_hz on each
-    channel independently at ``dark_rate_hz`` per channel.
+    Pair emission times are an exponential-gap process at ``pair_rate_hz``.
+    Only the observed pairs get a time: pair i is emitted after i + 1
+    exponential gaps, so between consecutive observed pairs the time grows
+    by a Gamma(index step, mean gap) increment, which is exact.  Each
+    detected photon's timestamp is the emission tick plus Gaussian jitter
+    (rounded, clamped at zero).  Dark counts, if enabled, arrive uniformly
+    over the nominal duration n_pairs / pair_rate_hz on each channel
+    independently at ``dark_rate_hz`` per channel.
     """
     if pair_rate_hz <= 0.0:
         raise ValueError(f"pair_rate_hz must be > 0, got {pair_rate_hz}")
@@ -196,8 +199,8 @@ def generate_streams(
     n = det.n_pairs
     ticks_per_second = 1e12 / tick_resolution_ps
     mean_gap_ticks = ticks_per_second / pair_rate_hz
-    gaps = rng.exponential(mean_gap_ticks, n)
-    emission = np.cumsum(gaps)
+    steps = np.diff(det.index, prepend=-1)
+    emission = np.cumsum(rng.gamma(steps, mean_gap_ticks))
 
     def station_times(detected: np.ndarray) -> np.ndarray:
         base = emission[detected]

@@ -168,3 +168,18 @@ def test_direct_construction_validates_too():
             dark_rate_hz=0.0,
             seed=1,
         )
+
+
+def test_emission_clock_bound():
+    # 1 ns ticks at 1 kHz: 10^6 ticks per pair, so the bound of 2^53 ticks
+    # (9007199254740992) falls between these two pair counts.
+    doc = good_doc()
+    doc["tick_resolution_ps"] = 1000
+    doc["pair_rate_hz"] = 1000.0
+    doc["pairs_per_point"] = 9_007_199_254
+    assert config_from_dict(doc).pairs_per_point == 9_007_199_254
+    doc["pairs_per_point"] = 9_007_199_255
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert err.value.field == "pairs_per_point"
+    assert "2**53" in str(err.value)

@@ -1,4 +1,4 @@
-"""Detection policies, per-pair sampling, and block-level counting."""
+"""Detection policies, the closed-form category model, and block-level counting."""
 
 import math
 
@@ -10,12 +10,11 @@ import hypothesis.strategies as st
 from fairsample.detection import (
     BlockCounts,
     EfficiencyConfig,
-    HiddenVariable,
+    PairDetections,
     PolicyKind,
     SamplingPolicy,
+    category_probs,
     count_detections,
-    detection_probability,
-    sample_pair_outcome,
     simulate_block,
     simulate_pair_detections,
 )
@@ -26,40 +25,61 @@ from fairsample.quantum import (
     Station,
     joint_prob_table,
 )
+from pair_oracle import sample_pair_outcome
 
 FAIR = SamplingPolicy(PolicyKind.FAIR)
 ETA_MIXED = EfficiencyConfig(0.10, 0.05, 0.08, 0.08)
 ETA_FLAT = EfficiencyConfig(0.35, 0.35, 0.35, 0.35)
 ETA_UNIT = EfficiencyConfig(1.0, 1.0, 1.0, 1.0)
+SINGLET = SourceState(1.0)
+
+angles = st.floats(-math.pi, math.pi, allow_nan=False)
+
+
+def detect_prob(policy, eff, station, e, s, state=SINGLET):
+    """P(station detects its photon | its outcome is e), from category_probs."""
+    probs = category_probs(state, eff, policy, s)
+    if station == Station.ALICE:
+        cells = [c for c in range(4) if (c >> 1) == e]
+        detected = probs[cells, 1, :].sum()
+    else:
+        cells = [c for c in range(4) if (c & 1) == e]
+        detected = probs[cells, :, 1].sum()
+    return detected / probs[cells].sum()
 
 
 # ---------------------------------------------------------------------------
-# detection_probability
+# category_probs
 # ---------------------------------------------------------------------------
 
 
-@given(
-    setting=st.floats(-math.pi, math.pi, allow_nan=False),
-    lam=st.floats(0.0, math.pi, allow_nan=False),
-)
-def test_fair_probability_is_base_efficiency(setting, lam):
-    hv = HiddenVariable(lam)
-    got = detection_probability(FAIR, ETA_MIXED, Station.ALICE, OutcomeSign.PLUS, setting, hv)
-    assert got == 0.10
-    got = detection_probability(FAIR, ETA_MIXED, Station.BOB, OutcomeSign.MINUS, setting, hv)
-    assert got == 0.08
+@given(setting=angles, other=angles)
+def test_fair_probability_is_base_efficiency(setting, other):
+    s = SettingsPair(setting, other)
+    got = detect_prob(FAIR, ETA_MIXED, Station.ALICE, OutcomeSign.PLUS, s)
+    assert got == pytest.approx(0.10, rel=1e-12)
+    got = detect_prob(FAIR, ETA_MIXED, Station.BOB, OutcomeSign.MINUS, s)
+    assert got == pytest.approx(0.08, rel=1e-12)
 
 
 def test_unfair_plus_channel_aligned_hidden_variable():
+    # At d=1 both Plus channels follow cos^2(lam - setting); with aligned
+    # analyzers a (+,+) pair is seen by both with probability
+    # eta_a+ * eta_b+ * E[cos^4] = 3/8 of the fair value.
     pol = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=1.0)
-    got = detection_probability(pol, ETA_MIXED, Station.ALICE, OutcomeSign.PLUS, 0.0, HiddenVariable(0.0))
-    assert got == pytest.approx(0.10, abs=1e-15)
+    state, s = SourceState(0.5), SettingsPair(0.3, 0.3)
+    probs = category_probs(state, ETA_MIXED, pol, s)
+    p_pp = joint_prob_table(state, s).p_pp
+    assert probs[0, 1, 1] / p_pp == pytest.approx(0.10 * 0.08 * 3 / 8, rel=1e-12)
 
 
 def test_unfair_plus_channel_orthogonal_hidden_variable():
+    # Crossed analyzers: E[cos^2 * sin^2] = 1/8 of the fair value.
     pol = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=1.0)
-    got = detection_probability(pol, ETA_MIXED, Station.ALICE, OutcomeSign.PLUS, 0.0, HiddenVariable(math.pi / 2))
-    assert got == pytest.approx(0.0, abs=1e-15)
+    state, s = SourceState(0.5), SettingsPair(0.3, 0.3 + math.pi / 2)
+    probs = category_probs(state, ETA_MIXED, pol, s)
+    p_pp = joint_prob_table(state, s).p_pp
+    assert probs[0, 1, 1] / p_pp == pytest.approx(0.10 * 0.08 / 8, rel=1e-12)
 
 
 def test_unfair_minus_channel_keeps_base_efficiency():
@@ -67,36 +87,54 @@ def test_unfair_minus_channel_keeps_base_efficiency():
     # the Minus channel stays at its base efficiency for every hidden variable.
     pol = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=0.5)
     eff = EfficiencyConfig(0.3, 0.3, 0.2, 0.2)
-    got = detection_probability(pol, eff, Station.BOB, OutcomeSign.MINUS, math.pi / 4, HiddenVariable(math.pi / 4))
-    assert got == 0.2
+    s = SettingsPair(math.pi / 4, math.pi / 4)
+    got = detect_prob(pol, eff, Station.BOB, OutcomeSign.MINUS, s)
+    assert got == pytest.approx(0.2, rel=1e-12)
 
 
 @given(
     d=st.floats(0.0, 1.0, allow_nan=False),
-    setting=st.floats(-math.pi, math.pi, allow_nan=False),
-    lam=st.floats(0.0, math.pi, allow_nan=False),
+    setting=angles,
+    other=angles,
     e=st.sampled_from(OutcomeSign),
     station=st.sampled_from(Station),
 )
-def test_unfair_probability_bounded_by_base(d, setting, lam, e, station):
+def test_unfair_probability_bounded_by_base(d, setting, other, e, station):
     pol = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=d)
     base = ETA_MIXED.eta(station, e)
-    got = detection_probability(pol, ETA_MIXED, station, e, setting, HiddenVariable(lam))
-    assert 0.0 <= got <= base + 1e-15
+    got = detect_prob(pol, ETA_MIXED, station, e, SettingsPair(setting, other))
+    assert 0.0 <= got <= base * (1 + 1e-12)
+    if e == OutcomeSign.PLUS:
+        assert got == pytest.approx(base * (1 - d / 2), rel=1e-12)
+
+
+@given(p=st.floats(0.0, 1.0, allow_nan=False), setting=angles, other=angles)
+def test_zero_depth_unfair_equals_fair(p, setting, other):
+    pol = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=0.0)
+    s = SettingsPair(setting, other)
+    state = SourceState(p)
+    assert np.array_equal(
+        category_probs(state, ETA_MIXED, pol, s), category_probs(state, ETA_MIXED, FAIR, s)
+    )
 
 
 @given(
-    setting=st.floats(-math.pi, math.pi, allow_nan=False),
-    lam=st.floats(0.0, math.pi, allow_nan=False),
-    e=st.sampled_from(OutcomeSign),
-    station=st.sampled_from(Station),
+    p=st.floats(0.0, 1.0, allow_nan=False),
+    d=st.floats(0.0, 1.0, allow_nan=False),
+    setting=angles,
+    other=angles,
+    eta=st.tuples(*[st.floats(1e-3, 1.0)] * 4),
 )
-def test_zero_depth_unfair_equals_fair(setting, lam, e, station):
-    pol = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=0.0)
-    hv = HiddenVariable(lam)
-    assert detection_probability(pol, ETA_MIXED, station, e, setting, hv) == detection_probability(
-        FAIR, ETA_MIXED, station, e, setting, hv
-    )
+def test_category_probs_form_a_distribution(p, d, setting, other, eta):
+    state, s = SourceState(p), SettingsPair(setting, other)
+    pol = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=d)
+    probs = category_probs(state, EfficiencyConfig(*eta), pol, s)
+    assert probs.shape == (4, 2, 2)
+    assert np.all(probs >= 0.0)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    # Summing out the detection axes recovers the quantum table.
+    table = joint_prob_table(state, s).as_tuple()
+    assert probs.sum(axis=(1, 2)) == pytest.approx(table, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +178,20 @@ def test_sample_frequencies_match_table():
 
 
 def test_count_detections_by_hand():
-    det = simulate_pair_detections(
-        SourceState(1.0), ETA_UNIT, FAIR, SettingsPair(0.3, 0.0), n_pairs=4, seed=3
-    )
-    # Overwrite with a hand-built scenario: signs and partial detections.
-    det = type(det)(
+    # Six emitted pairs, four of them observed: signs and partial detections.
+    det = PairDetections(
+        index=np.array([0, 2, 3, 5], dtype=np.int64),
         sign_a=np.array([0, 0, 1, 1], dtype=np.uint8),
         sign_b=np.array([1, 0, 0, 1], dtype=np.uint8),
         detected_a=np.array([True, True, False, True]),
         detected_b=np.array([True, False, True, True]),
+        n_pairs=6,
     )
     counts = count_detections(det, alpha=0.3, beta=0.0)
     assert (counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm) == (0, 1, 0, 1)
     assert (counts.s_a_plus, counts.s_a_minus) == (2, 1)
     assert (counts.s_b_plus, counts.s_b_minus) == (1, 2)
-    assert counts.n_pairs_emitted == 4
+    assert counts.n_pairs_emitted == 6
     assert counts.alpha == 0.3 and counts.beta == 0.0
 
 
@@ -163,7 +200,43 @@ def test_detections_shape_and_n_pairs():
         SourceState(0.5), ETA_MIXED, FAIR, SettingsPair(0.1, 0.2), n_pairs=1000, seed=11
     )
     assert det.n_pairs == 1000
-    assert det.sign_a.shape == det.sign_b.shape == det.detected_a.shape == (1000,)
+    k = det.index.shape[0]
+    assert 0 < k < 1000
+    assert det.sign_a.shape == det.sign_b.shape == det.detected_a.shape == (k,)
+    assert det.detected_b.shape == (k,)
+    assert det.index.dtype == np.int64
+    assert np.all(np.diff(det.index) > 0)
+    assert det.index[0] >= 0 and det.index[-1] < 1000
+    # Only observed pairs are generated.
+    assert np.all(det.detected_a | det.detected_b)
+
+
+def test_detections_zero_pairs():
+    det = simulate_pair_detections(SINGLET, ETA_MIXED, FAIR, SettingsPair(0.0, 0.0), 0, seed=1)
+    assert det.n_pairs == 0 and det.index.shape == (0,)
+    assert count_detections(det).total_singles == 0
+
+
+def test_detections_unit_efficiency_observe_every_pair():
+    det = simulate_pair_detections(SINGLET, ETA_UNIT, FAIR, SettingsPair(0.2, 0.0), 5000, seed=12)
+    assert np.array_equal(det.index, np.arange(5000))
+    assert np.all(det.detected_a & det.detected_b)
+
+
+def test_detections_zero_depth_unfair_identical_to_fair():
+    pol0 = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=0.0)
+    s = SettingsPair(0.3, 0.9)
+    a = simulate_pair_detections(SINGLET, ETA_MIXED, pol0, s, 30_000, seed=17)
+    b = simulate_pair_detections(SINGLET, ETA_MIXED, FAIR, s, 30_000, seed=17)
+    for field in ("index", "sign_a", "sign_b", "detected_a", "detected_b"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+def test_detections_reject_negative_pairs():
+    with pytest.raises(ValueError):
+        simulate_pair_detections(SINGLET, ETA_MIXED, FAIR, SettingsPair(0.0, 0.0), -1, seed=1)
+    with pytest.raises(ValueError):
+        simulate_block(SINGLET, ETA_MIXED, FAIR, SettingsPair(0.0, 0.0), -1, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -334,3 +334,13 @@ def test_estimate_block_is_consistent_with_parts():
     assert est.joint.as_tuple() == pytest.approx(estimate_joint(f).as_tuple(), abs=1e-15)
     assert est.correlation_standard == pytest.approx(correlation_standard(counts), abs=1e-15)
     assert est.correlation_singles == pytest.approx(est.joint.correlation(), abs=1e-15)
+
+
+@pytest.mark.parametrize("cells", [(3880, 0, 0, 2022), (0, 3880, 2022, 0)])
+def test_singles_correlation_exact_at_perfect_correlation(cells):
+    # Without the opposite-parity cells both correlations are exactly +-1,
+    # where the counting uncertainty of the singles correlation vanishes.
+    counts = BlockCounts(*cells, 49762, 24970, 40000, 39927)
+    est = estimate_block(counts)
+    assert est.correlation_singles == est.correlation_standard
+    assert abs(est.correlation_singles) == 1.0

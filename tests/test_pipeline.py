@@ -8,6 +8,7 @@ import pytest
 
 from fairsample.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, OUTPUT_DIR_ENV, main
 from fairsample.config import config_from_dict, config_to_dict
+from fairsample.detection import SAMPLER_NAME, SAMPLER_VERSION
 from fairsample.pipeline import analyze_run, load_manifest, simulate_run, write_report
 from fairsample.quantum import Station
 from fairsample.timetags import make_stream, write_ttg
@@ -50,11 +51,15 @@ def fair_run(tmp_path_factory):
 
 def test_manifest_contents(fair_run):
     run_dir, cfg, _ = fair_run
-    doc, loaded_cfg, base = load_manifest(run_dir / "manifest.json")
+    doc, loaded_cfg, base, points = load_manifest(run_dir / "manifest.json")
     assert base == run_dir
     assert loaded_cfg == cfg
     assert doc["kind"] == "fairsample-run"
     assert doc["rng"]["algorithm"] == "PCG64"
+    assert doc["rng"]["sampler"] == {"name": SAMPLER_NAME, "version": SAMPLER_VERSION}
+    assert SAMPLER_VERSION == 2
+    assert "geometric skips" in doc["rng"]["seeding"]
+    assert "Gamma" in doc["rng"]["seeding"]
     assert doc["format"] == {"name": "TTG1", "version": 1}
     assert len(doc["points"]) == len(ANGLES_DEG)
     for i, pt in enumerate(doc["points"]):
@@ -63,6 +68,9 @@ def test_manifest_contents(fair_run):
         assert pt["beta_deg"] == 0.0
         assert (run_dir / pt["alice_file"]).exists()
         assert (run_dir / pt["bob_file"]).exists()
+    assert [pt.index for pt in points] == list(range(len(ANGLES_DEG)))
+    assert points[1].alpha == pytest.approx(math.radians(ANGLES_DEG[1]))
+    assert points[1].bob_file == (run_dir / doc["points"][1]["bob_file"]).resolve()
 
 
 def test_simulation_is_byte_deterministic(tmp_path):
@@ -272,6 +280,16 @@ def test_cli_invalid_config_field_exit_code(tmp_path, capsys):
     assert "source.p" in capsys.readouterr().err
 
 
+def test_cli_emission_clock_beyond_float_precision(tmp_path, capsys):
+    # 1 ps ticks at 1 Hz: 10^12 ticks per pair, 2^53 ticks after 9008 pairs.
+    cfg_path = _write_cfg(
+        tmp_path, small_doc(pairs_per_point=10_000, pair_rate_hz=1.0, tick_resolution_ps=1)
+    )
+    code = main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "pairs_per_point" in capsys.readouterr().err
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "none.json"), "--output-dir", str(tmp_path)])
     assert code == EXIT_CONFIG
@@ -312,6 +330,45 @@ def test_cli_analyze_corrupt_ttg(tmp_path, capsys):
     victim.write_bytes(victim.read_bytes()[:30])
     assert main(["analyze", "--manifest", str(out / "manifest.json")]) == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def _simulated_manifest(tmp_path):
+    cfg_path = _write_cfg(tmp_path, small_doc(pairs_per_point=500))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(out)]) == EXIT_OK
+    path = out / "manifest.json"
+    return path, json.loads(path.read_text())
+
+
+def test_cli_analyze_point_missing_bob_file(tmp_path, capsys):
+    path, doc = _simulated_manifest(tmp_path)
+    del doc["points"][2]["bob_file"]
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
+    assert "points[2].bob_file: missing" in capsys.readouterr().err
+
+
+def test_cli_analyze_point_file_outside_run_dir(tmp_path, capsys):
+    path, doc = _simulated_manifest(tmp_path)
+    # A valid stream one level up: analysis would succeed if it followed the name.
+    (tmp_path / "x.ttg").write_bytes((path.parent / doc["points"][0]["alice_file"]).read_bytes())
+    doc["points"][0]["alice_file"] = "../x.ttg"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
+    assert "inside the run directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("index", "0"), ("index", True), ("alpha_deg", "ten"), ("beta_deg", None),
+     ("alice_file", 7), ("bob_file", "/x.ttg"), ("bob_file", ".")],
+)
+def test_load_manifest_rejects_malformed_points(tmp_path, key, value):
+    path, doc = _simulated_manifest(tmp_path)
+    doc["points"][1][key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"points\[1\]\.{key}"):
+        load_manifest(path)
 
 
 def test_cli_analyze_window_and_alpha_flags(tmp_path, capsys):

@@ -339,10 +339,12 @@ def _detections(detected_a, detected_b, sign_a=None, sign_b=None):
     if sign_b is None:
         sign_b = np.ones(n, dtype=np.uint8)
     return PairDetections(
+        index=np.arange(n, dtype=np.int64),
         sign_a=np.asarray(sign_a, dtype=np.uint8),
         sign_b=np.asarray(sign_b, dtype=np.uint8),
         detected_a=np.asarray(detected_a, dtype=bool),
         detected_b=np.asarray(detected_b, dtype=bool),
+        n_pairs=n,
     )
 
 
