@@ -272,11 +272,13 @@ def simulate_pair_detections(
     rng = _rng_from_seed(seed)
     # Columns (detected at A << 1) | detected at B; column 0 is unobserved.
     observed = category_probs(state, eff, policy, s).reshape(4, 4)[:, 1:].ravel()
-    q = float(observed.sum())
+    # With unit efficiencies the rounded entries can sum to a few ulps above 1.
+    q = min(float(observed.sum()), 1.0)
     index = _thinned_indices(n_pairs, q, rng)
-    cdf = np.cumsum(observed) / q
+    cdf = np.cumsum(observed)
+    cdf /= cdf[-1]
     cats = np.searchsorted(cdf, rng.random(index.shape[0]), side="right")
-    cell, detection = np.divmod(np.minimum(cats, observed.size - 1), 3)
+    cell, detection = np.divmod(cats, 3)
     detection += 1
     return PairDetections(
         index=index,

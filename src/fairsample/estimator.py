@@ -130,16 +130,8 @@ class EstimateSet:
 
     @property
     def correlation_singles(self) -> float:
-        """Correlation computed from the singles-normalized table.
-
-        Formed as one quotient, so a block with no (+,-) and (-,+)
-        coincidences gives exactly 1, and one with no (+,+) and (-,-)
-        exactly -1, as the standard correlation does; the sum of the
-        separately rounded table entries can miss by one ulp, which is
-        far larger than the vanishing counting uncertainty there.
-        """
-        q = self.joint
-        return (q.p_pp + q.p_mm - q.p_pm - q.p_mp) / (q.p_pp + q.p_pm + q.p_mp + q.p_mm)
+        """Correlation computed from the singles-normalized table."""
+        return self.joint.correlation()
 
 
 @dataclass(frozen=True)

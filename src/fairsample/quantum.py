@@ -81,8 +81,14 @@ class ProbTable:
         return (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
 
     def correlation(self) -> float:
-        """E = P++ + P-- - P+- - P-+ for this table."""
-        return self.p_pp + self.p_mm - self.p_pm - self.p_mp
+        """E = P++ + P-- - P+- - P-+ for this table.
+
+        Divided by the entry sum, which is 1 up to rounding, so a table
+        with no (+,-) and (-,+) entries gives exactly 1 and one with no
+        (+,+) and (-,-) entries exactly -1.
+        """
+        total = self.p_pp + self.p_pm + self.p_mp + self.p_mm
+        return (self.p_pp + self.p_mm - self.p_pm - self.p_mp) / total
 
     def marginal(self, station: Station, sign: OutcomeSign) -> float:
         """Row/column sum of the table (one station's outcome probability)."""
