@@ -157,7 +157,7 @@ def make_stream(
     return EventStream(
         station=station,
         tick_resolution_ps=tick_resolution_ps,
-        t=t[order].astype(np.uint64),
+        t=t[order].astype(np.uint64, copy=False),
         sign=np.ascontiguousarray(sign[order], dtype=np.uint8),
         setting_index=np.ascontiguousarray(setting_index[order], dtype=np.uint8),
     )
@@ -199,38 +199,32 @@ def generate_streams(
     n = det.n_pairs
     ticks_per_second = 1e12 / tick_resolution_ps
     mean_gap_ticks = ticks_per_second / pair_rate_hz
-    steps = np.diff(det.index, prepend=-1)
-    emission = np.cumsum(rng.gamma(steps, mean_gap_ticks))
+    # Arrays are updated in place and dropped as soon as they are spent, so
+    # a point holds few full-size arrays at once.
+    emission = rng.gamma(np.diff(det.index, prepend=-1), mean_gap_ticks)
+    np.cumsum(emission, out=emission)
+    hits = []
+    for detected, sign in ((det.detected_a, det.sign_a), (det.detected_b, det.sign_b)):
+        t = emission[detected]
+        t += rng.normal(0.0, jitter_sd_ticks, t.shape[0])
+        np.rint(t, out=t)
+        np.maximum(t, 0.0, out=t)
+        hits.append((t.astype(np.uint64), sign[detected].astype(np.uint8)))
+    del emission
 
-    def station_times(detected: np.ndarray) -> np.ndarray:
-        base = emission[detected]
-        jitter = rng.normal(0.0, jitter_sd_ticks, base.shape[0])
-        t = np.rint(base + jitter)
-        return np.maximum(t, 0.0).astype(np.uint64)
-
-    t_a = station_times(det.detected_a)
-    t_b = station_times(det.detected_b)
-    sign_a = det.sign_a[det.detected_a].astype(np.uint8)
-    sign_b = det.sign_b[det.detected_b].astype(np.uint8)
-
-    if dark_rate_hz > 0.0:
-        duration_ticks = n / pair_rate_hz * ticks_per_second
-        for _station in (0, 1):
+    duration_ticks = n / pair_rate_hz * ticks_per_second
+    streams = []
+    for station in (Station.ALICE, Station.BOB):
+        t, sign = hits.pop(0)
+        if dark_rate_hz > 0.0:
             n_dark = rng.poisson(2.0 * dark_rate_hz * n / pair_rate_hz)
             t_dark = rng.uniform(0.0, duration_ticks, n_dark).astype(np.uint64)
             sign_dark = rng.integers(0, 2, n_dark).astype(np.uint8)
-            if _station == 0:
-                t_a = np.concatenate([t_a, t_dark])
-                sign_a = np.concatenate([sign_a, sign_dark])
-            else:
-                t_b = np.concatenate([t_b, t_dark])
-                sign_b = np.concatenate([sign_b, sign_dark])
-
-    idx_a = np.full(t_a.shape[0], setting_index, dtype=np.uint8)
-    idx_b = np.full(t_b.shape[0], setting_index, dtype=np.uint8)
-    stream_a = make_stream(Station.ALICE, tick_resolution_ps, t_a, sign_a, idx_a)
-    stream_b = make_stream(Station.BOB, tick_resolution_ps, t_b, sign_b, idx_b)
-    return stream_a, stream_b
+            t = np.concatenate([t, t_dark])
+            sign = np.concatenate([sign, sign_dark])
+        idx = np.full(t.shape[0], setting_index, dtype=np.uint8)
+        streams.append(make_stream(station, tick_resolution_ps, t, sign, idx))
+    return streams[0], streams[1]
 
 
 def write_ttg(stream: EventStream, path) -> int:

@@ -218,7 +218,11 @@ def test_detections_zero_pairs():
 
 
 def test_detections_unit_efficiency_observe_every_pair():
-    det = simulate_pair_detections(SINGLET, ETA_UNIT, FAIR, SettingsPair(0.2, 0.0), 5000, seed=12)
+    # At these angles the rounded category probabilities sum above 1.
+    s = SettingsPair(0.34899993172338295, 3.480579390302146)
+    state = SourceState(0.8158535541215322)
+    assert category_probs(state, ETA_UNIT, FAIR, s).sum() > 1.0
+    det = simulate_pair_detections(state, ETA_UNIT, FAIR, s, 5000, seed=12)
     assert np.array_equal(det.index, np.arange(5000))
     assert np.all(det.detected_a & det.detected_b)
 
@@ -233,8 +237,7 @@ def test_detections_unit_efficiency_observe_every_pair():
     unfair=st.booleans(),
 )
 def test_detections_unit_efficiency_any_angles(p, d, a, b, eff, unfair):
-    # The observed entries can sum to a few ulps above 1 here (it does,
-    # e.g., for FAIR at p = 0.816, angles 0.349 and 3.48).
+    # The observed entries can sum to a few ulps above 1 here.
     policy = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d) if unfair else FAIR
     det = simulate_pair_detections(SourceState(p), eff, policy, SettingsPair(a, b), 200, seed=3)
     assert np.all(det.detected_a | det.detected_b)
@@ -245,14 +248,6 @@ def test_detections_unit_efficiency_any_angles(p, d, a, b, eff, unfair):
         # Alice's Minus channel is never modulated, so an Alice-Minus pair
         # is always seen at Alice.
         assert np.all(det.detected_a[det.sign_a == OutcomeSign.MINUS])
-
-
-def test_detections_unit_efficiency_rounding_above_one():
-    s = SettingsPair(0.34899993172338295, 3.480579390302146)
-    state = SourceState(0.8158535541215322)
-    assert category_probs(state, ETA_UNIT, FAIR, s).sum() > 1.0
-    det = simulate_pair_detections(state, ETA_UNIT, FAIR, s, 1000, seed=4)
-    assert np.array_equal(det.index, np.arange(1000))
 
 
 def test_detections_zero_depth_unfair_identical_to_fair():
