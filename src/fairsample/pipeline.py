@@ -4,6 +4,8 @@ A *run* is one angle scan: per scan point, two TTG1 files (one per
 station) plus a JSON manifest that records every parameter, the RNG
 algorithm and seeding rule, and the file names.  The manifest is written
 last, as the commit point: a directory with a manifest is a complete run.
+Every artifact is written to a temporary file and renamed into place, so
+a write that fails part-way leaves the previous file or none.
 
 Analysis is strictly file-based — it reads the manifest and the TTG1
 files, never in-memory simulation state — so third-party streams can be
@@ -38,6 +40,7 @@ from .estimator import (
     estimate_block,
     evenodd_sums_standard,
 )
+from .fileio import atomic_write
 from .fits import (
     FitModel,
     InsufficientPoints,
@@ -111,6 +114,10 @@ def simulate_run(cfg: RunConfig, output_dir, jobs: "int | None" = None) -> Path:
     """
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / MANIFEST_NAME
+    # A manifest left by an earlier run would vouch for point files that
+    # this run is about to replace.
+    manifest_path.unlink(missing_ok=True)
     workers = jobs if jobs and jobs > 0 else 1
     if workers == 1:
         points = [_simulate_point(cfg, i, out_dir) for i in range(cfg.n_points)]
@@ -134,8 +141,8 @@ def simulate_run(cfg: RunConfig, output_dir, jobs: "int | None" = None) -> Path:
         "format": {"name": "TTG1", "version": 1},
         "points": points,
     }
-    manifest_path = out_dir / MANIFEST_NAME
-    manifest_path.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    with atomic_write(manifest_path, encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
     return manifest_path
 
 
@@ -234,7 +241,7 @@ def _fmt(value: float) -> str:
 
 
 def _write_counts_csv(path: Path, scan: ScanResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -255,7 +262,7 @@ def _write_counts_csv(path: Path, scan: ScanResult) -> None:
 
 
 def _write_correlation_csv(path: Path, scan: ScanResult, cfg: RunConfig) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
@@ -289,7 +296,7 @@ def _write_correlation_csv(path: Path, scan: ScanResult, cfg: RunConfig) -> None
 
 
 def _write_evenodd_csv(path: Path, scan: ScanResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = ["point", "alpha_deg", "beta_deg"]
         for name in ("a_plus", "a_minus", "b_plus", "b_minus"):
@@ -308,7 +315,7 @@ def _write_evenodd_csv(path: Path, scan: ScanResult) -> None:
 
 
 def _write_marginals_csv(path: Path, scan: ScanResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = ["point", "alpha_deg", "beta_deg"]
         for name in ("a_plus", "a_minus", "b_plus", "b_minus"):
@@ -441,9 +448,8 @@ def analyze_run(
         "skipped_points": [{"index": i, "reason": r} for i, r in skipped],
         "low_statistics_points": low_stat_points,
     }
-    files["nosignalling"].write_text(
-        json.dumps(ns_doc, indent=2), encoding="utf-8"
-    )
+    with atomic_write(files["nosignalling"], encoding="utf-8") as fh:
+        json.dump(ns_doc, fh, indent=2)
     return AnalysisResult(
         scan=scan, nosignalling=report, fit_note=fit_note, skipped=skipped,
         files=files,
@@ -545,5 +551,6 @@ def write_report(analysis_dir) -> Path:
                 f"- point {item['index']} skipped in fits: {item['reason']}"
             )
     out = base / "report.md"
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(out, encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
     return out

@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .detection import PairDetections
+from .fileio import atomic_write
 from .quantum import Station
 
 MAGIC = b"TTG1"
@@ -222,13 +223,24 @@ def generate_streams(
             sign_dark = rng.integers(0, 2, n_dark).astype(np.uint8)
             t = np.concatenate([t, t_dark])
             sign = np.concatenate([sign, sign_dark])
+        # One in-place sort of the key 2t + sign orders the events by
+        # (t, sign) as make_stream does, without its index and gathered
+        # arrays.  RunConfig keeps the emission clock below 2**53 ticks.
+        if t.shape[0] and t.max() >= np.uint64(2**63):
+            raise ValueError("event times reach 2**63 ticks")
+        np.left_shift(t, np.uint64(1), out=t)
+        t |= sign
+        del sign
+        t.sort()
+        sign = (t & np.uint64(1)).astype(np.uint8)
+        t >>= np.uint64(1)
         idx = np.full(t.shape[0], setting_index, dtype=np.uint8)
-        streams.append(make_stream(station, tick_resolution_ps, t, sign, idx))
+        streams.append(EventStream(station, tick_resolution_ps, t, sign, idx))
     return streams[0], streams[1]
 
 
 def write_ttg(stream: EventStream, path) -> int:
-    """Write a stream to a TTG1 file; returns the number of bytes written."""
+    """Write a stream to a TTG1 file atomically; returns its size in bytes."""
     n = len(stream)
     header = HEADER.pack(
         MAGIC, VERSION, int(stream.station), 0, stream.tick_resolution_ps, n
@@ -239,9 +251,10 @@ def write_ttg(stream: EventStream, path) -> int:
         (stream.sign & _SIGN_BIT)
         | ((stream.setting_index << _SETTING_SHIFT) & _SETTING_MASK)
     ).astype(np.uint8)
-    payload = header + records.tobytes()
-    Path(path).write_bytes(payload)
-    return len(payload)
+    with atomic_write(path, "wb") as fh:
+        fh.write(header)
+        fh.write(records.data)
+    return len(header) + records.nbytes
 
 
 def read_ttg(path) -> EventStream:
@@ -299,7 +312,12 @@ def read_ttg(path) -> EventStream:
 
     sign = (flags & _SIGN_BIT).astype(np.uint8)
     setting_index = ((flags & _SETTING_MASK) >> _SETTING_SHIFT).astype(np.uint8)
-    return make_stream(Station(station), int(tick), t.copy(), sign, setting_index)
+    t = t.copy()
+    if count > 1 and np.any((t[1:] == t[:-1]) & (sign[1:] < sign[:-1])):
+        # Equal-timestamp records with Minus before Plus: restore the
+        # canonical order.  Files this package writes never need it.
+        return make_stream(Station(station), int(tick), t, sign, setting_index)
+    return EventStream(Station(station), int(tick), t, sign, setting_index)
 
 
 def write_csv(stream: EventStream, path) -> None:

@@ -1,10 +1,13 @@
 """Windowed coincidence matching: fast engine, exhaustive oracle, counting."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from fairsample import coincidence
 from fairsample.coincidence import (
     CoincidenceWindow,
     TickResolutionMismatch,
@@ -14,8 +17,14 @@ from fairsample.coincidence import (
     match_events,
     match_events_naive,
 )
-from fairsample.quantum import Station
-from fairsample.timetags import make_stream
+from fairsample.detection import (
+    EfficiencyConfig,
+    PolicyKind,
+    SamplingPolicy,
+    simulate_pair_detections,
+)
+from fairsample.quantum import SettingsPair, SourceState, Station
+from fairsample.timetags import generate_streams, make_stream
 
 U64_MAX = 2**64 - 1
 
@@ -253,3 +262,139 @@ def test_count_conserves_events(pair, win):
     assert counts.s_b_minus == int(np.sum(b.sign == 1))
     assert counts.total_coincidences <= min(len(a), len(b))
     assert counts == count_coincidences_naive(a, b, win)
+
+
+# ---------------------------------------------------------------------------
+# match_events: dense regime (clusters of more than two events) vs the oracle
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_as_naive(t_a, t_b, width):
+    win = CoincidenceWindow(width)
+    fast = match_events(_t(t_a), _t(t_b), win)
+    naive = match_events_naive(_t(t_a), _t(t_b), win)
+    assert np.array_equal(fast[0], naive[0])
+    assert np.array_equal(fast[1], naive[1])
+    return fast
+
+
+def _cluster_gt2_share(t_a, t_b, width):
+    t = np.sort(np.concatenate((t_a, t_b)))
+    cuts = np.flatnonzero(np.diff(t) > np.uint64(width)) + 1
+    sizes = np.diff(np.concatenate(([0], cuts, [t.size])))
+    return sizes[sizes > 2].sum() / t.size
+
+
+@st.composite
+def bursts(draw):
+    """A and B times packed into up to four far-apart bursts, window up to the span."""
+    span = draw(st.integers(0, 400))
+    times = st.lists(st.integers(0, span), max_size=40)
+    t_a, t_b = [], []
+    for k in range(draw(st.integers(1, 4))):
+        base = k * (3 * span + 1000)
+        t_a += [base + t for t in draw(times)]
+        t_b += [base + t for t in draw(times)]
+    return sorted(t_a), sorted(t_b), draw(st.integers(0, span))
+
+
+@settings(max_examples=200)
+@given(block=bursts())
+def test_long_clusters_equal_naive_oracle(block):
+    _assert_same_as_naive(*block)
+
+
+@settings(max_examples=200)
+@given(block=bursts(), size=st.sampled_from([1, 2, 3, 8]))
+def test_small_merge_blocks_equal_naive_oracle(block, size):
+    # Blocks of a few events put cluster ends and ties at every block
+    # boundary and make single clusters overflow their block.
+    with mock.patch.object(coincidence, "_BLOCK", size):
+        _assert_same_as_naive(*block)
+
+
+@pytest.mark.parametrize(
+    "t_a, t_b, width, pairs",
+    [
+        # The block of two events per station ends inside the cluster
+        # {5, 5, 6}; A event 6 pairs with B event 8, past the block.
+        ([5, 6], [1, 5, 8], 2, [(0, 1), (1, 2)]),
+        # One cluster spans every block: the block widens until it fits.
+        (list(range(0, 20, 2)), list(range(1, 20, 2)), 1, [(k, k) for k in range(10)]),
+        # Equal timestamps across every block boundary.
+        ([3, 3, 3, 3], [3, 3, 3], 0, [(0, 0), (1, 1), (2, 2)]),
+    ],
+)
+def test_match_across_merge_blocks(t_a, t_b, width, pairs):
+    with mock.patch.object(coincidence, "_BLOCK", 2):
+        ia, ib = _assert_same_as_naive(t_a, t_b, width)
+    assert list(zip(ia.tolist(), ib.tolist())) == pairs
+
+
+def test_dense_generated_stream_equals_naive_oracle():
+    # eta = 0.9 at 1 MHz with 200 kHz dark counts per channel: most events
+    # sit in clusters of more than two, the regime of long lockstep passes.
+    det = simulate_pair_detections(
+        SourceState(1.0),
+        EfficiencyConfig(0.9, 0.9, 0.9, 0.9),
+        SamplingPolicy(PolicyKind.UNFAIR_MALUS, 0.5),
+        SettingsPair(0.3, 0.0),
+        16_000,
+        np.random.SeedSequence(31),
+    )
+    a, b = generate_streams(
+        det, pair_rate_hz=1e6, tick_resolution_ps=1000, jitter_sd_ticks=50.0,
+        seed=np.random.SeedSequence(32), dark_rate_hz=2e5,
+    )
+    width = 500
+    end = np.uint64(12_000_000)  # ticks: a prefix of 12 ms out of 16 ms
+    t_a, t_b = a.t[a.t < end], b.t[b.t < end]
+    assert t_a.size + t_b.size >= 20_000
+    assert _cluster_gt2_share(t_a, t_b, width) > 0.5
+    ia, _ = _assert_same_as_naive(t_a, t_b, width)
+    assert ia.size > 5_000
+    # The same stream in many merge blocks and lockstep passes.
+    with mock.patch.object(coincidence, "_BLOCK", 500):
+        _assert_same_as_naive(t_a, t_b, width)
+
+
+def test_match_ties_across_stations():
+    ia, ib = _assert_same_as_naive([10, 10, 10], [10, 10], 0)
+    assert list(ia) == [0, 1] and list(ib) == [0, 1]
+    ia, ib = _assert_same_as_naive([5, 10, 10], [10, 10, 15], 5)
+    assert list(ia) == [0, 1, 2] and list(ib) == [0, 1, 2]
+
+
+def test_match_zero_window_needs_equal_timestamps():
+    ia, ib = _assert_same_as_naive([1, 2, 3, 5], [2, 3, 4, 5], 0)
+    assert list(ia) == [1, 2, 3] and list(ib) == [0, 1, 3]
+
+
+def test_match_one_station_clusters_never_match():
+    ia, _ = _assert_same_as_naive([0, 1, 2, 1000, 1001], [500, 2000, 2001], 10)
+    assert ia.size == 0
+    # A-only, B-only and mixed clusters side by side.
+    ia, ib = _assert_same_as_naive([0, 1, 2, 100], [50, 101], 2)
+    assert list(ia) == [3] and list(ib) == [1]
+
+
+def test_match_whole_input_is_one_cluster():
+    t_a = np.arange(0, 2000, 2)
+    t_b = np.arange(1, 2000, 2)
+    ia, ib = _assert_same_as_naive(t_a, t_b, 1)
+    assert np.array_equal(ia, np.arange(1000)) and np.array_equal(ib, np.arange(1000))
+    # B one event behind: the first A event expires and the rest pair off.
+    ia, ib = _assert_same_as_naive(t_a, t_b[1:] - 2, 1)
+    assert ia.size == 999
+    _assert_same_as_naive(t_a, t_b, 1999)
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 2**63, U64_MAX])
+def test_match_u64_max_timestamps(width):
+    _assert_same_as_naive(
+        [U64_MAX - 3, U64_MAX - 1, U64_MAX], [U64_MAX - 2, U64_MAX, U64_MAX], width
+    )
+    _assert_same_as_naive([0, U64_MAX], [0, 1, U64_MAX - 1, U64_MAX], width)
+    # At width 2**63 all three events form one cluster, and 0 is more than
+    # the window before U64_MAX although U64_MAX - 0 wraps to within it.
+    _assert_same_as_naive([U64_MAX], [0, 2**63], width)

@@ -99,6 +99,54 @@ def test_load_manifest_rejects_other_documents(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def test_failed_resimulation_leaves_no_manifest(tmp_path, monkeypatch):
+    import fairsample.pipeline as pipeline
+
+    cfg = config_from_dict(small_doc(pairs_per_point=2_000))
+    simulate_run(cfg, tmp_path)
+    real_write = pipeline.write_ttg
+    calls = []
+
+    def failing_write(stream, path):
+        calls.append(path)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        return real_write(stream, path)
+
+    monkeypatch.setattr(pipeline, "write_ttg", failing_write)
+    with pytest.raises(OSError):
+        simulate_run(cfg, tmp_path)
+    # The old manifest would vouch for a mix of old and new point files.
+    assert not (tmp_path / "manifest.json").exists()
+    assert not list(tmp_path.glob(".*"))
+
+
+def test_failed_analysis_keeps_previous_tables(tmp_path, monkeypatch):
+    import fairsample.pipeline as pipeline
+
+    manifest = simulate_run(config_from_dict(small_doc(pairs_per_point=5_000)), tmp_path)
+    analyze_run(manifest)
+    before = {p.name: p.read_bytes() for p in tmp_path.glob("*.*")}
+    real_model = pipeline.correlation_qt
+    calls = []
+
+    def failing_model(state, s):
+        calls.append(s)
+        if len(calls) == 3:
+            raise RuntimeError("interrupted mid-table")
+        return real_model(state, s)
+
+    monkeypatch.setattr(pipeline, "correlation_qt", failing_model)
+    with pytest.raises(RuntimeError):
+        analyze_run(manifest, window_ticks=10)
+    # counts.csv was complete before the failure and is replaced; the
+    # table that failed part-way, and those after it, keep their content.
+    after = {p.name: p.read_bytes() for p in tmp_path.glob("*.*")}
+    assert after.pop("counts.csv") != before.pop("counts.csv")
+    assert after == before
+    assert not list(tmp_path.glob(".*"))
+
+
 def test_analysis_tables_exist(fair_run):
     run_dir, _, result = fair_run
     for key in ("counts", "correlation", "evenodd_standard", "marginals_singles", "nosignalling"):

@@ -1,0 +1,21 @@
+"""Smoke tests for the scripts: they run and exit 0, nothing about speed."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_coincidence_runs(capsys):
+    bench = _load("benchmark_coincidence")
+    argv = ["--events", "10000", "--repeats", "1", "--naive-events", "1000"]
+    assert bench.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "clusters > 2" in out and "events/s/core" in out

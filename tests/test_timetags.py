@@ -305,6 +305,28 @@ def test_read_normalizes_equal_timestamp_sign_order(tmp_path):
     assert list(back.sign) == [0, 1]
 
 
+def test_read_reorders_minus_first_ties_with_their_settings(tmp_path):
+    # Records (t, flags) written by hand: at t = 5 and t = 9 Minus comes
+    # first.  Reading restores Plus before Minus, and each record's
+    # setting index travels with its sign.
+    records = [(5, 0b101), (5, 0b010), (7, 0b000), (9, 0b111), (9, 0b000), (9, 0b100)]
+    raw = struct.pack("<4sBBHQQ", b"TTG1", 1, 0, 0, 1000, len(records))
+    raw += b"".join(struct.pack("<QB", t, flags) for t, flags in records)
+    path = tmp_path / "ties.ttg"
+    path.write_bytes(raw)
+    back = read_ttg(path)
+    assert list(back.t) == [5, 5, 7, 9, 9, 9]
+    assert list(back.sign) == [0, 1, 0, 0, 0, 1]
+    assert list(back.setting_index) == [1, 2, 0, 0, 2, 3]
+
+
+def test_read_keeps_canonical_file_order(tmp_path):
+    s = _stream([1, 1, 4, 4, 4], [0, 1, 0, 0, 1], setting=[3, 2, 1, 0, 3])
+    path = tmp_path / "c.ttg"
+    write_ttg(s, path)
+    assert _streams_equal(read_ttg(path), s)
+
+
 # ---------------------------------------------------------------------------
 # CSV escape hatch
 # ---------------------------------------------------------------------------
@@ -409,3 +431,29 @@ def test_generate_streams_jitter_spreads_pair_offsets():
     # Two independent 50-tick jitters: offset spread is 50·√2 ticks.
     assert float(np.std(dt)) == pytest.approx(50.0 * math.sqrt(2.0), rel=0.05)
     assert abs(float(np.mean(dt))) < 5 * 50.0 * math.sqrt(2.0) / math.sqrt(n)
+
+
+def test_generate_streams_orders_ties_like_make_stream():
+    # 1 µs ticks at 10^5 pairs/s and 3·10^4 dark counts/s per channel:
+    # many events share a tick, with both signs.
+    n = 20_000
+    rng = np.random.default_rng(8)
+    det = _detections([True] * n, [True] * n, rng.integers(0, 2, n), rng.integers(0, 2, n))
+    for stream in generate_streams(det, 1e5, 10**6, 0.3, seed=8, dark_rate_hz=3e4):
+        assert np.count_nonzero(np.diff(stream.t) == 0) > 1000
+        perm = rng.permutation(len(stream))
+        again = make_stream(
+            stream.station, stream.tick_resolution_ps,
+            stream.t[perm], stream.sign[perm], stream.setting_index[perm],
+        )
+        assert _streams_equal(stream, again)
+
+
+def test_generate_streams_rejects_times_beyond_2_63_ticks():
+    # One pair emitted after six gaps of mean 2·10^18 ticks: about 1.2·10^19.
+    det = PairDetections(
+        index=np.array([5]), sign_a=np.zeros(1, np.uint8), sign_b=np.zeros(1, np.uint8),
+        detected_a=np.ones(1, bool), detected_b=np.ones(1, bool), n_pairs=6,
+    )
+    with pytest.raises(ValueError, match="2\\*\\*63"):
+        generate_streams(det, 0.5e-6, 1, 0.0, seed=0)
