@@ -34,7 +34,6 @@ from .detection import (
 from .estimator import (
     AllZeroRatios,
     EstimateSet,
-    FRatios,
     MarginalSet,
     NoCoincidences,
     ScanPoint,
@@ -44,11 +43,7 @@ from .estimator import (
     correlation_standard,
     counting_uncertainties,
     estimate_block,
-    estimate_joint,
-    estimate_marginals,
     evenodd_sums_standard,
-    f_ratios,
-    marginal_standard,
 )
 from .fits import (
     DegenerateWeights,

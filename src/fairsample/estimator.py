@@ -1,16 +1,18 @@
 """Point estimates from block counts: two rival normalizations, with errors.
 
-Standard practice divides each coincidence count by the total number of
-coincidences.  That cancels the channel efficiencies only when the
-channels are balanced; with imbalanced channels the normalized sums are
-biased (``marginal_standard`` documents the exact bias).  The singles
-normalization divides each coincidence count by the *product of the two
-singles counts* of the channels involved; whenever pair detection
-factorizes into the two channel efficiencies — the operational content
-of fair sampling — those efficiencies cancel exactly, whatever their
-values.  Comparing the two normalizations, and checking whether the
-singles-normalized marginals move with the distant station's setting, is
-the core analysis of this package.
+Both normalizations are one operation: divide each coincidence cell n_k by
+a per-cell weight w_k, then renormalize the table to sum 1.  Standard
+practice takes w_k = 1, i.e. divides by the total number of coincidences.
+That cancels the channel efficiencies only when the channels are balanced;
+with imbalanced channels the normalized sums are biased
+(``evenodd_sums_standard`` states the bias).  The singles normalization
+takes w_k = the product of the two singles counts of the cell's channels
+(n_k / w_k is the cell's f-ratio); whenever pair detection factorizes into
+the two channel efficiencies — the operational content of fair sampling —
+those efficiencies cancel exactly, whatever their values.  Comparing the
+two normalizations, and checking whether the singles-normalized marginals
+move with the distant station's setting, is the core analysis of this
+package.
 
 One caveat is intrinsic to the singles normalization and surfaces in the
 tests: the singles counts themselves carry the local outcome
@@ -21,7 +23,10 @@ entangled source all marginals are 1/2 and the estimate is unbiased; for
 p != 1 the estimated marginals at beta = 0 come out as the true marginal
 curves with the channel labels exchanged.
 
-All uncertainties are first-order (delta-method) propagation of
+One routine, ``_normalize``, serves both weights.  Every estimate is a
+fixed sum over its table: the cells, the four marginals, and the parity
+sum, which is the correlation.  Every uncertainty is the first-order
+(delta-method) propagation of that sum, through the same Jacobian, of
 independent Poisson errors on the eight raw counts.
 """
 
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import BlockCounts
-from .quantum import OutcomeSign, ProbTable, Station
+from .quantum import ProbTable
 
 
 class ZeroSingles(ValueError):
@@ -49,32 +54,6 @@ class NoCoincidences(ValueError):
 
 
 _LOW_COUNT_THRESHOLD = 10
-
-
-@dataclass(frozen=True)
-class FRatios:
-    """Coincidences divided by the product of the matching singles counts.
-
-    Each entry is (1/4) * n / (s_A * s_B) for its channel combination; the
-    1/4 is kept although it cancels under normalization.
-    """
-
-    f_pp: float
-    f_pm: float
-    f_mp: float
-    f_mm: float
-
-    def __post_init__(self) -> None:
-        for name, value in zip(("f_pp", "f_pm", "f_mp", "f_mm"), self.as_tuple()):
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.f_pp, self.f_pm, self.f_mp, self.f_mm)
-
-    @property
-    def total(self) -> float:
-        return self.f_pp + self.f_pm + self.f_mp + self.f_mm
 
 
 @dataclass(frozen=True)
@@ -110,7 +89,6 @@ class UncertaintySet:
     ever raises.  ``low_statistics`` flags any raw count below 10.
     """
 
-    f: tuple[float, float, float, float]
     joint: tuple[float, float, float, float]
     marginals: tuple[float, float, float, float]
     marginals_standard: tuple[float, float, float, float]
@@ -154,207 +132,127 @@ class ScanResult:
         return len(self.points)
 
 
+_SINGLES = ("s_a_plus", "s_a_minus", "s_b_plus", "s_b_minus")
+_COUNTS = ("n_pp", "n_pm", "n_mp", "n_mm") + _SINGLES
+_CELLS = np.arange(4)
+# Count-vector positions of the Alice and Bob singles of each cell.
+_CELL_A = np.array([4, 4, 5, 5])
+_CELL_B = np.array([6, 7, 6, 7])
+# Sums over the cells (pp, pm, mp, mm): the marginals a+, a-, b+, b-, and
+# the parity sum, which gives the correlation.
+_MARGINS = np.array(
+    [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]], dtype=float
+)
+_PARITY = np.array([1, -1, -1, 1], dtype=float)
+# Layout of the estimates returned by _normalize.
+_JOINT, _MARGINALS, _CORRELATION = slice(0, 4), slice(4, 8), 8
+
+
 def _counts_vector(counts: BlockCounts) -> np.ndarray:
-    return np.array(
-        [
-            counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm,
-            counts.s_a_plus, counts.s_a_minus, counts.s_b_plus, counts.s_b_minus,
-        ],
-        dtype=float,
-    )
+    return np.array([getattr(counts, name) for name in _COUNTS], dtype=float)
 
 
-def f_ratios(counts: BlockCounts) -> FRatios:
-    """The four singles-normalized coincidence ratios of one block."""
-    singles = {
-        "s_a_plus": counts.s_a_plus,
-        "s_a_minus": counts.s_a_minus,
-        "s_b_plus": counts.s_b_plus,
-        "s_b_minus": counts.s_b_minus,
-    }
-    for name, value in singles.items():
-        if value == 0:
+def _normalize(x: np.ndarray, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The estimates of one normalization and their 1-sigmas.
+
+    Cell k of the table is n_k / w_k, with w_k = 1 (standard) or, when
+    ``weighted``, the product of the singles counts of cell k's channels.
+    The estimates are the renormalized cells, the marginals and the
+    correlation (layout ``_JOINT``, ``_MARGINALS``, ``_CORRELATION``); the
+    sigmas are the delta method through the cells' 4x8 Jacobian in ``x``.
+    Raises ZeroSingles, then AllZeroRatios (weighted) or NoCoincidences
+    (standard) where the table is undefined.
+    """
+    if weighted:
+        zero = np.flatnonzero(x[4:] == 0)
+        if zero.size:
+            name = _SINGLES[zero[0]]
             raise ZeroSingles(f"singles count {name} is zero; f-ratios undefined")
-    return FRatios(
-        f_pp=0.25 * counts.n_pp / (counts.s_a_plus * counts.s_b_plus),
-        f_pm=0.25 * counts.n_pm / (counts.s_a_plus * counts.s_b_minus),
-        f_mp=0.25 * counts.n_mp / (counts.s_a_minus * counts.s_b_plus),
-        f_mm=0.25 * counts.n_mm / (counts.s_a_minus * counts.s_b_minus),
-    )
-
-
-def estimate_joint(f: FRatios) -> ProbTable:
-    """Normalize the f-ratios into a probability table (sums to 1 exactly)."""
-    total = f.total
+        weight = x[_CELL_A] * x[_CELL_B]
+    else:
+        weight = np.ones(4)
+    cells = x[:4] / weight
+    total = cells.sum()
     if total <= 0.0:
-        raise AllZeroRatios("all four f-ratios are zero")
-    return ProbTable(
-        p_pp=f.f_pp / total,
-        p_pm=f.f_pm / total,
-        p_mp=f.f_mp / total,
-        p_mm=f.f_mm / total,
+        if weighted:
+            raise AllZeroRatios("all four f-ratios are zero")
+        raise NoCoincidences("no coincidences in block")
+    jac = np.zeros((4, 8))
+    jac[_CELLS, _CELLS] = 1.0 / weight
+    if weighted:
+        jac[_CELLS, _CELL_A] = -cells / x[_CELL_A]
+        jac[_CELLS, _CELL_B] = -cells / x[_CELL_B]
+    colsum = jac.sum(axis=0)
+    table = cells / total
+    jac_table = (jac - np.outer(table, colsum)) / total
+    # The parity sum is taken over the cells and divided by their sum last,
+    # so integer counts give an exact standard correlation and a table
+    # without one parity class exactly +-1, with sigma 0.
+    corr = _PARITY @ cells / total
+    values = np.concatenate([table, _MARGINS @ table, [corr]])
+    grad = np.vstack(
+        [jac_table, _MARGINS @ jac_table, (_PARITY @ jac - corr * colsum) / total]
     )
-
-
-def estimate_marginals(f: FRatios) -> MarginalSet:
-    """Row and column sums of the singles-normalized table."""
-    q = estimate_joint(f)
-    return MarginalSet(
-        a_plus=q.p_pp + q.p_pm,
-        a_minus=q.p_mp + q.p_mm,
-        b_plus=q.p_pp + q.p_mp,
-        b_minus=q.p_pm + q.p_mm,
-    )
+    return values, np.sqrt((grad * grad) @ x)
 
 
 def correlation_standard(counts: BlockCounts) -> float:
     """(n_pp + n_mm - n_pm - n_mp) / total coincidences."""
-    total = counts.total_coincidences
-    if total == 0:
-        raise NoCoincidences("no coincidences in block")
-    return (counts.n_pp + counts.n_mm - counts.n_pm - counts.n_mp) / total
+    values, _ = _normalize(_counts_vector(counts), weighted=False)
+    return float(values[_CORRELATION])
 
 
-def marginal_standard(
-    counts: BlockCounts, station: Station, sign: OutcomeSign
-) -> float:
-    """One station's coincidence-normalized sum, e.g. (n_pp + n_pm) / total.
+def evenodd_sums_standard(counts: BlockCounts) -> MarginalSet:
+    """The four coincidence-normalized sums, e.g. (n_pp + n_pm) / total.
 
-    Biased whenever that station's channels have unequal efficiencies: the
+    Biased whenever a station's channels have unequal efficiencies: the
     efficiency factors scale the numerator cells but not the whole
     denominator, so they do not cancel (unlike in the singles
     normalization).
     """
-    total = counts.total_coincidences
-    if total == 0:
-        raise NoCoincidences("no coincidences in block")
-    if station == Station.ALICE:
-        num = counts.n_pp + counts.n_pm if sign == OutcomeSign.PLUS else \
-            counts.n_mp + counts.n_mm
-    else:
-        num = counts.n_pp + counts.n_mp if sign == OutcomeSign.PLUS else \
-            counts.n_pm + counts.n_mm
-    return num / total
+    values, _ = _normalize(_counts_vector(counts), weighted=False)
+    return MarginalSet(*values[_MARGINALS].tolist())
 
 
-def evenodd_sums_standard(counts: BlockCounts) -> MarginalSet:
-    """All four coincidence-normalized sums as one structure.
-
-    Mathematically the same content as :func:`marginal_standard` over the
-    four (station, sign) choices; exposed as one named quantity so scan
-    outputs can tabulate it directly.
-    """
-    return MarginalSet(
-        a_plus=marginal_standard(counts, Station.ALICE, OutcomeSign.PLUS),
-        a_minus=marginal_standard(counts, Station.ALICE, OutcomeSign.MINUS),
-        b_plus=marginal_standard(counts, Station.BOB, OutcomeSign.PLUS),
-        b_minus=marginal_standard(counts, Station.BOB, OutcomeSign.MINUS),
+def _uncertainties(
+    x: np.ndarray, standard: np.ndarray, singles: np.ndarray
+) -> UncertaintySet:
+    return UncertaintySet(
+        joint=tuple(singles[_JOINT].tolist()),
+        marginals=tuple(singles[_MARGINALS].tolist()),
+        marginals_standard=tuple(standard[_MARGINALS].tolist()),
+        correlation_standard=float(standard[_CORRELATION]),
+        correlation_singles=float(singles[_CORRELATION]),
+        low_statistics=bool(np.any(x < _LOW_COUNT_THRESHOLD)),
     )
-
-
-def _fr_jacobian(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """f-ratio values and their 4x8 Jacobian w.r.t. the raw count vector."""
-    f = np.zeros(4)
-    jac = np.zeros((4, 8))
-    for k in range(4):
-        ia = 4 + (k >> 1)
-        ib = 6 + (k & 1)
-        denom = x[ia] * x[ib]
-        f[k] = 0.25 * x[k] / denom
-        jac[k, k] = 0.25 / denom
-        jac[k, ia] = -f[k] / x[ia]
-        jac[k, ib] = -f[k] / x[ib]
-    return f, jac
-
-
-def _sigma_from_grad(grad: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """1-sigma of estimates with gradient rows ``grad``, Poisson counts x."""
-    return np.sqrt((grad * grad) @ x)
 
 
 def counting_uncertainties(counts: BlockCounts) -> UncertaintySet:
     """Poisson 1-sigma values for every estimate derived from this block.
 
     Treats the eight raw counts as independent Poisson variables with
-    variance equal to the observed count and propagates to the f-ratios,
-    the normalized joint table, both kinds of marginals, and both
+    variance equal to the observed count and propagates to the
+    singles-normalized joint table, both kinds of marginals, and both
     correlations.  Undefined entries come back NaN instead of raising.
     """
     x = _counts_vector(counts)
-    nan4 = (math.nan,) * 4
-    low = bool(np.any(x < _LOW_COUNT_THRESHOLD))
-
-    n_total = float(x[:4].sum())
-    if n_total > 0:
-        e_std = (x[0] + x[3] - x[1] - x[2]) / n_total
-        sigma_e_std = math.sqrt(
-            (1.0 - e_std) ** 2 * (x[0] + x[3]) + (1.0 + e_std) ** 2 * (x[1] + x[2])
-        ) / n_total
-        m_std = np.array(
-            [x[0] + x[1], x[2] + x[3], x[0] + x[2], x[1] + x[3]]
-        ) / n_total
-        sigma_m_std = tuple(
-            float(v) for v in np.sqrt(m_std * (1.0 - m_std) / n_total)
-        )
-    else:
-        sigma_e_std = math.nan
-        sigma_m_std = nan4
-
-    if np.any(x[4:] == 0):
-        return UncertaintySet(
-            f=nan4, joint=nan4, marginals=nan4,
-            marginals_standard=sigma_m_std,
-            correlation_standard=sigma_e_std,
-            correlation_singles=math.nan,
-            low_statistics=True,
-        )
-
-    f, jac = _fr_jacobian(x)
-    sigma_f = tuple(float(v) for v in _sigma_from_grad(jac, x))
-    total_f = f.sum()
-    if total_f <= 0.0:
-        return UncertaintySet(
-            f=sigma_f, joint=nan4, marginals=nan4,
-            marginals_standard=sigma_m_std,
-            correlation_standard=sigma_e_std,
-            correlation_singles=math.nan,
-            low_statistics=True,
-        )
-
-    q = f / total_f
-    colsum = jac.sum(axis=0)
-    jac_q = (jac - np.outer(q, colsum)) / total_f
-    sigma_q = tuple(float(v) for v in _sigma_from_grad(jac_q, x))
-
-    grad_marg = np.array(
-        [
-            jac_q[0] + jac_q[1],
-            jac_q[2] + jac_q[3],
-            jac_q[0] + jac_q[2],
-            jac_q[1] + jac_q[3],
-        ]
-    )
-    sigma_marg = tuple(float(v) for v in _sigma_from_grad(grad_marg, x))
-    grad_e = jac_q[0] - jac_q[1] - jac_q[2] + jac_q[3]
-    sigma_e_singles = float(_sigma_from_grad(grad_e[None, :], x)[0])
-
-    return UncertaintySet(
-        f=sigma_f,
-        joint=sigma_q,
-        marginals=sigma_marg,
-        marginals_standard=sigma_m_std,
-        correlation_standard=sigma_e_std,
-        correlation_singles=sigma_e_singles,
-        low_statistics=low,
-    )
+    sigmas = []
+    for weighted in (False, True):
+        try:
+            sigmas.append(_normalize(x, weighted)[1])
+        except (ZeroSingles, AllZeroRatios, NoCoincidences):
+            sigmas.append(np.full(_CORRELATION + 1, math.nan))
+    return _uncertainties(x, *sigmas)
 
 
 def estimate_block(counts: BlockCounts) -> EstimateSet:
     """All estimates for one block; raises if any piece is undefined."""
-    f = f_ratios(counts)
+    x = _counts_vector(counts)
+    singles, sigma_singles = _normalize(x, weighted=True)
+    standard, sigma_standard = _normalize(x, weighted=False)
     return EstimateSet(
-        joint=estimate_joint(f),
-        marginals=estimate_marginals(f),
-        correlation_standard=correlation_standard(counts),
-        sigma=counting_uncertainties(counts),
+        joint=ProbTable(*singles[_JOINT].tolist()),
+        marginals=MarginalSet(*singles[_MARGINALS].tolist()),
+        correlation_standard=float(standard[_CORRELATION]),
+        sigma=_uncertainties(x, sigma_standard, sigma_singles),
     )

@@ -74,6 +74,15 @@ def _point_seed(seed: int, index: int, role: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((seed, index, role))
 
 
+def _map_points(work, items, jobs: "int | None") -> list:
+    """``work`` over ``items`` in order, on ``jobs`` threads (serial if 1)."""
+    workers = jobs if jobs and jobs > 0 else 1
+    if workers == 1:
+        return [work(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, items))
+
+
 def _simulate_point(cfg: RunConfig, index: int, out_dir: Path) -> dict:
     s = cfg.settings_for_point(index)
     det = simulate_pair_detections(
@@ -118,14 +127,9 @@ def simulate_run(cfg: RunConfig, output_dir, jobs: "int | None" = None) -> Path:
     # A manifest left by an earlier run would vouch for point files that
     # this run is about to replace.
     manifest_path.unlink(missing_ok=True)
-    workers = jobs if jobs and jobs > 0 else 1
-    if workers == 1:
-        points = [_simulate_point(cfg, i, out_dir) for i in range(cfg.n_points)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(
-                pool.map(lambda i: _simulate_point(cfg, i, out_dir), range(cfg.n_points))
-            )
+    points = _map_points(
+        lambda i: _simulate_point(cfg, i, out_dir), range(cfg.n_points), jobs
+    )
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": "fairsample-run",
@@ -214,6 +218,11 @@ def load_manifest(
         points = [_parse_point(i, pd, base) for i, pd in enumerate(doc["points"])]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    seen = set()
+    for i, pt in enumerate(points):
+        if pt.index in seen:
+            raise ValueError(f"{path}: points[{i}].index: duplicate index {pt.index}")
+        seen.add(pt.index)
     return doc, cfg, base, points
 
 
@@ -240,99 +249,62 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_counts_csv(path: Path, scan: ScanResult) -> None:
+_CHANNEL_COLUMNS = [
+    h for name in ("a_plus", "a_minus", "b_plus", "b_minus")
+    for h in (name, f"sigma_{name}")
+]
+
+
+def _write_table(path: Path, header: list, rows: list, cells) -> None:
+    """Write one CSV: per row the point's key columns, then ``cells``.
+
+    ``rows`` holds (manifest index, scan point, its uncertainties);
+    ``cells(point, uncertainties)`` gives the remaining columns.
+    """
     with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "point", "alpha_deg", "beta_deg",
-                "n_pp", "n_pm", "n_mp", "n_mm",
-                "s_a_plus", "s_a_minus", "s_b_plus", "s_b_minus",
-            ]
-        )
-        for i, pt in enumerate(scan.points):
-            c = pt.counts
-            writer.writerow(
-                [
-                    i, _fmt(math.degrees(pt.alpha)), _fmt(math.degrees(pt.beta)),
-                    c.n_pp, c.n_pm, c.n_mp, c.n_mm,
-                    c.s_a_plus, c.s_a_minus, c.s_b_plus, c.s_b_minus,
-                ]
-            )
+        writer.writerow(["point", "alpha_deg", "beta_deg"] + header)
+        for index, pt, sigma in rows:
+            key = [index, _fmt(math.degrees(pt.alpha)), _fmt(math.degrees(pt.beta))]
+            writer.writerow(key + cells(pt, sigma))
 
 
-def _write_correlation_csv(path: Path, scan: ScanResult, cfg: RunConfig) -> None:
-    with atomic_write(path, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "point", "alpha_deg", "beta_deg",
-                "corr_standard", "sigma_standard",
-                "corr_singles", "sigma_singles", "corr_model",
-            ]
-        )
-        for i, pt in enumerate(scan.points):
-            model = correlation_qt(cfg.source, SettingsPair(pt.alpha, pt.beta))
-            if pt.counts.total_coincidences > 0:
-                sigma = counting_uncertainties(pt.counts)
-                row = [
-                    _fmt(correlation_standard(pt.counts)),
-                    _fmt(sigma.correlation_standard),
-                ]
-            else:
-                row = ["nan", "nan"]
-            if pt.est is not None:
-                row += [
-                    _fmt(pt.est.correlation_singles),
-                    _fmt(pt.est.sigma.correlation_singles),
-                ]
-            else:
-                row += ["nan", "nan"]
-            writer.writerow(
-                [i, _fmt(math.degrees(pt.alpha)), _fmt(math.degrees(pt.beta))]
-                + row
-                + [_fmt(model)]
-            )
+def _paired(values, sigmas) -> list:
+    return [_fmt(v) for pair in zip(values, sigmas) for v in pair]
 
 
-def _write_evenodd_csv(path: Path, scan: ScanResult) -> None:
-    with atomic_write(path, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["point", "alpha_deg", "beta_deg"]
-        for name in ("a_plus", "a_minus", "b_plus", "b_minus"):
-            header += [name, f"sigma_{name}"]
-        writer.writerow(header)
-        for i, pt in enumerate(scan.points):
-            row = [i, _fmt(math.degrees(pt.alpha)), _fmt(math.degrees(pt.beta))]
-            if pt.counts.total_coincidences > 0:
-                sums = evenodd_sums_standard(pt.counts).as_tuple()
-                sigmas = counting_uncertainties(pt.counts).marginals_standard
-                for value, sigma in zip(sums, sigmas):
-                    row += [_fmt(value), _fmt(sigma)]
-            else:
-                row += ["nan"] * 8
-            writer.writerow(row)
+def _counts_cells(pt: ScanPoint, sigma) -> list:
+    c = pt.counts
+    return [
+        c.n_pp, c.n_pm, c.n_mp, c.n_mm,
+        c.s_a_plus, c.s_a_minus, c.s_b_plus, c.s_b_minus,
+    ]
 
 
-def _write_marginals_csv(path: Path, scan: ScanResult) -> None:
-    with atomic_write(path, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = ["point", "alpha_deg", "beta_deg"]
-        for name in ("a_plus", "a_minus", "b_plus", "b_minus"):
-            header += [name, f"sigma_{name}"]
-        header.append("low_statistics")
-        writer.writerow(header)
-        for i, pt in enumerate(scan.points):
-            row = [i, _fmt(math.degrees(pt.alpha)), _fmt(math.degrees(pt.beta))]
-            if pt.est is not None:
-                for value, sigma in zip(
-                    pt.est.marginals.as_tuple(), pt.est.sigma.marginals
-                ):
-                    row += [_fmt(value), _fmt(sigma)]
-                row.append(int(pt.est.sigma.low_statistics))
-            else:
-                row += ["nan"] * 8 + [1]
-            writer.writerow(row)
+def _correlation_cells(pt: ScanPoint, sigma, cfg: RunConfig) -> list:
+    c, est = pt.counts, pt.est
+    return [
+        _fmt(correlation_standard(c)) if c.total_coincidences else "nan",
+        _fmt(sigma.correlation_standard),
+        _fmt(est.correlation_singles) if est is not None else "nan",
+        _fmt(sigma.correlation_singles),
+        _fmt(correlation_qt(cfg.source, SettingsPair(pt.alpha, pt.beta))),
+    ]
+
+
+def _evenodd_cells(pt: ScanPoint, sigma) -> list:
+    if not pt.counts.total_coincidences:
+        return ["nan"] * 8
+    sums = evenodd_sums_standard(pt.counts).as_tuple()
+    return _paired(sums, sigma.marginals_standard)
+
+
+def _marginals_cells(pt: ScanPoint, sigma) -> list:
+    if pt.est is None:
+        return ["nan"] * 8 + [1]
+    return _paired(pt.est.marginals.as_tuple(), sigma.marginals) + [
+        int(sigma.low_statistics)
+    ]
 
 
 def _json_safe(value):
@@ -397,12 +369,7 @@ def analyze_run(
         window_ticks if window_ticks is not None else cfg.coincidence_window_ticks
     )
 
-    workers = jobs if jobs and jobs > 0 else 1
-    if workers == 1:
-        results = [_analyze_point(pt, window) for pt in points]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda pt: _analyze_point(pt, window), points))
+    results = _map_points(lambda pt: _analyze_point(pt, window), points, jobs)
     results.sort(key=lambda r: r[0])
     scan = ScanResult(points=tuple(r[1] for r in results))
     skipped = tuple((r[0], r[2]) for r in results if r[2] is not None)
@@ -421,15 +388,34 @@ def analyze_run(
         "marginals_singles": out_dir / "marginals_singles.csv",
         "nosignalling": out_dir / "nosignalling.json",
     }
-    _write_counts_csv(files["counts"], scan)
-    _write_correlation_csv(files["correlation"], scan, cfg)
-    _write_evenodd_csv(files["evenodd_standard"], scan)
-    _write_marginals_csv(files["marginals_singles"], scan)
+    # One set of uncertainties per point: the estimate's own, or one call
+    # for a point whose singles normalization is undefined.
+    rows = [
+        (index, pt, pt.est.sigma if pt.est else counting_uncertainties(pt.counts))
+        for index, pt, _ in results
+    ]
+    _write_table(
+        files["counts"],
+        ["n_pp", "n_pm", "n_mp", "n_mm",
+         "s_a_plus", "s_a_minus", "s_b_plus", "s_b_minus"],
+        rows, _counts_cells,
+    )
+    _write_table(
+        files["correlation"],
+        ["corr_standard", "sigma_standard",
+         "corr_singles", "sigma_singles", "corr_model"],
+        rows, lambda pt, sigma: _correlation_cells(pt, sigma, cfg),
+    )
+    _write_table(files["evenodd_standard"], _CHANNEL_COLUMNS, rows, _evenodd_cells)
+    _write_table(
+        files["marginals_singles"], _CHANNEL_COLUMNS + ["low_statistics"],
+        rows, _marginals_cells,
+    )
 
     low_stat_points = [
-        i
-        for i, pt in enumerate(scan.points)
-        if pt.est is not None and pt.est.sigma.low_statistics
+        index
+        for index, pt, sigma in rows
+        if pt.est is not None and sigma.low_statistics
     ]
     ns_doc = {
         "schema_version": 1,

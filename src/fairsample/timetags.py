@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import PairDetections
+from .detection import PairDetections, _rng_from_seed
 from .fileio import atomic_write
 from .quantum import Station
 
@@ -164,6 +164,17 @@ def make_stream(
     )
 
 
+def _to_ticks(t: np.ndarray) -> np.ndarray:
+    """Float tick times as uint64, refused before the cast at 2**63 or beyond.
+
+    RunConfig keeps the emission clock below 2**53 ticks; direct callers
+    can pass rates and resolutions whose times no uint64 holds.
+    """
+    if t.shape[0] and not t.max() < 2.0**63:
+        raise ValueError("event times reach 2**63 ticks")
+    return t.astype(np.uint64)
+
+
 def generate_streams(
     det: PairDetections,
     pair_rate_hz: float,
@@ -192,10 +203,7 @@ def generate_streams(
         raise ValueError(f"jitter_sd_ticks must be >= 0, got {jitter_sd_ticks}")
     if dark_rate_hz < 0.0:
         raise ValueError(f"dark_rate_hz must be >= 0, got {dark_rate_hz}")
-    if isinstance(seed, np.random.SeedSequence):
-        rng = np.random.default_rng(seed)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = _rng_from_seed(seed)
 
     n = det.n_pairs
     ticks_per_second = 1e12 / tick_resolution_ps
@@ -210,7 +218,7 @@ def generate_streams(
         t += rng.normal(0.0, jitter_sd_ticks, t.shape[0])
         np.rint(t, out=t)
         np.maximum(t, 0.0, out=t)
-        hits.append((t.astype(np.uint64), sign[detected].astype(np.uint8)))
+        hits.append((_to_ticks(t), sign[detected].astype(np.uint8)))
     del emission
 
     duration_ticks = n / pair_rate_hz * ticks_per_second
@@ -219,15 +227,13 @@ def generate_streams(
         t, sign = hits.pop(0)
         if dark_rate_hz > 0.0:
             n_dark = rng.poisson(2.0 * dark_rate_hz * n / pair_rate_hz)
-            t_dark = rng.uniform(0.0, duration_ticks, n_dark).astype(np.uint64)
+            t_dark = _to_ticks(rng.uniform(0.0, duration_ticks, n_dark))
             sign_dark = rng.integers(0, 2, n_dark).astype(np.uint8)
             t = np.concatenate([t, t_dark])
             sign = np.concatenate([sign, sign_dark])
         # One in-place sort of the key 2t + sign orders the events by
         # (t, sign) as make_stream does, without its index and gathered
-        # arrays.  RunConfig keeps the emission clock below 2**53 ticks.
-        if t.shape[0] and t.max() >= np.uint64(2**63):
-            raise ValueError("event times reach 2**63 ticks")
+        # arrays; _to_ticks keeps t below 2**63, so 2t + sign fits.
         np.left_shift(t, np.uint64(1), out=t)
         t |= sign
         del sign

@@ -32,7 +32,7 @@ from fairsample.estimator import (
     ScanPoint,
     ScanResult,
     estimate_block,
-    marginal_standard,
+    evenodd_sums_standard,
 )
 from fairsample.fits import FitModel, nosignalling_stats
 from fairsample.pipeline import analyze_run, simulate_run
@@ -170,9 +170,7 @@ def test_criterion_2_singles_normalization_is_efficiency_invariant(capsys):
             ci.n_pp, ci.n_pm, ci.n_mp, ci.n_mm,
             ci.s_a_plus, ci.s_a_minus, ci.s_b_plus, ci.s_b_minus,
         ]
-    m_std = marginal_standard(
-        BlockCounts(*[int(v) for v in pooled]), Station.ALICE, OutcomeSign.PLUS
-    )
+    m_std = evenodd_sums_standard(BlockCounts(*[int(v) for v in pooled])).a_plus
     biased = abs(m_std - 0.667) <= 0.01
     ok = all_within and biased
     _verdict(

@@ -1,4 +1,4 @@
-"""Normalization estimators: f-ratios, joint/marginal recovery, uncertainties."""
+"""Normalization estimators: joint/marginal recovery, correlations, uncertainties."""
 
 import math
 
@@ -14,19 +14,14 @@ from fairsample.detection import (
 )
 from fairsample.estimator import (
     AllZeroRatios,
-    FRatios,
     NoCoincidences,
     ZeroSingles,
     correlation_standard,
     counting_uncertainties,
     estimate_block,
-    estimate_joint,
-    estimate_marginals,
     evenodd_sums_standard,
-    f_ratios,
-    marginal_standard,
 )
-from fairsample.quantum import OutcomeSign, SettingsPair, SourceState, Station
+from fairsample.quantum import SettingsPair, SourceState
 
 FAIR = SamplingPolicy(PolicyKind.FAIR)
 ETA_MIXED = EfficiencyConfig(0.10, 0.05, 0.08, 0.08)
@@ -37,59 +32,60 @@ def _counts(n_pp, n_pm, n_mp, n_mm, s=10_000):
 
 
 # ---------------------------------------------------------------------------
-# f_ratios
+# Singles normalization: each cell over the product of its singles counts
 # ---------------------------------------------------------------------------
 
 
 def test_f_ratios_symmetric_case():
-    f = f_ratios(BlockCounts(25, 25, 25, 25, 1000, 1000, 1000, 1000))
-    assert f.as_tuple() == pytest.approx((6.25e-6,) * 4, rel=1e-12)
+    est = estimate_block(BlockCounts(25, 25, 25, 25, 1000, 1000, 1000, 1000))
+    assert est.joint.as_tuple() == pytest.approx((0.25,) * 4, rel=1e-12)
 
 
 def test_f_ratios_scale_cancellation():
-    # Doubling a channel's singles and its coincidences leaves f unchanged.
-    f = f_ratios(BlockCounts(50, 50, 25, 25, 2000, 1000, 1000, 1000))
-    assert f.f_pp == pytest.approx(6.25e-6, rel=1e-12)
-    assert f.f_pm == pytest.approx(6.25e-6, rel=1e-12)
+    # Doubling a channel's singles and its coincidences leaves the table
+    # unchanged.
+    est = estimate_block(BlockCounts(50, 50, 25, 25, 2000, 1000, 1000, 1000))
+    assert est.joint.p_pp == pytest.approx(0.25, rel=1e-12)
+    assert est.joint.p_pm == pytest.approx(0.25, rel=1e-12)
 
 
 def test_f_ratios_zero_singles_names_channel():
     counts = BlockCounts(0, 0, 5, 0, 0, 10, 8, 10)
     with pytest.raises(ZeroSingles, match="s_a_plus"):
-        f_ratios(counts)
+        estimate_block(counts)
 
 
 def test_f_ratios_all_zero_coincidences_is_fine():
-    f = f_ratios(BlockCounts(0, 0, 0, 0, 10, 10, 10, 10))
-    assert f.as_tuple() == (0.0, 0.0, 0.0, 0.0)
-    assert f.total == 0.0
-
-
-def test_f_ratios_rejects_negative():
-    with pytest.raises(ValueError):
-        FRatios(-1e-6, 0.0, 0.0, 0.0)
+    # Nonzero singles make every weight defined; only the all-zero table
+    # is not, and its uncertainties come back NaN instead of raising.
+    sig = counting_uncertainties(BlockCounts(0, 0, 0, 0, 10, 10, 10, 10))
+    assert all(math.isnan(v) for v in sig.joint + sig.marginals)
+    assert math.isnan(sig.correlation_singles)
 
 
 # ---------------------------------------------------------------------------
-# estimate_joint / estimate_marginals
+# Joint table and marginals of the singles normalization
 # ---------------------------------------------------------------------------
 
 
 def test_estimate_joint_equal_ratios():
-    q = estimate_joint(FRatios(3e-6, 3e-6, 3e-6, 3e-6))
-    assert q.as_tuple() == pytest.approx((0.25,) * 4, abs=1e-15)
+    est = estimate_block(BlockCounts(30, 30, 30, 30, 100, 100, 100, 100))
+    assert est.joint.as_tuple() == pytest.approx((0.25,) * 4, abs=1e-15)
 
 
 def test_estimate_joint_scale_invariance():
-    q1 = estimate_joint(FRatios(0.0, 0.8e-6, 0.2e-6, 0.0))
-    q2 = estimate_joint(FRatios(0.0, 8e-3, 2e-3, 0.0))
+    # Cells over their singles products are 0.008 and 0.002: a 4:1 table.
+    q1 = estimate_block(BlockCounts(0, 40, 40, 0, 50, 100, 200, 100)).joint
+    q2 = estimate_block(
+        BlockCounts(0, 40_000, 40_000, 0, 50_000, 100_000, 200_000, 100_000)
+    ).joint
     assert q1.as_tuple() == pytest.approx((0.0, 0.8, 0.2, 0.0), abs=1e-15)
     assert q2.as_tuple() == pytest.approx(q1.as_tuple(), abs=1e-15)
 
 
 def test_estimate_joint_all_zero_raises():
     with pytest.raises(AllZeroRatios):
-        estimate_joint(FRatios(0.0, 0.0, 0.0, 0.0))
+        estimate_block(BlockCounts(0, 0, 0, 0, 10, 10, 10, 10))
 
 
 def test_estimate_joint_simulated_asymmetric_source():
@@ -108,10 +104,10 @@ def test_estimate_joint_simulated_asymmetric_source():
 
 
 def test_estimate_marginals_exact_table_identity():
-    # Feeding ratios proportional to the true joint table recovers the true
-    # marginals exactly — the estimator is algebraically exact in that limit.
-    f = FRatios(0.0, 0.8, 0.2, 0.0)
-    m = estimate_marginals(f)
+    # Counts whose singles-weighted cells are proportional to the true joint
+    # table recover the true marginals exactly — the estimator is
+    # algebraically exact in that limit.
+    m = estimate_block(BlockCounts(0, 80, 20, 0, 100, 100, 100, 100)).marginals
     assert m.a_plus == pytest.approx(0.8, abs=1e-15)
     assert m.a_minus == pytest.approx(0.2, abs=1e-15)
     assert m.b_plus == pytest.approx(0.2, abs=1e-15)
@@ -198,7 +194,7 @@ def test_marginal_standard_balanced():
         SourceState(1.0), eta_flat, FAIR, SettingsPair(0.4, 0.0), 500_000, seed=106
     )
     sig = counting_uncertainties(counts)
-    got = marginal_standard(counts, Station.ALICE, OutcomeSign.PLUS)
+    got = evenodd_sums_standard(counts).a_plus
     assert got == pytest.approx(0.5, abs=3 * sig.marginals_standard[0])
 
 
@@ -209,22 +205,22 @@ def test_marginal_standard_imbalanced_alice_is_biased():
         SourceState(1.0), ETA_MIXED, FAIR, SettingsPair(0.4, 0.0), 1_000_000, seed=107
     )
     sig = counting_uncertainties(counts)
-    got = marginal_standard(counts, Station.ALICE, OutcomeSign.PLUS)
+    got = evenodd_sums_standard(counts).a_plus
     assert got == pytest.approx(2.0 / 3.0, abs=3 * sig.marginals_standard[0])
     assert abs(got - 0.5) > 10 * sig.marginals_standard[0]
 
 
 def test_marginal_standard_exact_ratio():
-    counts = _counts(300, 500, 100, 100)
-    assert marginal_standard(counts, Station.ALICE, OutcomeSign.PLUS) == pytest.approx(0.8)
-    assert marginal_standard(counts, Station.ALICE, OutcomeSign.MINUS) == pytest.approx(0.2)
-    assert marginal_standard(counts, Station.BOB, OutcomeSign.PLUS) == pytest.approx(0.4)
-    assert marginal_standard(counts, Station.BOB, OutcomeSign.MINUS) == pytest.approx(0.6)
+    sums = evenodd_sums_standard(_counts(300, 500, 100, 100))
+    assert sums.a_plus == pytest.approx(0.8)
+    assert sums.a_minus == pytest.approx(0.2)
+    assert sums.b_plus == pytest.approx(0.4)
+    assert sums.b_minus == pytest.approx(0.6)
 
 
 def test_marginal_standard_no_coincidences():
     with pytest.raises(NoCoincidences):
-        marginal_standard(_counts(0, 0, 0, 0), Station.BOB, OutcomeSign.PLUS)
+        evenodd_sums_standard(_counts(0, 0, 0, 0))
 
 
 def test_evenodd_sums_standard_values():
@@ -259,12 +255,68 @@ def test_sigma_marginal_standard_frozen_value():
     assert sig.marginals_standard[0] == pytest.approx(0.005, rel=1e-12)
 
 
-def test_sigma_f_is_poisson_dominated_for_large_singles():
-    counts = BlockCounts(10_000, 10_000, 10_000, 10_000, 10**8, 10**8, 10**8, 10**8)
+# Every value and sigma of three blocks: balanced (eta 0.08 on every
+# channel), imbalanced (eta 0.10/0.05/0.08/0.08) and perfectly correlated.
+# Values are the joint table, the singles marginals, the standard sums, then
+# the standard and singles correlations; sigmas are in the same order.  The
+# perfectly correlated block's correlation sigmas are exactly zero.
+PINNED = [
+    (
+        BlockCounts(496, 2769, 2716, 466, 39899, 40095, 39818, 40350),
+        (0.07763558466763922, 0.42769877902075515, 0.4230392955464962,
+         0.07162634076510942, 0.5053343636883944, 0.49466563631160565,
+         0.5006748802141354, 0.4993251197858646, 0.5064371025283078,
+         0.49356289747169224, 0.4982162246005894, 0.5017837753994105,
+         -0.7015666201333953, -0.7014761491345027),
+        (0.0033687706091628574, 0.006515647702009254, 0.006512567329329328,
+         0.0032183317124338273, 0.006590550621550914, 0.006590550621550914,
+         0.006590498952530003, 0.006590498952530003, 0.006226660329092293,
+         0.006226660329092293, 0.006227136784573384, 0.006227136784573384,
+         0.00887502003890457, 0.008877711120697438),
+    ),
+    (
+        BlockCounts(586, 3393, 1746, 302, 50086, 25034, 39785, 40059),
+        (0.07280288158252489, 0.41865286885633085, 0.4339915702113609,
+         0.07455267934978348, 0.49145575043885575, 0.5085442495611444,
+         0.5067944517938858, 0.49320554820611434, 0.6601957856313257,
+         0.3398042143686743, 0.3869255019080803, 0.6130744980919197,
+         -0.7053260328521652, -0.7052888781353833),
+        (0.0029775142932513244, 0.006793167299150571, 0.007381018564458969,
+         0.004105036956428772, 0.0071761480179196695, 0.0071761480179196695,
+         0.007171234994691205, 0.007171234994691205, 0.006100987827791239,
+         0.006100987827791239, 0.006273641635687476, 0.006273641635687476,
+         0.009131118947348853, 0.009678794358621814),
+    ),
+    (
+        BlockCounts(3880, 0, 0, 2022, 49762, 24970, 40000, 39927),
+        (0.49008750630202147, 0.0, 0.0, 0.5099124936979784,
+         0.49008750630202147, 0.5099124936979784, 0.49008750630202147,
+         0.5099124936979784, 0.6574042697390715, 0.3425957302609285,
+         0.6574042697390715, 0.3425957302609285, 1.0, 1.0),
+        (0.007339122022313713, 0.0, 0.0, 0.007339122022313713,
+         0.007339122022313713, 0.007339122022313713, 0.007339122022313713,
+         0.007339122022313713, 0.006177427124129084, 0.006177427124129084,
+         0.006177427124129084, 0.006177427124129084, 0.0, 0.0),
+    ),
+]
+
+
+@pytest.mark.parametrize("counts, values, sigmas", PINNED)
+def test_estimates_and_sigmas_pinned(counts, values, sigmas):
+    est = estimate_block(counts)
     sig = counting_uncertainties(counts)
-    f = f_ratios(counts)
-    # With singles this large the f-ratio error reduces to √N/N = 1%.
-    assert sig.f[0] / f.f_pp == pytest.approx(0.01, rel=1e-3)
+    got = (
+        est.joint.as_tuple() + est.marginals.as_tuple()
+        + evenodd_sums_standard(counts).as_tuple()
+        + (est.correlation_standard, est.correlation_singles)
+    )
+    got_sigma = (
+        sig.joint + sig.marginals + sig.marginals_standard
+        + (sig.correlation_standard, sig.correlation_singles)
+    )
+    assert got == pytest.approx(values, rel=1e-12, abs=0.0)
+    assert got_sigma == pytest.approx(sigmas, rel=1e-12, abs=0.0)
+    assert est.sigma == sig
 
 
 def test_uncertainties_never_raise():
@@ -330,8 +382,11 @@ def test_estimate_block_is_consistent_with_parts():
         SourceState(0.8), ETA_MIXED, FAIR, SettingsPair(0.7, 0.1), 100_000, seed=110
     )
     est = estimate_block(counts)
-    f = f_ratios(counts)
-    assert est.joint.as_tuple() == pytest.approx(estimate_joint(f).as_tuple(), abs=1e-15)
+    n = np.array([counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm], dtype=float)
+    s_a = np.array([counts.s_a_plus] * 2 + [counts.s_a_minus] * 2, dtype=float)
+    s_b = np.array([counts.s_b_plus, counts.s_b_minus] * 2, dtype=float)
+    f = n / (s_a * s_b)
+    assert est.joint.as_tuple() == pytest.approx(tuple(f / f.sum()), abs=1e-15)
     assert est.correlation_standard == pytest.approx(correlation_standard(counts), abs=1e-15)
     assert est.correlation_singles == pytest.approx(est.joint.correlation(), abs=1e-15)
 

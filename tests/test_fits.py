@@ -158,7 +158,6 @@ def _estimate(a_plus, b_plus, sigma=0.005):
     )
     marginals = MarginalSet(a_plus, a_minus, b_plus, b_minus)
     sig = UncertaintySet(
-        f=(1e-6,) * 4,
         joint=(sigma,) * 4,
         marginals=(sigma,) * 4,
         marginals_standard=(sigma,) * 4,

@@ -231,14 +231,15 @@ def test_report_fair_run(fair_run):
 # ---------------------------------------------------------------------------
 
 
-def test_analyze_hand_written_manifest(tmp_path):
+def _hand_written_manifest(tmp_path, indices=(0, 1, 2)):
+    """Three points, one coincidence each, no Alice minus singles."""
     cfg = config_from_dict(small_doc(scan={
         "varied": "alice",
         "angles_deg": [0.0, 45.0, 90.0],
         "fixed_angle_deg": 0.0,
     }))
     points = []
-    for i, alpha in enumerate([0.0, 45.0, 90.0]):
+    for i, (index, alpha) in enumerate(zip(indices, [0.0, 45.0, 90.0])):
         t_a = np.array([1000 + 5000 * i], dtype=np.uint64)
         t_b = np.array([1030 + 5000 * i, 40_000_000 + i], dtype=np.uint64)
         a = make_stream(Station.ALICE, 1000, t_a, np.array([0], dtype=np.uint8), np.zeros(1, dtype=np.uint8))
@@ -248,7 +249,7 @@ def test_analyze_hand_written_manifest(tmp_path):
         write_ttg(b, tmp_path / names[1])
         points.append(
             {
-                "index": i,
+                "index": index,
                 "alpha_deg": alpha,
                 "beta_deg": 0.0,
                 "alice_file": names[0],
@@ -266,13 +267,31 @@ def test_analyze_hand_written_manifest(tmp_path):
     }
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
-    result = analyze_run(path)
+    return path
+
+
+def test_analyze_hand_written_manifest(tmp_path):
+    result = analyze_run(_hand_written_manifest(tmp_path))
     for pt in result.scan.points:
         assert pt.counts.n_pm == 1
         assert pt.counts.s_b_minus == 2
     # One coincidence per point cannot support fits: noted, not fatal.
     assert result.fit_note is not None
     assert "insufficient points" in result.fit_note
+
+
+def test_outputs_carry_manifest_point_indices(tmp_path):
+    # Indices 4, 9, 2: every output names a point by its index, in index
+    # order, never by its rank in the scan.
+    result = analyze_run(_hand_written_manifest(tmp_path, indices=(4, 9, 2)))
+    assert [pt.alpha for pt in result.scan.points] == [math.radians(a) for a in (90, 0, 45)]
+    for name in ("counts", "correlation", "evenodd_standard", "marginals_singles"):
+        rows = result.files[name].read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["2", "4", "9"]
+    doc = json.loads(result.files["nosignalling"].read_text())
+    assert [p["index"] for p in doc["skipped_points"]] == [2, 4, 9]
+    report = write_report(tmp_path).read_text()
+    assert "point 9 skipped" in report
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +428,8 @@ def test_cli_analyze_point_file_outside_run_dir(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, value",
     [("index", "0"), ("index", True), ("alpha_deg", "ten"), ("beta_deg", None),
-     ("alice_file", 7), ("bob_file", "/x.ttg"), ("bob_file", ".")],
+     ("alice_file", 7), ("bob_file", "/x.ttg"), ("bob_file", "."),
+     pytest.param("index", 0, id="index-duplicate")],
 )
 def test_load_manifest_rejects_malformed_points(tmp_path, key, value):
     path, doc = _simulated_manifest(tmp_path)

@@ -19,3 +19,12 @@ def test_benchmark_coincidence_runs(capsys):
     assert bench.main(argv) == 0
     out = capsys.readouterr().out
     assert "clusters > 2" in out and "events/s/core" in out
+
+
+def test_run_demo_runs(tmp_path, capsys):
+    demo = _load("run_demo")
+    argv = ["--output-dir", str(tmp_path), "--pairs", "20000", "--points", "7", "--jobs", "2"]
+    assert demo.main(argv) == 0
+    out = capsys.readouterr().out
+    # One verdict line per arm; which verdict is a statistical matter.
+    assert out.count("no-signalling verdict on distant marginals:") == 2

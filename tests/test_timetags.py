@@ -2,6 +2,7 @@
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -451,9 +452,14 @@ def test_generate_streams_orders_ties_like_make_stream():
 
 def test_generate_streams_rejects_times_beyond_2_63_ticks():
     # One pair emitted after six gaps of mean 2·10^18 ticks: about 1.2·10^19.
+    # Seed 3 puts it past 2**64, where a float-to-uint64 cast is undefined:
+    # the bound must hold before the cast, without a warning.
     det = PairDetections(
         index=np.array([5]), sign_a=np.zeros(1, np.uint8), sign_b=np.zeros(1, np.uint8),
         detected_a=np.ones(1, bool), detected_b=np.ones(1, bool), n_pairs=6,
     )
-    with pytest.raises(ValueError, match="2\\*\\*63"):
-        generate_streams(det, 0.5e-6, 1, 0.0, seed=0)
+    for seed in (0, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="2\\*\\*63"):
+                generate_streams(det, 0.5e-6, 1, 0.0, seed=seed)
