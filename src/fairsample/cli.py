@@ -5,11 +5,11 @@
                        [--alpha-level 0.01] [--output-dir DIR] [--jobs N]
     fairsample report --dir DIR
 
-Exit codes: 0 success, 2 configuration error, 3 data error (missing or
-corrupt files), 4 degenerate statistics.  The default output directory
-for `simulate` is taken from --output-dir, then the config's
-``output_dir`` field, then the FAIRSAMPLE_OUTPUT_DIR environment
-variable.
+Exit codes: 0 success, 2 configuration error (a bad config or option
+value), 3 data error (missing or corrupt files), 4 degenerate statistics.
+The default output directory for `simulate` is taken from --output-dir,
+then the config's ``output_dir`` field, then the FAIRSAMPLE_OUTPUT_DIR
+environment variable.
 """
 
 from __future__ import annotations
@@ -31,6 +31,26 @@ EXIT_DATA = 3
 EXIT_STATISTICS = 4
 
 
+def _checked(convert, accept, requirement: str):
+    """An argparse ``type`` that converts, then rejects values not ``accept``ed."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+
+    return parse
+
+
+_jobs = _checked(int, lambda v: v >= 1, "at least 1")
+_window = _checked(int, lambda v: v >= 0, "at least 0")
+_alpha_level = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fairsample",
@@ -46,26 +66,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run directory (default: config output_dir, then "
         f"${OUTPUT_DIR_ENV})",
     )
-    p_sim.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    p_sim.add_argument("--jobs", type=_jobs, default=None, help="parallel workers")
 
     p_ana = sub.add_parser("analyze", help="analyze a simulated run")
     p_ana.add_argument("--manifest", required=True, help="run manifest path")
     p_ana.add_argument(
         "--window",
-        type=int,
+        type=_window,
         default=None,
         help="coincidence window in ticks (default: value from the run config)",
     )
     p_ana.add_argument(
         "--alpha-level",
-        type=float,
+        type=_alpha_level,
         default=0.01,
         help="significance threshold for the no-signalling verdict",
     )
     p_ana.add_argument(
         "--output-dir", default=None, help="where to write analysis tables"
     )
-    p_ana.add_argument("--jobs", type=int, default=None, help="parallel workers")
+    p_ana.add_argument("--jobs", type=_jobs, default=None, help="parallel workers")
 
     p_rep = sub.add_parser("report", help="summarize an analyzed run")
     p_rep.add_argument("--dir", required=True, help="analysis output directory")
@@ -131,7 +151,7 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FileNotFoundError as exc:
-        print(f"data error: no analysis artifacts found ({exc})", file=sys.stderr)
+        print(f"data error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_DATA
     except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -182,17 +182,13 @@ def _normalize(x: np.ndarray, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
     if weighted:
         jac[_CELLS, _CELL_A] = -cells / x[_CELL_A]
         jac[_CELLS, _CELL_B] = -cells / x[_CELL_B]
-    colsum = jac.sum(axis=0)
-    table = cells / total
-    jac_table = (jac - np.outer(table, colsum)) / total
-    # The parity sum is taken over the cells and divided by their sum last,
-    # so integer counts give an exact standard correlation and a table
-    # without one parity class exactly +-1, with sigma 0.
-    corr = _PARITY @ cells / total
-    values = np.concatenate([table, _MARGINS @ table, [corr]])
-    grad = np.vstack(
-        [jac_table, _MARGINS @ jac_table, (_PARITY @ jac - corr * colsum) / total]
-    )
+    # Every estimate is a sum over the cells divided by their sum last, so
+    # integer counts give exact standard estimates: an empty channel gives
+    # marginals of exactly 0 and 1, a table without one parity class a
+    # correlation of exactly +-1, each with a sigma of exactly 0.
+    values = np.concatenate([cells, _MARGINS @ cells, [_PARITY @ cells]]) / total
+    sums_jac = np.vstack([jac, _MARGINS @ jac, _PARITY @ jac])
+    grad = (sums_jac - np.outer(values, jac.sum(axis=0))) / total
     return values, np.sqrt((grad * grad) @ x)
 
 

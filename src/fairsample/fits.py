@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .estimator import ScanResult
 from .quantum import Station
@@ -160,6 +159,63 @@ def fit_model(
     )
 
 
+# Lentz's continued fraction stops when a step changes the value by less
+# than _CF_EPS (relative); _CF_TINY stands in for a zero denominator.
+_CF_EPS = 1e-15
+_CF_TINY = 1e-300
+_CF_MAX_STEPS = 10_000
+
+
+def _f_sf(f: float, d1: int, d2: int) -> float:
+    """P(F > f) for the F distribution with (d1, d2) degrees of freedom.
+
+    This is the regularized incomplete beta I_x(d2/2, d1/2) at
+    x = d2 / (d2 + d1 f), by Lentz's continued fraction (DLMF 8.17.22;
+    Numerical Recipes 6.4).  The fraction converges fast for
+    x < (a+1)/(a+b+2); above that the symmetry I_x(a, b) = 1 - I_y(b, a)
+    is used, so a small p-value is never formed by cancellation.  Both
+    x and its complement y come straight from r = d1 f / d2.
+    """
+    if math.isnan(f):
+        return math.nan
+    if f <= 0.0:
+        return 1.0
+    if f == math.inf:
+        return 0.0
+    r = d1 * f / d2
+    log_x, log_y = -math.log1p(r), math.log(r) - math.log1p(r)
+    a, b = d2 / 2.0, d1 / 2.0
+    if 1.0 / (1.0 + r) < (a + 1.0) / (a + b + 2.0):
+        return _beta_cf(a, b, log_x, log_y)
+    return 1.0 - _beta_cf(b, a, log_y, log_x)
+
+
+def _beta_cf(a: float, b: float, log_x: float, log_y: float) -> float:
+    """I_x(a, b) by its continued fraction, given log x and log(1 - x)."""
+    x = math.exp(log_x)
+    front = math.exp(
+        a * log_x + b * log_y + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    ) / a
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_STEPS):
+        # Even step d_2m, then odd step d_2m+1 of DLMF 8.17.22.
+        for coef in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + coef / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            step = c * d
+            h *= step
+        if abs(step - 1.0) < _CF_EPS:
+            return front * h
+    raise ArithmeticError(f"incomplete beta did not converge (a={a}, b={b})")
+
+
 # chi-squared this small is rounding noise, not a residual: with correct
 # 1/sigma weights a genuine misfit contributes O(1) per point.
 _PERFECT_CHI2 = 1e-20
@@ -179,7 +235,7 @@ def _f_test_vs_constant(chi2_const: float, fit: FitReport) -> tuple[float, float
         return math.inf, 0.0
     improvement = max(chi2_const - fit.chi2, 0.0)
     f_stat = (improvement / extra) / (fit.chi2 / fit.dof)
-    p_value = float(stats.f.sf(f_stat, extra, fit.dof))
+    p_value = _f_sf(f_stat, extra, fit.dof)
     return f_stat, p_value
 
 

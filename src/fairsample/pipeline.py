@@ -17,6 +17,7 @@ of scheduling.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -447,8 +448,11 @@ def write_report(analysis_dir) -> Path:
     base = Path(analysis_dir)
     ns_path = base / "nosignalling.json"
     corr_path = base / "correlation.csv"
-    if not ns_path.exists() or not corr_path.exists():
-        raise FileNotFoundError(f"no analysis artifacts found in {base}")
+    for path in (ns_path, corr_path):
+        if not path.exists():
+            raise FileNotFoundError(
+                errno.ENOENT, f"no analysis artifacts found in {base}", str(path)
+            )
     ns = json.loads(ns_path.read_text(encoding="utf-8"))
 
     deviations = []

@@ -255,11 +255,13 @@ def test_sigma_marginal_standard_frozen_value():
     assert sig.marginals_standard[0] == pytest.approx(0.005, rel=1e-12)
 
 
-# Every value and sigma of three blocks: balanced (eta 0.08 on every
-# channel), imbalanced (eta 0.10/0.05/0.08/0.08) and perfectly correlated.
-# Values are the joint table, the singles marginals, the standard sums, then
-# the standard and singles correlations; sigmas are in the same order.  The
-# perfectly correlated block's correlation sigmas are exactly zero.
+# Every value and sigma of four blocks: balanced (eta 0.08 on every
+# channel), imbalanced (eta 0.10/0.05/0.08/0.08), perfectly correlated, and
+# one whose Alice + channel has no coincidences.  Values are the joint
+# table, the singles marginals, the standard sums, then the standard and
+# singles correlations; sigmas are in the same order.  The perfectly
+# correlated block's correlation sigmas are exactly zero, and so are the
+# sigmas of the last block's Alice marginals, which are exactly 0 and 1.
 PINNED = [
     (
         BlockCounts(496, 2769, 2716, 466, 39899, 40095, 39818, 40350),
@@ -297,6 +299,16 @@ PINNED = [
          0.007339122022313713, 0.007339122022313713, 0.007339122022313713,
          0.007339122022313713, 0.006177427124129084, 0.006177427124129084,
          0.006177427124129084, 0.006177427124129084, 0.0, 0.0),
+    ),
+    (
+        BlockCounts(0, 0, 1517, 1683, 30121, 39874, 40210, 38958),
+        (0.0, 0.0, 0.46618300739095936, 0.5338169926090406,
+         0.0, 1.0, 0.46618300739095936, 0.5338169926090406,
+         0.0, 1.0, 0.4740625, 0.5259375, 0.051875, 0.06763398521808123),
+        (0.0, 0.0, 0.00898613212310765, 0.00898613212310765,
+         0.0, 0.0, 0.00898613212310765, 0.00898613212310765,
+         0.0, 0.0, 0.008826934031944322, 0.008826934031944324,
+         0.017653868063888644, 0.0179722642462153),
     ),
 ]
 

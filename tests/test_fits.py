@@ -1,27 +1,40 @@
 """Weighted least squares, model comparison, and the no-signalling judgement."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from fairsample.detection import BlockCounts
+import fairsample
+from fairsample.detection import (
+    BlockCounts,
+    EfficiencyConfig,
+    PolicyKind,
+    SamplingPolicy,
+    simulate_block,
+)
 from fairsample.estimator import (
     EstimateSet,
     MarginalSet,
     ScanPoint,
     ScanResult,
     UncertaintySet,
+    estimate_block,
 )
 from fairsample.fits import (
     DegenerateWeights,
     FitModel,
     InsufficientPoints,
+    _f_sf,
     fit_marginal_curve,
     fit_model,
     nosignalling_stats,
 )
-from fairsample.quantum import ProbTable, Station
+from fairsample.quantum import ProbTable, SettingsPair, SourceState, Station
 
 ANGLES = np.linspace(0.0, math.pi, 21)
 
@@ -144,6 +157,71 @@ def test_cosine_significance_on_noisy_modulation():
     fits = fit_marginal_curve(ANGLES, y, _sigma(ANGLES.size))
     assert fits[FitModel.COSINE].p_value < 1e-6
     assert fits[FitModel.COSINE].amplitude / fits[FitModel.COSINE].amplitude_sigma > 5
+
+
+# ---------------------------------------------------------------------------
+# The F-test p-value, computed without scipy
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d1", [1, 2])
+def test_f_sf_matches_scipy(d1):
+    f_values = np.concatenate([[0.0], np.logspace(-10, 5, 300), [math.inf]])
+    for d2 in range(1, 501):
+        ref = stats.f.sf(f_values, d1, d2)
+        got = np.array([_f_sf(float(f), d1, d2) for f in f_values])
+        usable = ref > 1e-300
+        assert got[usable] == pytest.approx(ref[usable], rel=1e-10, abs=0.0), d2
+    assert _f_sf(0.0, d1, 18) == 1.0
+    assert _f_sf(math.inf, d1, 18) == 0.0
+
+
+def _block_scan(policy, seed):
+    eff = EfficiencyConfig(0.35, 0.35, 0.35, 0.35)
+    points = []
+    for i, alpha in enumerate(ANGLES):
+        s = SettingsPair(float(alpha), 0.0)
+        counts = simulate_block(SourceState(1.0), eff, policy, s, 600_000, (seed, i))
+        points.append(
+            ScanPoint(alpha=float(alpha), beta=0.0, counts=counts, est=estimate_block(counts))
+        )
+    return ScanResult(points=tuple(points))
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [SamplingPolicy(PolicyKind.FAIR), SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=0.5)],
+    ids=["fair", "unfair_malus"],
+)
+def test_nosignalling_p_values_match_scipy(policy):
+    extra = {FitModel.LINEAR: 1, FitModel.COSINE: 2}
+    for seed in range(5):
+        report = nosignalling_stats(_block_scan(policy, seed), varied=Station.ALICE)
+        for mf in report.marginals.values():
+            for model, n_extra in extra.items():
+                fit = mf.fits[model]
+                ref = float(stats.f.sf(fit.f_stat, n_extra, fit.dof))
+                assert fit.p_value == pytest.approx(ref, rel=1e-10, abs=0.0)
+            if mf.verdict is not None:
+                cos = mf.fits[FitModel.COSINE]
+                ref = float(stats.f.sf(cos.f_stat, 2, cos.dof))
+                assert mf.verdict == ("consistent" if ref >= report.alpha_level else "violated")
+        assert report.consistent == (policy.kind == PolicyKind.FAIR)
+
+
+def test_package_imports_without_scipy():
+    # scipy would cost every CLI process about two seconds of start-up.
+    code = (
+        "import sys, fairsample, fairsample.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    src = Path(fairsample.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

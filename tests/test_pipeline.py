@@ -457,6 +457,39 @@ def test_cli_report_empty_dir(tmp_path, capsys):
     assert "no analysis artifacts found" in capsys.readouterr().err
 
 
+def test_cli_missing_files_are_named_once(tmp_path, capsys):
+    missing_dir = tmp_path / "nodir"
+    assert main(["report", "--dir", str(missing_dir)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("no analysis artifacts found") == 1
+    assert str(missing_dir / "nosignalling.json") in err
+
+    manifest = tmp_path / "missing" / "manifest.json"
+    assert main(["analyze", "--manifest", str(manifest)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(manifest) in err
+    assert "analysis artifacts" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--alpha-level", "2"],
+        ["analyze", "--window", "-5"],
+        ["simulate", "--jobs", "-3"],
+    ],
+    ids=["alpha-level", "window", "jobs"],
+)
+def test_cli_rejects_bad_option_values_before_any_work(tmp_path, capsys, argv):
+    # The input files do not exist: reading them would exit 3, not 2.
+    inputs = {"analyze": "--manifest", "simulate": "--config"}
+    argv = argv + [inputs[argv[0]], str(tmp_path / "absent.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert argv[1] in capsys.readouterr().err
+
+
 def test_report_rejected_phrasing(tmp_path):
     # A doctored analysis directory with a violated verdict drives the
     # headline phrasing; the report renderer needs no other context.
