@@ -23,13 +23,10 @@ from .config import ConfigError, RunConfig, config_from_dict, config_to_dict, lo
 from .detection import (
     BlockCounts,
     EfficiencyConfig,
-    PairDetections,
     PolicyKind,
     SamplingPolicy,
     category_probs,
-    count_detections,
     simulate_block,
-    simulate_pair_detections,
 )
 from .estimator import (
     AllZeroRatios,
@@ -73,7 +70,6 @@ from .timetags import (
     BadMagic,
     EventStream,
     InvalidFlags,
-    TimetagEvent,
     TrailingData,
     TruncatedFile,
     TtgFormatError,
@@ -81,9 +77,7 @@ from .timetags import (
     UnsupportedVersion,
     generate_streams,
     make_stream,
-    read_csv,
     read_ttg,
-    write_csv,
     write_ttg,
 )
 

@@ -47,7 +47,7 @@ def _checked(convert, accept, requirement: str):
 
 
 _jobs = _checked(int, lambda v: v >= 1, "at least 1")
-_window = _checked(int, lambda v: v >= 0, "at least 0")
+_window = _checked(int, lambda v: 0 <= v <= 2**64 - 1, "in 0..2**64 - 1")
 _alpha_level = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 

@@ -52,8 +52,8 @@ class CoincidenceWindow:
     width_ticks: int
 
     def __post_init__(self) -> None:
-        if self.width_ticks < 0:
-            raise ValueError(f"width_ticks must be >= 0, got {self.width_ticks}")
+        if not 0 <= self.width_ticks <= 2**64 - 1:
+            raise ValueError(f"width_ticks must be in 0..2**64 - 1, got {self.width_ticks}")
 
 
 # Events per station in one merge, and the least number of clusters per

@@ -20,6 +20,8 @@ SCHEMA_VERSION = 1
 
 # Emission times are float64 sums; past 2**53 ticks they lose whole ticks.
 MAX_EMISSION_CLOCK_TICKS = 2.0**53
+# Tick resolutions and window widths are stored and compared as uint64.
+_U64_MAX = 2**64 - 1
 
 _STATION_NAMES = {"alice": Station.ALICE, "bob": Station.BOB}
 
@@ -63,8 +65,8 @@ class RunConfig:
             raise ConfigError("pairs_per_point", "must be >= 0")
         if self.pair_rate_hz <= 0:
             raise ConfigError("pair_rate_hz", "must be > 0")
-        if self.tick_resolution_ps <= 0:
-            raise ConfigError("tick_resolution_ps", "must be > 0")
+        if not 0 < self.tick_resolution_ps <= _U64_MAX:
+            raise ConfigError("tick_resolution_ps", "must be in 1..2**64 - 1")
         clock_ticks = (
             self.pairs_per_point / self.pair_rate_hz * (1e12 / self.tick_resolution_ps)
         )
@@ -76,10 +78,12 @@ class RunConfig:
             )
         if self.jitter_sd_ticks < 0:
             raise ConfigError("jitter_sd_ticks", "must be >= 0")
-        if self.coincidence_window_ticks < 0:
-            raise ConfigError("coincidence_window_ticks", "must be >= 0")
+        if not 0 <= self.coincidence_window_ticks <= _U64_MAX:
+            raise ConfigError("coincidence_window_ticks", "must be in 0..2**64 - 1")
         if self.dark_rate_hz < 0:
             raise ConfigError("dark_rate_hz", "must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed", "must be >= 0")
 
     @property
     def n_points(self) -> int:
@@ -159,7 +163,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     scan_doc = _require(doc, "scan", "scan")
     varied_name = _require(scan_doc, "varied", "scan.varied")
-    if varied_name not in _STATION_NAMES:
+    if not isinstance(varied_name, str) or varied_name not in _STATION_NAMES:
         raise ConfigError("scan.varied", "must be 'alice' or 'bob'")
     angles = _require(scan_doc, "angles_deg", "scan.angles_deg")
     if not isinstance(angles, list):
@@ -248,7 +252,7 @@ def load_config(path) -> RunConfig:
     """Read and validate a JSON config file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)

@@ -29,17 +29,12 @@ integrates it out in closed form, using
     E[cos^2(lam - a)]                    = 1/2
     E[cos^2(lam - a) * cos^2(lam - b)]   = 1/4 + cos(2(a - b))/8,
 
-and is the single source of the model's probabilities.  Both sampling
-modes draw from it:
-
-* block mode (:func:`simulate_block`): one multinomial draw of the
-  block's pairs over the 16 categories;
-* event mode (:func:`simulate_pair_detections`): only the observed pairs,
-  those detected at one station at least.  Their positions in the
-  emission sequence are a Bernoulli(q) thinning of it, q = P(any
-  detection), drawn as geometric skips; their categories are drawn from
-  the category probabilities conditioned on being observed.  The cost is
-  proportional to the observed pairs, not the emitted ones.
+and is the single source of the model's probabilities.  There is one
+sampler, :func:`simulate_block`: one multinomial draw of the block's
+pairs over the 16 categories.  Event streams are built from its counts
+by :func:`fairsample.timetags.generate_streams`, which gives the observed
+pairs their emission times; the categories of a Poisson stream of pairs
+are independent of the times, so nothing else needs to be drawn per pair.
 
 With d=0 the category probabilities are bit-identical to FAIR's, so the
 two policies consume the RNG identically.  The per-pair sampler that
@@ -60,7 +55,7 @@ Seed = "int | tuple[int, ...] | np.random.SeedSequence"
 
 # Recorded in run manifests; bump the version whenever a seed's draws change.
 SAMPLER_NAME = "closed-form-categories"
-SAMPLER_VERSION = 2
+SAMPLER_VERSION = 3
 
 
 class PolicyKind(enum.Enum):
@@ -155,25 +150,6 @@ class BlockCounts:
         return self.s_a_plus + self.s_a_minus + self.s_b_plus + self.s_b_minus
 
 
-@dataclass(frozen=True)
-class PairDetections:
-    """The observed pairs of one block (event-generation mode).
-
-    ``index`` holds the sorted positions (int64, in [0, n_pairs)) of the
-    observed pairs in the emission sequence of ``n_pairs`` pairs; the
-    other arrays are parallel to it.  Signs use the OutcomeSign encoding
-    (0 = Plus, 1 = Minus).  Every pair the sampler returns is detected at
-    one station at least; pairs seen by neither are never generated.
-    """
-
-    index: np.ndarray
-    sign_a: np.ndarray
-    sign_b: np.ndarray
-    detected_a: np.ndarray
-    detected_b: np.ndarray
-    n_pairs: int
-
-
 def _rng_from_seed(seed) -> np.random.Generator:
     if isinstance(seed, np.random.SeedSequence):
         return np.random.default_rng(seed)
@@ -233,71 +209,6 @@ def _counts_from_categories(
         beta=beta,
         n_pairs_emitted=n_pairs,
     )
-
-
-def _thinned_indices(n: int, q: float, rng: np.random.Generator) -> np.ndarray:
-    """Sorted positions in range(n) kept by independent Bernoulli(q) trials.
-
-    The gaps between kept positions are geometric, so they are drawn in
-    chunks sized to cover the rest of the range with high probability.
-    """
-    chunks = []
-    last = -1
-    while True:
-        expected = (n - 1 - last) * q
-        gaps = rng.geometric(q, int(expected + 5.0 * math.sqrt(expected)) + 16)
-        positions = last + np.cumsum(gaps)
-        if positions[-1] >= n:
-            chunks.append(positions[: np.searchsorted(positions, n)])
-            return np.concatenate(chunks)
-        chunks.append(positions)
-        last = int(positions[-1])
-
-
-def simulate_pair_detections(
-    state: SourceState,
-    eff: EfficiencyConfig,
-    policy: SamplingPolicy,
-    s: SettingsPair,
-    n_pairs: int,
-    seed,
-) -> PairDetections:
-    """The observed pairs among ``n_pairs`` emitted; the raw material for event streams.
-
-    Deterministic for a given seed: the observed positions are drawn
-    first, then one uniform per observed pair picks its category.
-    """
-    if n_pairs < 0:
-        raise ValueError(f"n_pairs must be >= 0, got {n_pairs}")
-    rng = _rng_from_seed(seed)
-    # Columns (detected at A << 1) | detected at B; column 0 is unobserved.
-    observed = category_probs(state, eff, policy, s).reshape(4, 4)[:, 1:].ravel()
-    # With unit efficiencies the rounded entries can sum to a few ulps above 1.
-    q = min(float(observed.sum()), 1.0)
-    index = _thinned_indices(n_pairs, q, rng)
-    cdf = np.cumsum(observed)
-    cdf /= cdf[-1]
-    cats = np.searchsorted(cdf, rng.random(index.shape[0]), side="right")
-    cell, detection = np.divmod(cats, 3)
-    detection += 1
-    return PairDetections(
-        index=index,
-        sign_a=(cell >> 1).astype(np.uint8),
-        sign_b=(cell & 1).astype(np.uint8),
-        detected_a=detection >= 2,
-        detected_b=(detection & 1).astype(bool),
-        n_pairs=n_pairs,
-    )
-
-
-def count_detections(
-    det: PairDetections, alpha: float = math.nan, beta: float = math.nan
-) -> BlockCounts:
-    """Reduce pair detections to block counts."""
-    cells = (det.sign_a.astype(np.intp) << 1) | det.sign_b
-    cats = (cells << 2) | (det.detected_a.astype(np.intp) << 1) | det.detected_b
-    counts = np.bincount(cats, minlength=16).reshape(4, 2, 2)
-    return _counts_from_categories(counts, alpha, beta, det.n_pairs)
 
 
 def simulate_block(

@@ -166,6 +166,50 @@ _CF_TINY = 1e-300
 _CF_MAX_STEPS = 10_000
 
 
+# Above this argument the Stirling series of log Gamma, cut after the
+# 1/x**11 term, is exact to double precision.
+_STIRLING_MIN = 10.0
+# Coefficients of 1/x, 1/x**3, ..., 1/x**11 in log Gamma(x) minus its
+# Stirling approximation (x - 1/2) log x - x + log(2 pi)/2 (DLMF 5.11.1).
+_STIRLING_TERMS = (
+    1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0, -691.0 / 360360.0,
+)
+
+
+def _stirling_corr(x: float) -> float:
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2, for x >= _STIRLING_MIN."""
+    inv_sq = 1.0 / (x * x)
+    total = 0.0
+    for coef in reversed(_STIRLING_TERMS):
+        total = total * inv_sq + coef
+    return total / x
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) without the cancellation of three large log Gammas.
+
+    When an argument is large, lgamma(a + b) - lgamma(a) - lgamma(b)
+    subtracts numbers of size a log a whose difference is of order one,
+    so the Stirling terms that cancel are taken out by hand and only
+    small corrections remain.
+    """
+    p, q = min(a, b), max(a, b)
+    if q < _STIRLING_MIN:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    s = p + q
+    corr = _stirling_corr(q) - _stirling_corr(s)
+    if p < _STIRLING_MIN:
+        # lgamma(q) - lgamma(s) = corr - (q - 1/2) log(1 + p/q) - p log s + p.
+        return math.lgamma(p) + corr - (q - 0.5) * math.log1p(p / q) - p * math.log(s) + p
+    return (
+        0.5 * math.log(2.0 * math.pi / s)
+        + corr
+        + _stirling_corr(p)
+        + (p - 0.5) * math.log(p / s)
+        + (q - 0.5) * math.log1p(-p / s)
+    )
+
+
 def _f_sf(f: float, d1: int, d2: int) -> float:
     """P(F > f) for the F distribution with (d1, d2) degrees of freedom.
 
@@ -193,9 +237,7 @@ def _f_sf(f: float, d1: int, d2: int) -> float:
 def _beta_cf(a: float, b: float, log_x: float, log_y: float) -> float:
     """I_x(a, b) by its continued fraction, given log x and log(1 - x)."""
     x = math.exp(log_x)
-    front = math.exp(
-        a * log_x + b * log_y + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    ) / a
+    front = math.exp(a * log_x + b * log_y - _log_beta(a, b)) / a
     c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
     d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
     h = d

@@ -28,7 +28,7 @@ import numpy as np
 
 from .coincidence import CoincidenceWindow, count_coincidences
 from .config import RunConfig, config_from_dict, config_to_dict
-from .detection import SAMPLER_NAME, SAMPLER_VERSION, simulate_pair_detections
+from .detection import SAMPLER_NAME, SAMPLER_VERSION, simulate_block
 from .estimator import (
     AllZeroRatios,
     EstimateSet,
@@ -54,7 +54,7 @@ from .timetags import generate_streams, read_ttg, write_ttg
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
 
-_ROLE_DETECTIONS = 0
+_ROLE_COUNTS = 0
 _ROLE_STREAMS = 1
 
 CANONICAL_CHSH_DEG = (0.0, 45.0, 22.5, -22.5)
@@ -86,23 +86,22 @@ def _map_points(work, items, jobs: "int | None") -> list:
 
 def _simulate_point(cfg: RunConfig, index: int, out_dir: Path) -> dict:
     s = cfg.settings_for_point(index)
-    det = simulate_pair_detections(
+    counts = simulate_block(
         cfg.source,
         cfg.efficiencies,
         cfg.policy,
         s,
         cfg.pairs_per_point,
-        _point_seed(cfg.seed, index, _ROLE_DETECTIONS),
+        _point_seed(cfg.seed, index, _ROLE_COUNTS),
     )
     stream_a, stream_b = generate_streams(
-        det,
+        counts,
         pair_rate_hz=cfg.pair_rate_hz,
         tick_resolution_ps=cfg.tick_resolution_ps,
         jitter_sd_ticks=cfg.jitter_sd_ticks,
         seed=_point_seed(cfg.seed, index, _ROLE_STREAMS),
         dark_rate_hz=cfg.dark_rate_hz,
     )
-    del det  # not needed by the writes; lowers the point's peak memory
     alice_name = f"point_{index:03d}_alice.ttg"
     bob_name = f"point_{index:03d}_bob.ttg"
     write_ttg(stream_a, out_dir / alice_name)
@@ -139,9 +138,9 @@ def simulate_run(cfg: RunConfig, output_dir, jobs: "int | None" = None) -> Path:
             "algorithm": "PCG64",
             "sampler": {"name": SAMPLER_NAME, "version": SAMPLER_VERSION},
             "seeding": "SeedSequence((seed, point_index, role)); "
-                       "role 0 = observed-pair positions (geometric skips) and "
-                       "their categories, role 1 = emission times (Gamma "
-                       "increments), jitter and dark counts",
+                       "role 0 = the block's multinomial category counts, "
+                       "role 1 = the Gamma(n + 1) emission horizon, one uniform "
+                       "emission time per observed pair, jitter and dark counts",
         },
         "format": {"name": "TTG1", "version": 1},
         "points": points,

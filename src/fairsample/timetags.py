@@ -1,10 +1,13 @@
 """Time-tagged event streams and the TTG1 binary file format.
 
-Event generation turns the observed pairs of a block into two per-station
-streams of (timestamp, sign, setting) records: pair emission times follow
-an exponential-gap (Poissonian) process, each detected photon gets
-independent Gaussian timing jitter, and optional dark counts are
-superimposed as a uniform Poisson background with random signs.
+Event generation turns the counts of a block (``simulate_block``) into two
+per-station streams of (timestamp, sign, setting) records.  Pair emission
+is a Poisson process: one Gamma(n + 1) horizon for the block's n emitted
+pairs, and one uniform time under it per observed pair, which is exactly
+the process seen at the observed pairs (see :func:`generate_streams`).
+Each detected photon gets independent Gaussian timing jitter, and
+optional dark counts are superimposed as a uniform Poisson background
+with random signs.
 
 The TTG1 format is this project's own container for such streams:
 
@@ -28,14 +31,13 @@ bytes, each with a byte offset pointing at the problem.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .detection import PairDetections, _rng_from_seed
+from .detection import BlockCounts, _rng_from_seed
 from .fileio import atomic_write
 from .quantum import Station
 
@@ -85,23 +87,6 @@ class TrailingData(TtgFormatError):
 
 
 @dataclass(frozen=True)
-class TimetagEvent:
-    """One detection record, as stored in a TTG1 file."""
-
-    t: int
-    sign: int
-    setting_index: int
-
-    def __post_init__(self) -> None:
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
-        if self.sign not in (0, 1):
-            raise ValueError(f"sign must be 0 or 1, got {self.sign}")
-        if not (0 <= self.setting_index <= 3):
-            raise ValueError(f"setting_index must be in 0..3, got {self.setting_index}")
-
-
-@dataclass(frozen=True)
 class EventStream:
     """One station's detections: parallel arrays sorted by timestamp.
 
@@ -140,11 +125,6 @@ class EventStream:
     def __len__(self) -> int:
         return self.t.shape[0]
 
-    def __getitem__(self, i: int) -> TimetagEvent:
-        return TimetagEvent(
-            t=int(self.t[i]), sign=int(self.sign[i]), setting_index=int(self.setting_index[i])
-        )
-
 
 def make_stream(
     station: Station,
@@ -175,8 +155,16 @@ def _to_ticks(t: np.ndarray) -> np.ndarray:
     return t.astype(np.uint64)
 
 
+# Signs of the observed pairs, class by class, in the layout generate_streams
+# gives them: A-only Plus, A-only Minus, the coincidence cells ++, +-, -+, --,
+# then B-only Plus, B-only Minus.  Alice's pairs are the first six classes and
+# Bob's the last six, so each station's emission times are one slice.
+_SIGNS_A = np.array([0, 1, 0, 0, 1, 1], dtype=np.uint8)
+_SIGNS_B = np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8)
+
+
 def generate_streams(
-    det: PairDetections,
+    counts: BlockCounts,
     pair_rate_hz: float,
     tick_resolution_ps: int,
     jitter_sd_ticks: float,
@@ -184,16 +172,23 @@ def generate_streams(
     setting_index: int = 0,
     dark_rate_hz: float = 0.0,
 ) -> tuple[EventStream, EventStream]:
-    """Expand the observed pairs of a block into two time-tagged streams.
+    """Time-tag the observed pairs of a block as two per-station streams.
 
-    Pair emission times are an exponential-gap process at ``pair_rate_hz``.
-    Only the observed pairs get a time: pair i is emitted after i + 1
-    exponential gaps, so between consecutive observed pairs the time grows
-    by a Gamma(index step, mean gap) increment, which is exact.  Each
-    detected photon's timestamp is the emission tick plus Gaussian jitter
-    (rounded, clamped at zero).  Dark counts, if enabled, arrive uniformly
-    over the nominal duration n_pairs / pair_rate_hz on each channel
-    independently at ``dark_rate_hz`` per channel.
+    ``counts`` fixes how many of its ``n_pairs_emitted`` pairs fall in each
+    of the eight observed classes: the four coincidence cells, and the pairs
+    seen at one station only, by that station's sign.  Pair emission is a
+    Poisson process at ``pair_rate_hz``.  Given that the (n+1)-th arrival
+    is at tau, its first n arrivals are the order statistics of n
+    independent U(0, tau) times, and the pairs' categories are independent
+    of the times.  So one horizon tau ~ Gamma(n + 1, mean gap) and one
+    U(0, tau) time per observed pair give the observed pairs exactly the
+    emission times of the full process; the unobserved pairs need no time.
+
+    A pair seen at both stations has one emission time; each detected
+    photon's timestamp is that time plus its own Gaussian jitter (rounded,
+    clamped at zero).  Dark counts, if enabled, arrive uniformly over the
+    nominal duration n / pair_rate_hz on each channel independently at
+    ``dark_rate_hz`` per channel.
     """
     if pair_rate_hz <= 0.0:
         raise ValueError(f"pair_rate_hz must be > 0, got {pair_rate_hz}")
@@ -203,22 +198,35 @@ def generate_streams(
         raise ValueError(f"jitter_sd_ticks must be >= 0, got {jitter_sd_ticks}")
     if dark_rate_hz < 0.0:
         raise ValueError(f"dark_rate_hz must be >= 0, got {dark_rate_hz}")
+    c = counts
+    coincidences = (c.n_pp, c.n_pm, c.n_mp, c.n_mm)
+    only_a = (c.s_a_plus - c.n_pp - c.n_pm, c.s_a_minus - c.n_mp - c.n_mm)
+    only_b = (c.s_b_plus - c.n_pp - c.n_mp, c.s_b_minus - c.n_pm - c.n_mm)
+    n = c.n_pairs_emitted
+    n_observed = sum(coincidences) + sum(only_a) + sum(only_b)
+    if n_observed > n:
+        raise ValueError(
+            f"counts hold {n_observed} observed pairs but n_pairs_emitted is {n}"
+        )
     rng = _rng_from_seed(seed)
 
-    n = det.n_pairs
     ticks_per_second = 1e12 / tick_resolution_ps
     mean_gap_ticks = ticks_per_second / pair_rate_hz
     # Arrays are updated in place and dropped as soon as they are spent, so
     # a point holds few full-size arrays at once.
-    emission = rng.gamma(np.diff(det.index, prepend=-1), mean_gap_ticks)
-    np.cumsum(emission, out=emission)
+    emission = rng.random(n_observed)
+    emission *= rng.gamma(n + 1, mean_gap_ticks)
+    split = sum(only_a)
     hits = []
-    for detected, sign in ((det.detected_a, det.sign_a), (det.detected_b, det.sign_b)):
-        t = emission[detected]
-        t += rng.normal(0.0, jitter_sd_ticks, t.shape[0])
+    for times, signs, classes in (
+        (emission[: split + sum(coincidences)], _SIGNS_A, only_a + coincidences),
+        (emission[split:], _SIGNS_B, coincidences + only_b),
+    ):
+        t = rng.normal(0.0, jitter_sd_ticks, times.shape[0])
+        t += times
         np.rint(t, out=t)
         np.maximum(t, 0.0, out=t)
-        hits.append((_to_ticks(t), sign[detected].astype(np.uint8)))
+        hits.append((_to_ticks(t), np.repeat(signs, classes)))
     del emission
 
     duration_ticks = n / pair_rate_hz * ticks_per_second
@@ -324,35 +332,3 @@ def read_ttg(path) -> EventStream:
         # canonical order.  Files this package writes never need it.
         return make_stream(Station(station), int(tick), t, sign, setting_index)
     return EventStream(Station(station), int(tick), t, sign, setting_index)
-
-
-def write_csv(stream: EventStream, path) -> None:
-    """Plain-text escape hatch: t,sign,setting_index with a header line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# station={int(stream.station)} tick_resolution_ps={stream.tick_resolution_ps}\n")
-        fh.write("t,sign,setting_index\n")
-        for i in range(len(stream)):
-            fh.write(f"{int(stream.t[i])},{int(stream.sign[i])},{int(stream.setting_index[i])}\n")
-
-
-def read_csv(path) -> EventStream:
-    """Read the CSV escape-hatch format produced by :func:`write_csv`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = fh.readline().strip()
-        if not meta.startswith("#"):
-            raise ValueError("missing metadata line")
-        fields = dict(part.split("=") for part in meta[1:].split())
-        header = fh.readline().strip()
-        if header != "t,sign,setting_index":
-            raise ValueError(f"unexpected column header {header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    t = np.array([int(r[0]) for r in rows], dtype=np.uint64)
-    sign = np.array([int(r[1]) for r in rows], dtype=np.uint8)
-    setting = np.array([int(r[2]) for r in rows], dtype=np.uint8)
-    return make_stream(
-        Station(int(fields["station"])),
-        int(fields["tick_resolution_ps"]),
-        t,
-        sign,
-        setting,
-    )

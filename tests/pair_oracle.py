@@ -20,12 +20,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairsample.detection import (
+    BlockCounts,
     EfficiencyConfig,
-    PairDetections,
     PolicyKind,
     SamplingPolicy,
 )
 from fairsample.quantum import OutcomeSign, SettingsPair, SourceState, Station, joint_prob_table
+
+
+@dataclass(frozen=True)
+class OracleDetections:
+    """Every emitted pair of a block: signs (0 = Plus, 1 = Minus) and detections."""
+
+    sign_a: np.ndarray
+    sign_b: np.ndarray
+    detected_a: np.ndarray
+    detected_b: np.ndarray
+
+    @property
+    def n_pairs(self) -> int:
+        return self.sign_a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -69,7 +83,7 @@ def per_pair_detections(
     s: SettingsPair,
     n_pairs: int,
     seed,
-) -> PairDetections:
+) -> OracleDetections:
     """Every emitted pair, observed or not, with its four draws made as arrays."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
@@ -95,13 +109,20 @@ def per_pair_detections(
 
     detected_a = u_a < station_probs(sign_a, s.alpha, eff.eta_a_plus, eff.eta_a_minus)
     detected_b = u_b < station_probs(sign_b, s.beta, eff.eta_b_plus, eff.eta_b_minus)
-    return PairDetections(
-        index=np.arange(n_pairs, dtype=np.int64),
-        sign_a=sign_a,
-        sign_b=sign_b,
-        detected_a=detected_a,
-        detected_b=detected_b,
-        n_pairs=n_pairs,
+    return OracleDetections(sign_a, sign_b, detected_a, detected_b)
+
+
+def count_oracle(det: OracleDetections) -> BlockCounts:
+    """Reduce per-pair detections to block counts."""
+    both = det.detected_a & det.detected_b
+    cells = np.bincount((det.sign_a[both] << 1) | det.sign_b[both], minlength=4)
+    at_a = np.bincount(det.sign_a[det.detected_a], minlength=2)
+    at_b = np.bincount(det.sign_b[det.detected_b], minlength=2)
+    return BlockCounts(
+        *(int(v) for v in cells),
+        *(int(v) for v in at_a),
+        *(int(v) for v in at_b),
+        n_pairs_emitted=det.n_pairs,
     )
 
 

@@ -21,7 +21,7 @@ from fairsample.detection import (
     EfficiencyConfig,
     PolicyKind,
     SamplingPolicy,
-    simulate_pair_detections,
+    simulate_block,
 )
 from fairsample.quantum import SettingsPair, SourceState, Station
 from fairsample.timetags import generate_streams, make_stream
@@ -334,7 +334,7 @@ def test_match_across_merge_blocks(t_a, t_b, width, pairs):
 def test_dense_generated_stream_equals_naive_oracle():
     # eta = 0.9 at 1 MHz with 200 kHz dark counts per channel: most events
     # sit in clusters of more than two, the regime of long lockstep passes.
-    det = simulate_pair_detections(
+    counts = simulate_block(
         SourceState(1.0),
         EfficiencyConfig(0.9, 0.9, 0.9, 0.9),
         SamplingPolicy(PolicyKind.UNFAIR_MALUS, 0.5),
@@ -343,7 +343,7 @@ def test_dense_generated_stream_equals_naive_oracle():
         np.random.SeedSequence(31),
     )
     a, b = generate_streams(
-        det, pair_rate_hz=1e6, tick_resolution_ps=1000, jitter_sd_ticks=50.0,
+        counts, pair_rate_hz=1e6, tick_resolution_ps=1000, jitter_sd_ticks=50.0,
         seed=np.random.SeedSequence(32), dark_rate_hz=2e5,
     )
     width = 500

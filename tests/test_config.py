@@ -150,6 +150,35 @@ def test_load_config_bad_json(tmp_path):
         load_config(path)
 
 
+def test_load_config_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(good_doc()).replace("alice", "alïce").encode("latin-1"))
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.field == "<file>"
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        # An unhashable value must not reach the name lookup.
+        (lambda d: d["scan"].update(varied=[]), "scan.varied"),
+        # Tick resolutions and windows are stored and compared as uint64.
+        (lambda d: d.update(tick_resolution_ps=2**64), "tick_resolution_ps"),
+        (lambda d: d.update(coincidence_window_ticks=2**64), "coincidence_window_ticks"),
+        # SeedSequence takes non-negative entropy only.
+        (lambda d: d.update(seed=-1), "seed"),
+    ],
+    ids=["varied-list", "tick-2**64", "window-2**64", "seed-negative"],
+)
+def test_values_the_pipeline_cannot_take_are_config_errors(mutate, field):
+    doc = good_doc()
+    mutate(doc)
+    with pytest.raises(ConfigError) as err:
+        config_from_dict(doc)
+    assert err.value.field == field
+
+
 def test_direct_construction_validates_too():
     cfg = config_from_dict(good_doc())
     with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Detection policies, the closed-form category model, and block-level counting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,16 +8,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from fairsample.coincidence import CoincidenceWindow, count_coincidences
 from fairsample.detection import (
     BlockCounts,
     EfficiencyConfig,
-    PairDetections,
     PolicyKind,
     SamplingPolicy,
     category_probs,
-    count_detections,
     simulate_block,
-    simulate_pair_detections,
 )
 from fairsample.quantum import (
     OutcomeSign,
@@ -25,6 +24,7 @@ from fairsample.quantum import (
     Station,
     joint_prob_table,
 )
+from fairsample.timetags import generate_streams
 from pair_oracle import sample_pair_outcome
 
 FAIR = SamplingPolicy(PolicyKind.FAIR)
@@ -173,48 +173,55 @@ def test_sample_frequencies_match_table():
 
 
 # ---------------------------------------------------------------------------
-# simulate_pair_detections / count_detections
+# Event mode: simulate_block, then generate_streams
 # ---------------------------------------------------------------------------
 
 
+def _event_mode(state, eff, policy, s, n_pairs, seed, jitter=0.0):
+    """Block counts of one point and the two streams built from them."""
+    counts = simulate_block(state, eff, policy, s, n_pairs, seed)
+    a, b = generate_streams(counts, 1e3, 1, jitter, seed=(seed, 1))
+    return counts, a, b
+
+
 def test_count_detections_by_hand():
-    # Six emitted pairs, four of them observed: signs and partial detections.
-    det = PairDetections(
-        index=np.array([0, 2, 3, 5], dtype=np.int64),
-        sign_a=np.array([0, 0, 1, 1], dtype=np.uint8),
-        sign_b=np.array([1, 0, 0, 1], dtype=np.uint8),
-        detected_a=np.array([True, True, False, True]),
-        detected_b=np.array([True, False, True, True]),
-        n_pairs=6,
+    # Six emitted pairs, four of them observed: (Alice, Bob) signs
+    # (+, -) and (-, -) seen at both stations, (+, +) at Alice only and
+    # (-, +) at Bob only.
+    counts = BlockCounts(
+        n_pp=0, n_pm=1, n_mp=0, n_mm=1, s_a_plus=2, s_a_minus=1, s_b_plus=1, s_b_minus=2,
+        alpha=0.3, beta=0.0, n_pairs_emitted=6,
     )
-    counts = count_detections(det, alpha=0.3, beta=0.0)
-    assert (counts.n_pp, counts.n_pm, counts.n_mp, counts.n_mm) == (0, 1, 0, 1)
-    assert (counts.s_a_plus, counts.s_a_minus) == (2, 1)
-    assert (counts.s_b_plus, counts.s_b_minus) == (1, 2)
-    assert counts.n_pairs_emitted == 6
-    assert counts.alpha == 0.3 and counts.beta == 0.0
+    a, b = generate_streams(counts, 1e3, 1, 0.0, seed=5)
+    assert sorted(a.sign) == [0, 0, 1] and sorted(b.sign) == [0, 1, 1]
+    shared = np.intersect1d(a.t, b.t)
+    assert shared.shape == (2,)
+    assert sorted(b.sign[np.isin(b.t, shared)]) == [1, 1]
+    matched = count_coincidences(a, b, CoincidenceWindow(0), alpha=0.3, beta=0.0)
+    assert matched == dataclasses.replace(counts, n_pairs_emitted=0)
 
 
 def test_detections_shape_and_n_pairs():
-    det = simulate_pair_detections(
+    counts, a, b = _event_mode(
         SourceState(0.5), ETA_MIXED, FAIR, SettingsPair(0.1, 0.2), n_pairs=1000, seed=11
     )
-    assert det.n_pairs == 1000
-    k = det.index.shape[0]
-    assert 0 < k < 1000
-    assert det.sign_a.shape == det.sign_b.shape == det.detected_a.shape == (k,)
-    assert det.detected_b.shape == (k,)
-    assert det.index.dtype == np.int64
-    assert np.all(np.diff(det.index) > 0)
-    assert det.index[0] >= 0 and det.index[-1] < 1000
-    # Only observed pairs are generated.
-    assert np.all(det.detected_a | det.detected_b)
+    assert counts.n_pairs_emitted == 1000
+    seen_a = counts.s_a_plus + counts.s_a_minus
+    seen_b = counts.s_b_plus + counts.s_b_minus
+    observed = seen_a + seen_b - counts.total_coincidences
+    assert 0 < observed < 1000
+    assert (len(a), len(b)) == (seen_a, seen_b)
+    for stream in (a, b):
+        assert stream.t.dtype == np.uint64
+        assert np.all(np.diff(stream.t.astype(np.int64)) >= 0)
+    # Every pair is emitted within the block's 1 s, up to a few gaps.
+    assert max(a.t[-1], b.t[-1]) < 1.2e12
 
 
 def test_detections_zero_pairs():
-    det = simulate_pair_detections(SINGLET, ETA_MIXED, FAIR, SettingsPair(0.0, 0.0), 0, seed=1)
-    assert det.n_pairs == 0 and det.index.shape == (0,)
-    assert count_detections(det).total_singles == 0
+    counts, a, b = _event_mode(SINGLET, ETA_MIXED, FAIR, SettingsPair(0.0, 0.0), 0, seed=1)
+    assert counts.n_pairs_emitted == 0 and counts.total_singles == 0
+    assert len(a) == len(b) == 0
 
 
 def test_detections_unit_efficiency_observe_every_pair():
@@ -222,9 +229,10 @@ def test_detections_unit_efficiency_observe_every_pair():
     s = SettingsPair(0.34899993172338295, 3.480579390302146)
     state = SourceState(0.8158535541215322)
     assert category_probs(state, ETA_UNIT, FAIR, s).sum() > 1.0
-    det = simulate_pair_detections(state, ETA_UNIT, FAIR, s, 5000, seed=12)
-    assert np.array_equal(det.index, np.arange(5000))
-    assert np.all(det.detected_a & det.detected_b)
+    counts, a, b = _event_mode(state, ETA_UNIT, FAIR, s, 5000, seed=12)
+    assert counts.total_coincidences == 5000
+    assert len(a) == len(b) == 5000
+    assert np.array_equal(a.t, b.t)
 
 
 @settings(max_examples=200)
@@ -237,33 +245,40 @@ def test_detections_unit_efficiency_observe_every_pair():
     unfair=st.booleans(),
 )
 def test_detections_unit_efficiency_any_angles(p, d, a, b, eff, unfair):
-    # The observed entries can sum to a few ulps above 1 here.
+    # The category probabilities can sum to a few ulps above 1 here.
     policy = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d) if unfair else FAIR
-    det = simulate_pair_detections(SourceState(p), eff, policy, SettingsPair(a, b), 200, seed=3)
-    assert np.all(det.detected_a | det.detected_b)
+    counts, stream_a, stream_b = _event_mode(
+        SourceState(p), eff, policy, SettingsPair(a, b), 200, seed=3
+    )
+    assert len(stream_a) == counts.s_a_plus + counts.s_a_minus
+    assert len(stream_b) == counts.s_b_plus + counts.s_b_minus
     if eff == ETA_UNIT and not unfair:
-        assert np.array_equal(det.index, np.arange(200))
-        assert np.all(det.detected_a & det.detected_b)
+        assert counts.total_coincidences == 200
+    elif not unfair:
+        # Alice's channels both have unit efficiency: she sees every pair.
+        assert len(stream_a) == 200
     else:
-        # Alice's Minus channel is never modulated, so an Alice-Minus pair
-        # is always seen at Alice.
-        assert np.all(det.detected_a[det.sign_a == OutcomeSign.MINUS])
+        observed = len(stream_a) + len(stream_b) - counts.total_coincidences
+        assert observed <= 200
 
 
 def test_detections_zero_depth_unfair_identical_to_fair():
     pol0 = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=0.0)
     s = SettingsPair(0.3, 0.9)
-    a = simulate_pair_detections(SINGLET, ETA_MIXED, pol0, s, 30_000, seed=17)
-    b = simulate_pair_detections(SINGLET, ETA_MIXED, FAIR, s, 30_000, seed=17)
-    for field in ("index", "sign_a", "sign_b", "detected_a", "detected_b"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    counts0, a0, b0 = _event_mode(SINGLET, ETA_MIXED, pol0, s, 30_000, seed=17, jitter=30.0)
+    counts, a, b = _event_mode(SINGLET, ETA_MIXED, FAIR, s, 30_000, seed=17, jitter=30.0)
+    assert counts0 == counts
+    for x, y in ((a0, a), (b0, b)):
+        for field in ("t", "sign", "setting_index"):
+            assert np.array_equal(getattr(x, field), getattr(y, field)), field
 
 
 def test_detections_reject_negative_pairs():
     with pytest.raises(ValueError):
-        simulate_pair_detections(SINGLET, ETA_MIXED, FAIR, SettingsPair(0.0, 0.0), -1, seed=1)
-    with pytest.raises(ValueError):
         simulate_block(SINGLET, ETA_MIXED, FAIR, SettingsPair(0.0, 0.0), -1, seed=1)
+    negative = BlockCounts(0, 0, 0, 0, 0, 0, 0, 0, n_pairs_emitted=-1)
+    with pytest.raises(ValueError):
+        generate_streams(negative, 1e3, 1, 0.0, seed=1)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,20 @@ def test_f_sf_matches_scipy(d1):
     assert _f_sf(math.inf, d1, 18) == 0.0
 
 
+@pytest.mark.parametrize("d2", [10**4, 10**5])
+def test_f_sf_matches_scipy_at_large_d2(d2):
+    # The log-beta prefactor cancels three log Gammas of size d2 log d2
+    # unless their Stirling terms are taken out by hand.
+    f_values = np.logspace(-10, 5, 300)
+    worst = 0.0
+    for d1 in (1, 2):
+        ref = stats.f.sf(f_values, d1, d2)
+        got = np.array([_f_sf(float(f), d1, d2) for f in f_values])
+        usable = ref > 1e-300
+        worst = max(worst, float(np.max(np.abs(got[usable] / ref[usable] - 1.0))))
+    assert worst <= 2e-11
+
+
 def _block_scan(policy, seed):
     eff = EfficiencyConfig(0.35, 0.35, 0.35, 0.35)
     points = []

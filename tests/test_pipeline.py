@@ -57,9 +57,9 @@ def test_manifest_contents(fair_run):
     assert doc["kind"] == "fairsample-run"
     assert doc["rng"]["algorithm"] == "PCG64"
     assert doc["rng"]["sampler"] == {"name": SAMPLER_NAME, "version": SAMPLER_VERSION}
-    assert SAMPLER_VERSION == 2
-    assert "geometric skips" in doc["rng"]["seeding"]
-    assert "Gamma" in doc["rng"]["seeding"]
+    assert SAMPLER_VERSION == 3
+    assert "multinomial" in doc["rng"]["seeding"]
+    assert "Gamma(n + 1)" in doc["rng"]["seeding"]
     assert doc["format"] == {"name": "TTG1", "version": 1}
     assert len(doc["points"]) == len(ANGLES_DEG)
     for i, pt in enumerate(doc["points"]):
@@ -476,9 +476,10 @@ def test_cli_missing_files_are_named_once(tmp_path, capsys):
     [
         ["analyze", "--alpha-level", "2"],
         ["analyze", "--window", "-5"],
+        ["analyze", "--window", str(2**64)],
         ["simulate", "--jobs", "-3"],
     ],
-    ids=["alpha-level", "window", "jobs"],
+    ids=["alpha-level", "window", "window-beyond-uint64", "jobs"],
 )
 def test_cli_rejects_bad_option_values_before_any_work(tmp_path, capsys, argv):
     # The input files do not exist: reading them would exit 3, not 2.

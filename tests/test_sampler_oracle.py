@@ -1,8 +1,9 @@
-"""The closed-form samplers against the per-pair reference sampler.
+"""The closed-form sampler against the per-pair reference sampler.
 
-Block mode (one multinomial draw), event mode (thinned observed pairs)
-and the thinned emission clock must reproduce the distributions of the
-per-pair oracle in ``pair_oracle``.  Seeds are pinned, so each test is a
+Block mode (one multinomial draw), the event streams built from its
+counts and their emission clock (uniform times under a Gamma(n + 1)
+horizon) must reproduce the distributions of the per-pair oracle in
+``pair_oracle``.  Seeds are pinned, so each test is a
 fixed reproduction; the thresholds reject only gross disagreement.
 """
 
@@ -13,19 +14,24 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fairsample.coincidence import CoincidenceWindow, count_coincidences
 from fairsample.detection import (
     BlockCounts,
     EfficiencyConfig,
     PolicyKind,
     SamplingPolicy,
     category_probs,
-    count_detections,
     simulate_block,
-    simulate_pair_detections,
 )
 from fairsample.quantum import OutcomeSign, SettingsPair, SourceState, Station, joint_prob_table
 from fairsample.timetags import generate_streams
-from pair_oracle import HiddenVariable, detection_probability, emission_times, per_pair_detections
+from pair_oracle import (
+    HiddenVariable,
+    count_oracle,
+    detection_probability,
+    emission_times,
+    per_pair_detections,
+)
 
 N_PAIRS = 300_000
 P_MIN = 1e-3
@@ -133,40 +139,49 @@ def test_category_probs_fit_the_oracle(name, oracle_runs):
 @pytest.mark.parametrize("name", CASES)
 def test_block_matches_oracle(name, oracle_runs):
     block = simulate_block(*CASES[name], N_PAIRS, seed=(72, list(CASES).index(name)))
-    oracle = count_detections(oracle_runs[name])
+    oracle = count_oracle(oracle_runs[name])
     assert block.n_pairs_emitted == oracle.n_pairs_emitted == N_PAIRS
     assert _homogeneity_p(_partition(block), _partition(oracle)) > P_MIN
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_event_mode_matches_oracle(name, oracle_runs):
-    det = simulate_pair_detections(*CASES[name], N_PAIRS, seed=(73, list(CASES).index(name)))
-    oracle = oracle_runs[name]
-    assert _homogeneity_p(_categories(det), _categories(oracle)) > P_MIN
-    assert _homogeneity_p(
-        _partition(count_detections(det)), _partition(count_detections(oracle))
-    ) > P_MIN
+    # Event mode is block mode plus times: the streams, matched back at
+    # window 0 without jitter, must hold the oracle's nine classes.  At
+    # 1 ps ticks and 1 kHz two unrelated events share a tick with
+    # probability about 3e-4.
+    k = list(CASES).index(name)
+    block = simulate_block(*CASES[name], N_PAIRS, seed=(73, k))
+    a, b = generate_streams(block, 1e3, 1, 0.0, seed=(73, k, 1))
+    matched = count_coincidences(a, b, CoincidenceWindow(0))
+    matched = dataclasses.replace(matched, n_pairs_emitted=N_PAIRS)
+    oracle = count_oracle(oracle_runs[name])
+    assert _homogeneity_p(_partition(matched), _partition(oracle)) > P_MIN
 
 
 def test_zero_pairs_match_oracle():
     case = CASES["malus_d0.5"]
     zero = BlockCounts(0, 0, 0, 0, 0, 0, 0, 0, n_pairs_emitted=0)
-    assert count_detections(per_pair_detections(*case, 0, seed=1)) == zero
-    assert count_detections(simulate_pair_detections(*case, 0, seed=1)) == zero
+    assert count_oracle(per_pair_detections(*case, 0, seed=1)) == zero
     block = simulate_block(*case, 0, seed=1)
     assert dataclasses.replace(block, alpha=math.nan, beta=math.nan) == zero
+    a, b = generate_streams(block, 250.0, 1000, 50.0, seed=1)
+    assert len(a) == len(b) == 0
 
 
 def test_thinned_emission_gaps_match_oracle():
     # Sparse observation (about 14% of pairs), as in the quick-start run.
     n, rate, tick = 200_000, 250.0, 1000
-    det = simulate_pair_detections(*CASES["fair"], n, seed=74)
-    assert det.index.shape[0] < 0.2 * n
-    # Record every observed pair at Alice, without jitter, to read the
-    # emission clock at the observed indices.
-    det = dataclasses.replace(det, detected_a=np.ones(det.index.shape[0], dtype=bool))
-    stream, _ = generate_streams(det, rate, tick, 0.0, seed=75)
-    thinned = np.diff(stream.t.astype(np.float64), prepend=0.0)
-    clock = np.rint(emission_times(n, 1e12 / tick / rate, seed=76)[det.index])
+    block = simulate_block(*CASES["fair"], n, seed=74)
+    a, b = generate_streams(block, rate, tick, 0.0, seed=75)
+    # Without jitter a pair seen at both stations has one tick in both
+    # streams, so the union of the two is the observed pairs' clock.
+    seen = np.union1d(a.t, b.t).astype(np.float64)
+    observed = sum(_partition(block)[:8])
+    assert seen.shape[0] == observed < 0.2 * n
+    thinned = np.diff(seen, prepend=0.0)
+    oracle = per_pair_detections(*CASES["fair"], n, seed=74)
+    clock = emission_times(n, 1e12 / tick / rate, seed=76)
+    clock = np.rint(clock[oracle.detected_a | oracle.detected_b])
     reference = np.diff(clock, prepend=0.0)
     assert stats.ks_2samp(thinned, reference).pvalue > P_MIN

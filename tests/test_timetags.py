@@ -1,5 +1,6 @@
 """Event-stream construction, TTG1 serialization, and stream generation."""
 
+import dataclasses
 import math
 import struct
 import warnings
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fairsample.detection import PairDetections
-from fairsample.quantum import Station
+from fairsample.coincidence import CoincidenceWindow, count_coincidences
+from fairsample.detection import BlockCounts, EfficiencyConfig, SamplingPolicy, simulate_block
+from fairsample.quantum import SettingsPair, SourceState, Station
 from fairsample.timetags import (
     BadMagic,
     EventStream,
@@ -21,11 +23,10 @@ from fairsample.timetags import (
     UnsupportedVersion,
     generate_streams,
     make_stream,
-    read_csv,
     read_ttg,
-    write_csv,
     write_ttg,
 )
+from pair_oracle import OracleDetections, count_oracle
 
 HEADER_SIZE = 24
 RECORD_SIZE = 9
@@ -79,8 +80,7 @@ def test_make_stream_sort_is_stable_within_channel():
 def test_stream_indexing():
     s = _stream([3, 5], [1, 0], setting=[2, 1])
     assert len(s) == 2
-    ev = s[0]
-    assert (ev.t, ev.sign, ev.setting_index) == (3, 1, 2)
+    assert (s.t[0], s.sign[0], s.setting_index[0]) == (3, 1, 2)
 
 
 def test_stream_rejects_decreasing_timestamps():
@@ -329,45 +329,19 @@ def test_read_keeps_canonical_file_order(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CSV escape hatch
-# ---------------------------------------------------------------------------
-
-
-@settings(max_examples=25)
-@given(s=streams(max_events=15))
-def test_csv_round_trip(tmp_path_factory, s):
-    path = tmp_path_factory.mktemp("csv") / "s.csv"
-    write_csv(s, path)
-    assert _streams_equal(s, read_csv(path))
-
-
-def test_csv_empty_stream(tmp_path):
-    path = tmp_path / "empty.csv"
-    write_csv(_stream([], [], station=Station.BOB, tick=250), path)
-    back = read_csv(path)
-    assert back.station == Station.BOB
-    assert back.tick_resolution_ps == 250
-    assert len(back) == 0
-
-
-# ---------------------------------------------------------------------------
-# Stream generation from pair detections
+# Stream generation from block counts
 # ---------------------------------------------------------------------------
 
 
 def _detections(detected_a, detected_b, sign_a=None, sign_b=None):
+    """Block counts of the given pairs, every one of them emitted."""
     n = len(detected_a)
-    if sign_a is None:
-        sign_a = np.zeros(n, dtype=np.uint8)
-    if sign_b is None:
-        sign_b = np.ones(n, dtype=np.uint8)
-    return PairDetections(
-        index=np.arange(n, dtype=np.int64),
-        sign_a=np.asarray(sign_a, dtype=np.uint8),
-        sign_b=np.asarray(sign_b, dtype=np.uint8),
-        detected_a=np.asarray(detected_a, dtype=bool),
-        detected_b=np.asarray(detected_b, dtype=bool),
-        n_pairs=n,
+    sign_a = np.zeros(n, np.uint8) if sign_a is None else np.asarray(sign_a, np.uint8)
+    sign_b = np.ones(n, np.uint8) if sign_b is None else np.asarray(sign_b, np.uint8)
+    return count_oracle(
+        OracleDetections(
+            sign_a, sign_b, np.asarray(detected_a, bool), np.asarray(detected_b, bool)
+        )
     )
 
 
@@ -403,7 +377,8 @@ def test_generate_streams_only_detected_events_appear():
     a, b = generate_streams(det, 1e4, 1000, 0.0, seed=4)
     assert len(a) == 2 and len(b) == 2
     # Third pair is detected on both sides with zero jitter: shared tick.
-    assert a.t[-1] == b.t[-1]
+    assert np.intersect1d(a.t, b.t).shape == (1,)
+    assert sorted(a.sign) == [0, 0] and sorted(b.sign) == [1, 1]
 
 
 def test_generate_streams_dark_counts():
@@ -451,15 +426,67 @@ def test_generate_streams_orders_ties_like_make_stream():
 
 
 def test_generate_streams_rejects_times_beyond_2_63_ticks():
-    # One pair emitted after six gaps of mean 2·10^18 ticks: about 1.2·10^19.
-    # Seed 3 puts it past 2**64, where a float-to-uint64 cast is undefined:
-    # the bound must hold before the cast, without a warning.
-    det = PairDetections(
-        index=np.array([5]), sign_a=np.zeros(1, np.uint8), sign_b=np.zeros(1, np.uint8),
-        detected_a=np.ones(1, bool), detected_b=np.ones(1, bool), n_pairs=6,
-    )
+    # Twenty pairs, all seen at both stations, at a mean gap of 2·10^18
+    # ticks: the latest of them lies near 4·10^19 ticks.  Seeds 0 and 3 put
+    # times past 2**64, where a float-to-uint64 cast is undefined: the bound
+    # must hold before the cast, without a warning.
+    det = _detections([True] * 20, [True] * 20)
     for seed in (0, 3):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="2\\*\\*63"):
                 generate_streams(det, 0.5e-6, 1, 0.0, seed=seed)
+
+
+def test_generate_streams_rejects_more_observed_pairs_than_emitted():
+    # A hand-built block left at the default n_pairs_emitted = 0.
+    counts = BlockCounts(1, 0, 0, 0, 1, 0, 1, 0)
+    with pytest.raises(ValueError, match="n_pairs_emitted"):
+        generate_streams(counts, 1e4, 1000, 0.0, seed=1)
+    at_limit = BlockCounts(1, 0, 0, 0, 2, 0, 1, 1, n_pairs_emitted=3)
+    a, b = generate_streams(at_limit, 1e4, 1000, 0.0, seed=1)
+    assert len(a) == 2 and len(b) == 2
+    with pytest.raises(ValueError, match="n_pairs_emitted"):
+        generate_streams(dataclasses.replace(at_limit, n_pairs_emitted=2), 1e4, 1000, 0.0, seed=1)
+
+
+@st.composite
+def block_counts(draw):
+    """Small consistent block counts: eight class sizes plus unseen pairs."""
+    coinc = draw(st.lists(st.integers(0, 30), min_size=4, max_size=4))
+    only_a = draw(st.lists(st.integers(0, 30), min_size=2, max_size=2))
+    only_b = draw(st.lists(st.integers(0, 30), min_size=2, max_size=2))
+    unseen = draw(st.integers(0, 50))
+    n_pp, n_pm, n_mp, n_mm = coinc
+    return BlockCounts(
+        n_pp, n_pm, n_mp, n_mm,
+        s_a_plus=n_pp + n_pm + only_a[0],
+        s_a_minus=n_mp + n_mm + only_a[1],
+        s_b_plus=n_pp + n_mp + only_b[0],
+        s_b_minus=n_pm + n_mm + only_b[1],
+        n_pairs_emitted=sum(coinc) + sum(only_a) + sum(only_b) + unseen,
+    )
+
+
+@settings(max_examples=100)
+@given(counts=block_counts(), jitter=st.sampled_from([0.0, 40.0]), seed=st.integers(0, 2**32 - 1))
+def test_generate_streams_hold_the_singles(counts, jitter, seed):
+    a, b = generate_streams(counts, 1e4, 1000, jitter, seed=seed)
+    assert (np.count_nonzero(a.sign == 0), np.count_nonzero(a.sign == 1)) == (
+        counts.s_a_plus, counts.s_a_minus,
+    )
+    assert (np.count_nonzero(b.sign == 0), np.count_nonzero(b.sign == 1)) == (
+        counts.s_b_plus, counts.s_b_minus,
+    )
+
+
+def test_generate_streams_reproduce_block_counts():
+    # The quick-start point at alpha = 30 degrees: 10^6 pairs at 250 Hz and
+    # 1 ns ticks, so unrelated events almost never share a tick.  Without
+    # jitter, matching at window 0 finds exactly the block's coincidences.
+    eff = EfficiencyConfig(0.10, 0.05, 0.08, 0.08)
+    s = SettingsPair(math.radians(30.0), 0.0)
+    counts = simulate_block(SourceState(1.0), eff, SamplingPolicy(), s, 10**6, seed=41)
+    a, b = generate_streams(counts, 250.0, 1000, 0.0, seed=42)
+    matched = count_coincidences(a, b, CoincidenceWindow(0), alpha=s.alpha, beta=s.beta)
+    assert dataclasses.replace(matched, n_pairs_emitted=10**6) == counts
