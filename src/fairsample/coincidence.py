@@ -15,15 +15,23 @@ Policy, applied identically by both engines:
 with numpy alone.  The merged A+B timeline is cut wherever the gap
 between consecutive events is wider than the window; the sweep never
 matches across such a gap, so each cluster between cuts is solved on its
-own, and clusters lacking either station are dropped.  The sweep then
-runs in lockstep: each iteration is one vectorized sweep step in every
-live cluster, so the number of iterations is set by the longest cluster,
-not by the number of events.  Both stages work through the streams in
-blocks, so their temporaries stay bounded whatever the input size.  ``count_coincidences_naive`` re-implements
-the policy by explicit per-event enumeration and exists as an independent
-oracle for tests and verification.  Both reduce to the same counts
-structure, where singles count every event on a channel whether or not
-it was matched.
+own, and clusters lacking either station are dropped.
+
+Most clusters need no sweep.  In a *narrow* cluster, whose last event is
+within the window of its first, every A event is within the window of
+every B event, so each sweep step matches and advances both pointers:
+the k-th A event pairs with the k-th B event for k < min(n_A, n_B).
+That is exact, not an approximation, and these pairs are written
+directly.  Only the *wide* clusters are swept, in lockstep: each
+iteration is one vectorized sweep step in every live wide cluster, so
+the number of iterations is set by the longest cluster, not by the
+number of events.  Both stages work through the streams in blocks, so
+their temporaries stay bounded whatever the input size.
+
+``count_coincidences_naive`` re-implements the policy by explicit
+per-event enumeration and exists as an independent oracle for tests and
+verification.  Both reduce to the same counts structure, where singles
+count every event on a channel whether or not it was matched.
 """
 
 from __future__ import annotations
@@ -56,70 +64,102 @@ class CoincidenceWindow:
             raise ValueError(f"width_ticks must be in 0..2**64 - 1, got {self.width_ticks}")
 
 
-# Events per station in one merge, and the least number of clusters per
-# lockstep pass.  They bound the matcher's temporaries whatever the input
-# size (about 40 MB at a 2.4M-event point).  Much smaller blocks, of 2**15,
-# left glibc's main heap fragmented and 50 MB larger after a dense
-# analysis, which raised the process's peak memory in the next simulation.
+# Events per station in one merge.  It bounds the matcher's temporaries
+# whatever the input size (about 40 MB at a 2.4M-event point).  Much
+# smaller blocks, of 2**15, left glibc's main heap fragmented and 50 MB
+# larger after a dense analysis, which raised the process's peak memory in
+# the next simulation.
 _BLOCK = 1 << 18
+# The least number of wide clusters per lockstep pass.  A pass costs one
+# numpy step per sweep step of its longest cluster, so passes over few
+# clusters are slow when clusters are long (a window many times the mean
+# gap); a dense point has about 40000 wide clusters per block and sweeps
+# each block's before merging the next.
+_SWEEP = 1 << 12
 
 
 def _block_clusters(
-    t_a: np.ndarray, t_b: np.ndarray, width: np.uint64, final: bool
+    t_a: np.ndarray, t_b: np.ndarray, width: np.uint64, final: bool,
+    partner: np.ndarray, b0: int,
 ) -> tuple[np.ndarray, int, int]:
-    """Clusters of one block of both streams, indexed within the block.
+    """Match the narrow clusters of one block; return its wide ones.
 
     A cluster is a run of the merged timeline that no gap wider than the
     window splits.  Every event of a cluster lies more than ``width`` away
     from every event of another, so the sweep never matches across
     clusters and enters each one with both pointers at its first events.
 
-    Returns a (4, k) array of the ranges a_lo, a_hi, b_lo, b_hi of the
-    clusters that hold events of both stations, then the numbers of A and
-    B events settled.  Unless the block is ``final``, its last cluster may
+    A cluster is narrow when its last event is within ``width`` of its
+    first.  Every comparison inside it then matches, so the sweep pairs
+    its k-th A event with its k-th B event for k < min(n_A, n_B); these
+    pairs are written straight into ``partner`` (the block's slice, with
+    B indices offset by ``b0``).  Returns a (4, k) array of the ranges
+    a_lo, a_hi, b_lo, b_hi of the wide clusters that hold events of both
+    stations, indexed within the block, then the numbers of A and B
+    events settled.  Unless the block is ``final``, its last cluster may
     go on past the block, so that cluster is left to the next block.
     """
     na = t_a.shape[0]
     n = na + t_b.shape[0]
     t = np.concatenate((t_a, t_b))
-    # A stable sort of two sorted runs is one timsort merge, O(n).  Sorting
-    # t in place needs no gathered copy.
+    # A stable sort of two sorted runs is one timsort merge, O(n).
     order = t.argsort(kind="stable")
-    t.sort(kind="stable")
-    # Merged events p and p + 1 share a cluster when the gap between them,
-    # taken in place, is within the window.
-    np.subtract(t[1:], t[:-1], out=t[:-1])
-    joined = t[:-1] <= width
-    del t
+    merged = t.take(order)
+    # joined[p + 1] says whether merged events p and p + 1 share a cluster:
+    # the gap between them, taken in place, is within the window.  With a
+    # False at either end, joined changes value exactly at the first and
+    # just past the last event of every run of two or more events.
+    np.subtract(merged[1:], merged[:-1], out=merged[:-1])
+    joined = np.zeros(n + 1, dtype=bool)
+    np.less_equal(merged[:-1], width, out=joined[1:n])
+    del merged
+    edges = np.flatnonzero(joined[1:] != joined[:-1])
+    first, last = edges[0::2], edges[1::2]
     if final:
         stop = n
+    elif joined[n - 1]:
+        # The last cluster reaches the block's end and may go on past it.
+        stop = int(first[-1])
+        first, last = first[:-1], last[:-1]
     else:
-        breaks = np.flatnonzero(~joined)
-        stop = int(breaks[-1]) + 1 if breaks.size else 0
-    # A run of True over joined[f:l] is the cluster of merged events f..l.
-    # Single events never match and are not indexed.
-    zero = np.int8(0)
-    edges = np.diff(joined[:stop].view(np.int8), prepend=zero, append=zero)
-    first = np.flatnonzero(edges == 1)
-    last = np.flatnonzero(edges == -1)
-
-    def a_before(p):
-        # The merge keeps each station's order: merged event p is A event
-        # order[p], with order[p] A events before it, or B event
-        # order[p] - na, with p - (order[p] - na) A events before it.
-        o = order[p]
-        return np.where(o < na, o, p + na - o)
-
-    a_lo = a_before(first)
-    a_hi = a_before(last) + (order[last] < na)
+        stop = n - 1
+    # The merge keeps each station's order: merged event p is A event
+    # order[p], with order[p] A events before it, or B event order[p] - na,
+    # with p + na - order[p] A events before it.  The count that applies is
+    # the smaller of the two: for an A event, order[p] < na <= p + na -
+    # order[p]; for a B event, p + na - order[p] <= na <= order[p].
+    o_first, o_last = order[first], order[last]
+    a_lo = np.minimum(o_first, first + na - o_first)
+    a_hi = np.minimum(o_last + 1, last + na - o_last)
     b_lo, b_hi = first - a_lo, last + 1 - a_hi
-    both = (a_hi > a_lo) & (b_hi > b_lo)
-    a_done = na if stop == n else int(a_before(stop))
-    return np.stack((a_lo, a_hi, b_lo, b_hi))[:, both], a_done, stop - a_done
+    pairs = np.minimum(a_hi - a_lo, b_hi - b_lo)
+    narrow = t[o_last] - t[o_first] <= width
+    if stop == n:
+        a_done = na
+    else:
+        o_stop = int(order[stop])
+        a_done = min(o_stop, stop + na - o_stop)
+
+    # Narrow clusters: the k-th A event takes the k-th B event.  Most hold
+    # one pair, so each round k leaves fewer of them.
+    sel = np.flatnonzero(narrow & (pairs > 0))
+    i, j, left = a_lo[sel], b_lo[sel] + b0, pairs[sel]
+    while True:
+        partner[i] = j
+        more = np.flatnonzero(left > 1)
+        if not more.size:
+            break
+        i, j, left = i[more] + 1, j[more] + 1, left[more] - 1
+
+    wide = np.flatnonzero(~narrow & (pairs > 0))
+    ranges = np.stack((a_lo[wide], a_hi[wide], b_lo[wide], b_hi[wide]))
+    return ranges, a_done, stop - a_done
 
 
-def _cluster_blocks(t_a: np.ndarray, t_b: np.ndarray, width: np.uint64):
-    """Yield the ranges of the clusters both stations share, block by block."""
+def _cluster_blocks(
+    t_a: np.ndarray, t_b: np.ndarray, width: np.uint64, partner: np.ndarray
+):
+    """Match the narrow clusters block by block; yield the wide ones' ranges."""
     na, nb = t_a.shape[0], t_b.shape[0]
     a0 = b0 = 0
     size = _BLOCK
@@ -132,7 +172,9 @@ def _cluster_blocks(t_a: np.ndarray, t_b: np.ndarray, width: np.uint64):
             a1 = int(np.searchsorted(t_a, cut, side="right"))
             b1 = int(np.searchsorted(t_b, cut, side="right"))
         final = a1 == na and b1 == nb
-        ranges, a_done, b_done = _block_clusters(t_a[a0:a1], t_b[b0:b1], width, final)
+        ranges, a_done, b_done = _block_clusters(
+            t_a[a0:a1], t_b[b0:b1], width, final, partner[a0:a1], b0
+        )
         if a_done + b_done == 0:
             size *= 2  # one cluster fills the block
             continue
@@ -169,11 +211,14 @@ def match_events(
 
     The result equals a two-pointer sweep's: at each step, if the unsigned
     distance |t_a[i] - t_b[j]| is within the window both events match and
-    both pointers advance, otherwise the earlier event is dropped.  Here
-    that sweep runs in lockstep over many clusters at once (see
-    :func:`_block_clusters`): each iteration is one sweep step in all live
-    clusters, and a cluster retires when either pointer leaves its range.
-    Matches are recorded by A index, so they come out in sweep order.
+    both pointers advance, otherwise the earlier event is dropped.  The
+    sweep restarts at every gap wider than the window (see
+    :func:`_block_clusters`).  A cluster that spans no more than the window
+    needs no sweep: every step in it matches, so its k-th A event pairs
+    with its k-th B event for k < min(n_A, n_B).  The other clusters are
+    swept in lockstep: each iteration is one sweep step in all of them,
+    and a cluster retires when either pointer leaves its range.  Matches
+    are recorded by A index, so they come out in sweep order.
     """
     t_a = np.ascontiguousarray(t_a, dtype=np.uint64)
     t_b = np.ascontiguousarray(t_b, dtype=np.uint64)
@@ -183,10 +228,10 @@ def match_events(
     width = np.uint64(window.width_ticks)
     partner = np.full(t_a.shape[0], -1, dtype=np.int64)
     pending, count = [], 0
-    for ranges in _cluster_blocks(t_a, t_b, width):
+    for ranges in _cluster_blocks(t_a, t_b, width, partner):
         pending.append(ranges)
         count += ranges.shape[1]
-        if count >= _BLOCK:
+        if count >= _SWEEP:
             _lockstep(t_a, t_b, width, np.concatenate(pending, axis=1), partner)
             pending, count = [], 0
     if pending:
@@ -223,15 +268,18 @@ def _reduce(
 ) -> BlockCounts:
     cells = (sign_a[idx_a].astype(np.intp) << 1) | sign_b[idx_b]
     coinc = np.bincount(cells, minlength=4)
+    # Signs are 0 (Plus) or 1 (Minus), so one pass per station counts the
+    # Minus singles and the rest are Plus.
+    minus_a, minus_b = np.count_nonzero(sign_a), np.count_nonzero(sign_b)
     return BlockCounts(
         n_pp=int(coinc[0]),
         n_pm=int(coinc[1]),
         n_mp=int(coinc[2]),
         n_mm=int(coinc[3]),
-        s_a_plus=int(np.count_nonzero(sign_a == 0)),
-        s_a_minus=int(np.count_nonzero(sign_a == 1)),
-        s_b_plus=int(np.count_nonzero(sign_b == 0)),
-        s_b_minus=int(np.count_nonzero(sign_b == 1)),
+        s_a_plus=sign_a.shape[0] - minus_a,
+        s_a_minus=minus_a,
+        s_b_plus=sign_b.shape[0] - minus_b,
+        s_b_minus=minus_b,
         alpha=alpha,
         beta=beta,
     )

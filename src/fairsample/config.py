@@ -22,6 +22,9 @@ SCHEMA_VERSION = 1
 MAX_EMISSION_CLOCK_TICKS = 2.0**53
 # Tick resolutions and window widths are stored and compared as uint64.
 _U64_MAX = 2**64 - 1
+# Expected dark counts per station per point; far more than any scan of
+# this project needs, and well below what one array of event times holds.
+MAX_DARK_COUNTS = 2.0**32
 
 _STATION_NAMES = {"alice": Station.ALICE, "bob": Station.BOB}
 
@@ -63,7 +66,7 @@ class RunConfig:
             raise ConfigError("scan.angles_deg", "must be strictly increasing")
         if self.pairs_per_point < 0:
             raise ConfigError("pairs_per_point", "must be >= 0")
-        if self.pair_rate_hz <= 0:
+        if not self.pair_rate_hz > 0:
             raise ConfigError("pair_rate_hz", "must be > 0")
         if not 0 < self.tick_resolution_ps <= _U64_MAX:
             raise ConfigError("tick_resolution_ps", "must be in 1..2**64 - 1")
@@ -80,8 +83,16 @@ class RunConfig:
             raise ConfigError("jitter_sd_ticks", "must be >= 0")
         if not 0 <= self.coincidence_window_ticks <= _U64_MAX:
             raise ConfigError("coincidence_window_ticks", "must be in 0..2**64 - 1")
-        if self.dark_rate_hz < 0:
+        if not self.dark_rate_hz >= 0:
             raise ConfigError("dark_rate_hz", "must be >= 0")
+        # generate_streams draws this many dark counts per station on average.
+        dark_counts = 2.0 * self.dark_rate_hz * self.pairs_per_point / self.pair_rate_hz
+        if not dark_counts <= MAX_DARK_COUNTS:
+            raise ConfigError(
+                "dark_rate_hz",
+                f"a point expects {dark_counts:.6g} dark counts per station; "
+                "at most 2**32 are allowed",
+            )
         if self.seed < 0:
             raise ConfigError("seed", "must be >= 0")
 

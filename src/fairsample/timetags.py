@@ -32,7 +32,7 @@ bytes, each with a byte offset pointing at the problem.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +92,8 @@ class EventStream:
 
     Ties in ``t`` are ordered Plus before Minus so that downstream
     matching is deterministic.  ``tick_resolution_ps`` is the physical
-    duration of one timestamp tick.
+    duration of one timestamp tick.  ``validate=False`` skips the checks
+    that scan the arrays, for a caller that has already made them.
     """
 
     station: Station
@@ -100,8 +101,9 @@ class EventStream:
     t: np.ndarray
     sign: np.ndarray
     setting_index: np.ndarray
+    validate: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, validate: bool) -> None:
         if self.tick_resolution_ps <= 0:
             raise ValueError(
                 f"tick_resolution_ps must be > 0, got {self.tick_resolution_ps}"
@@ -111,7 +113,7 @@ class EventStream:
             raise ValueError("t, sign and setting_index must have equal length")
         if self.t.dtype != np.uint64:
             raise ValueError(f"t must be uint64, got {self.t.dtype}")
-        if n:
+        if validate and n:
             if np.any(self.t[1:] < self.t[:-1]):
                 raise ValueError("timestamps must be non-decreasing")
             ties = self.t[1:] == self.t[:-1]
@@ -304,31 +306,42 @@ def read_ttg(path) -> EventStream:
             HEADER.size + expected,
         )
 
+    # One copy of each field out of the 9-byte records: every check below
+    # runs on contiguous arrays, and the file's bytes are not kept.
     records = np.frombuffer(data, dtype=RECORD_DTYPE, count=count, offset=HEADER.size)
-    flags = records["flags"]
-    bad_reserved = np.nonzero(flags & _RESERVED_MASK)[0]
-    if bad_reserved.size:
-        i = int(bad_reserved[0])
+    t = records["t"].copy()
+    flags = records["flags"].copy()
+    del records, data
+    # A reserved bit is set somewhere exactly when the largest flags byte
+    # has one set.
+    if count and flags.max() & _RESERVED_MASK:
+        i = int(np.flatnonzero(flags & _RESERVED_MASK)[0])
         raise InvalidFlags(
             f"record {i} has non-zero reserved flag bits",
             HEADER.size + i * RECORD_DTYPE.itemsize + 8,
         )
-    t = records["t"]
-    if count > 1:
-        drops = np.nonzero(t[1:] < t[:-1])[0]
-        if drops.size:
-            i = int(drops[0]) + 1
-            raise UnsortedTimestamps(
-                f"record {i} timestamp {int(t[i])} is before its predecessor "
-                f"{int(t[i - 1])}",
-                HEADER.size + i * RECORD_DTYPE.itemsize,
-            )
+    # One pass finds the records no later than their predecessors: the
+    # ties, and the first out-of-order record if there is one.
+    ties = np.flatnonzero(t[1:] <= t[:-1])
+    drops = ties[t[ties + 1] < t[ties]]
+    if drops.size:
+        i = int(drops[0]) + 1
+        raise UnsortedTimestamps(
+            f"record {i} timestamp {int(t[i])} is before its predecessor "
+            f"{int(t[i - 1])}",
+            HEADER.size + i * RECORD_DTYPE.itemsize,
+        )
 
-    sign = (flags & _SIGN_BIT).astype(np.uint8)
-    setting_index = ((flags & _SETTING_MASK) >> _SETTING_SHIFT).astype(np.uint8)
-    t = t.copy()
-    if count > 1 and np.any((t[1:] == t[:-1]) & (sign[1:] < sign[:-1])):
+    sign = flags & _SIGN_BIT
+    # With the reserved bits clear, the setting index is all that remains
+    # of flags above the sign bit.
+    setting_index = np.right_shift(flags, _SETTING_SHIFT, out=flags)
+    if np.any(sign[ties] > sign[ties + 1]):
         # Equal-timestamp records with Minus before Plus: restore the
         # canonical order.  Files this package writes never need it.
         return make_stream(Station(station), int(tick), t, sign, setting_index)
-    return EventStream(Station(station), int(tick), t, sign, setting_index)
+    # Every check EventStream would repeat has been made above, or holds
+    # by construction: sign and setting_index are bit fields of flags.
+    return EventStream(
+        Station(station), int(tick), t, sign, setting_index, validate=False
+    )

@@ -358,6 +358,78 @@ def test_dense_generated_stream_equals_naive_oracle():
         _assert_same_as_naive(t_a, t_b, width)
 
 
+# ---------------------------------------------------------------------------
+# match_events: narrow clusters, resolved without the sweep, vs the oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def narrow_and_wide_bursts(draw):
+    """Far-apart bursts, each spanning at most the window or more than it."""
+    width = draw(st.integers(0, 200))
+    t_a, t_b = [], []
+    for k in range(draw(st.integers(1, 6))):
+        base = k * (4 * width + 1000)
+        if draw(st.booleans()):
+            span = draw(st.integers(0, width))
+        else:
+            span = draw(st.integers(width + 1, 3 * width + 10))
+        times = st.lists(st.integers(0, span), max_size=6)
+        t_a += [base + t for t in draw(times)]
+        t_b += [base + t for t in draw(times)]
+    return sorted(t_a), sorted(t_b), width
+
+
+@settings(max_examples=200)
+@given(block=narrow_and_wide_bursts(), size=st.sampled_from([1, 2, 3, 8]))
+def test_narrow_and_wide_clusters_equal_naive_oracle(block, size):
+    with mock.patch.object(coincidence, "_BLOCK", size):
+        _assert_same_as_naive(*block)
+
+
+def _swept_clusters(t_a, t_b, width):
+    """Match against the oracle; return how many clusters the sweep saw."""
+    with mock.patch.object(
+        coincidence, "_lockstep", wraps=coincidence._lockstep
+    ) as sweep:
+        pairs = _assert_same_as_naive(t_a, t_b, width)
+    return pairs, sum(call.args[3].shape[1] for call in sweep.call_args_list)
+
+
+@pytest.mark.parametrize(
+    "t_a, t_b, width, expected",
+    [
+        # Span exactly the window: the first A event is 10 before the last
+        # B event and still pairs with the first B event.
+        ([0, 10], [5, 10], 10, [(0, 0), (1, 1)]),
+        ([0, 4, 10], [0, 10], 10, [(0, 0), (1, 1)]),
+        # Window 0: only ties match, k-th with k-th.
+        ([3, 3, 3], [3, 3], 0, [(0, 0), (1, 1)]),
+        ([1, 3, 3, 5], [3, 3, 3, 6], 0, [(1, 0), (2, 1)]),
+        # At the top of the uint64 range.
+        ([U64_MAX - 1, U64_MAX], [U64_MAX, U64_MAX], 1, [(0, 0), (1, 1)]),
+        ([U64_MAX], [U64_MAX - 2**63, U64_MAX], 2**63, [(0, 0)]),
+    ],
+    ids=["span-eq-window", "span-eq-window-3a", "zero-window-ties",
+         "zero-window-mixed", "u64-max", "u64-max-span-2**63"],
+)
+def test_narrow_clusters_pair_kth_with_kth_without_the_sweep(t_a, t_b, width, expected):
+    (ia, ib), swept = _swept_clusters(t_a, t_b, width)
+    assert list(zip(ia.tolist(), ib.tolist())) == expected
+    assert swept == 0
+
+
+def test_clusters_one_tick_wider_than_the_window_are_swept():
+    # Each input is one cluster spanning 11 ticks, one more than the window.
+    (ia, ib), swept = _swept_clusters([0, 11], [5, 11], 10)
+    assert list(zip(ia.tolist(), ib.tolist())) == [(0, 0), (1, 1)]
+    assert swept == 1
+    # A = 0 is 11 before B = 11 and expires; k-th pairing would keep it.
+    (ia, ib), swept = _swept_clusters([0, 6], [11, 11], 10)
+    assert list(zip(ia.tolist(), ib.tolist())) == [(1, 0)]
+    assert swept == 1
+
+
 def test_match_ties_across_stations():
     ia, ib = _assert_same_as_naive([10, 10, 10], [10, 10], 0)
     assert list(ia) == [0, 1] and list(ib) == [0, 1]

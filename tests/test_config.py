@@ -168,8 +168,11 @@ def test_load_config_not_utf8(tmp_path):
         (lambda d: d.update(coincidence_window_ticks=2**64), "coincidence_window_ticks"),
         # SeedSequence takes non-negative entropy only.
         (lambda d: d.update(seed=-1), "seed"),
+        # A NaN rate compares False with everything; it is the rate's fault,
+        # not that of the dark-count bound computed from it.
+        (lambda d: d.update(pair_rate_hz=math.nan), "pair_rate_hz"),
     ],
-    ids=["varied-list", "tick-2**64", "window-2**64", "seed-negative"],
+    ids=["varied-list", "tick-2**64", "window-2**64", "seed-negative", "pair-rate-nan"],
 )
 def test_values_the_pipeline_cannot_take_are_config_errors(mutate, field):
     doc = good_doc()
@@ -212,3 +215,20 @@ def test_emission_clock_bound():
         config_from_dict(doc)
     assert err.value.field == "pairs_per_point"
     assert "2**53" in str(err.value)
+
+
+def test_dark_count_bound():
+    # 1000 pairs at 250 Hz last 4 s, so 2 * rate * 4 s of dark counts per
+    # station reach the bound of 2**32 at a rate of exactly 2**29 Hz.
+    doc = good_doc()
+    doc["dark_rate_hz"] = 2.0**29
+    assert config_from_dict(doc).dark_rate_hz == 2.0**29
+    for rate in (2.0**29 + 1, 2.0**63, math.inf, math.nan):
+        doc["dark_rate_hz"] = rate
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(doc)
+        assert err.value.field == "dark_rate_hz"
+    # With no pairs a point lasts no time and needs no dark counts.
+    doc["pairs_per_point"] = 0
+    doc["dark_rate_hz"] = 2.0**63
+    assert config_from_dict(doc).dark_rate_hz == 2.0**63

@@ -19,6 +19,7 @@ def test_benchmark_coincidence_runs(capsys):
     assert bench.main(argv) == 0
     out = capsys.readouterr().out
     assert "clusters > 2" in out and "events/s/core" in out
+    assert "no sweep needed" in out
 
 
 def test_run_demo_runs(tmp_path, capsys):

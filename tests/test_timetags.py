@@ -328,6 +328,30 @@ def test_read_keeps_canonical_file_order(tmp_path):
     assert _streams_equal(read_ttg(path), s)
 
 
+def _memory_owner(array):
+    """The object that holds an array's memory: None when it owns it."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.base
+
+
+@pytest.mark.parametrize("sign", [[0, 1, 0, 1, 1], [1, 0, 0, 1, 0]], ids=["canonical", "ties-reordered"])
+def test_read_returns_contiguous_arrays_that_own_their_memory(tmp_path, sign):
+    records = [(t, s | (k % 4) << 1) for k, (t, s) in enumerate(zip([2, 2, 6, 6, 9], sign))]
+    raw = struct.pack("<4sBBHQQ", b"TTG1", 1, 1, 0, 1000, len(records))
+    raw += b"".join(struct.pack("<QB", t, flags) for t, flags in records)
+    path = tmp_path / "r.ttg"
+    path.write_bytes(raw)
+    back = read_ttg(path)
+    for array in (back.t, back.sign, back.setting_index):
+        assert array.flags["C_CONTIGUOUS"]
+        # Not a view into the bytes read from the file.
+        assert _memory_owner(array) is None
+    assert back.t.dtype == np.uint64
+    assert back.sign.dtype == back.setting_index.dtype == np.uint8
+    assert list(back.sign[:4]) == [0, 1, 0, 1]
+
+
 # ---------------------------------------------------------------------------
 # Stream generation from block counts
 # ---------------------------------------------------------------------------
