@@ -59,6 +59,11 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.angles_deg:
             raise ConfigError("scan.angles_deg", "must be non-empty")
+        for i, angle in enumerate(self.angles_deg):
+            if not math.isfinite(angle):
+                raise ConfigError(f"scan.angles_deg[{i}]", "must be finite")
+        if not math.isfinite(self.fixed_angle_deg):
+            raise ConfigError("scan.fixed_angle_deg", "must be finite")
         diffs = [
             b - a for a, b in zip(self.angles_deg, self.angles_deg[1:])
         ]
@@ -66,8 +71,8 @@ class RunConfig:
             raise ConfigError("scan.angles_deg", "must be strictly increasing")
         if self.pairs_per_point < 0:
             raise ConfigError("pairs_per_point", "must be >= 0")
-        if not self.pair_rate_hz > 0:
-            raise ConfigError("pair_rate_hz", "must be > 0")
+        if not 0 < self.pair_rate_hz < math.inf:
+            raise ConfigError("pair_rate_hz", "must be finite and > 0")
         if not 0 < self.tick_resolution_ps <= _U64_MAX:
             raise ConfigError("tick_resolution_ps", "must be in 1..2**64 - 1")
         clock_ticks = (
@@ -79,8 +84,8 @@ class RunConfig:
                 f"a point lasts {clock_ticks:.6g} ticks at this pair rate and "
                 "tick resolution; emission times stay exact only up to 2**53 ticks",
             )
-        if self.jitter_sd_ticks < 0:
-            raise ConfigError("jitter_sd_ticks", "must be >= 0")
+        if not 0 <= self.jitter_sd_ticks < math.inf:
+            raise ConfigError("jitter_sd_ticks", "must be finite and >= 0")
         if not 0 <= self.coincidence_window_ticks <= _U64_MAX:
             raise ConfigError("coincidence_window_ticks", "must be in 0..2**64 - 1")
         if not self.dark_rate_hz >= 0:

@@ -82,7 +82,10 @@ def _map_points(work, items, jobs: "int | None") -> list:
     arena, and a pool thread's arena passes to the next stage's pool
     threads with the free memory left in it; the main thread's arena keeps
     it.  A dense analysis run inline left up to 60 MB in the main arena,
-    and the next simulation's peak memory rose by as much.
+    and the next simulation's peak memory rose by as much.  The CLI's heap
+    pad keeps freed pages resident and so does not help here: with the pad
+    and one job inline, the dense benchmark's peak memory was 227-242 MB
+    at seeds 1-3, against 174-188 MB on a pool thread.
     """
     workers = jobs if jobs and jobs > 0 else 1
     with ThreadPoolExecutor(max_workers=workers) as pool:

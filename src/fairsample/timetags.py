@@ -200,6 +200,8 @@ def generate_streams(
         raise ValueError(f"jitter_sd_ticks must be >= 0, got {jitter_sd_ticks}")
     if dark_rate_hz < 0.0:
         raise ValueError(f"dark_rate_hz must be >= 0, got {dark_rate_hz}")
+    if not 0 <= setting_index <= 3:
+        raise ValueError(f"setting_index must be in 0..3, got {setting_index}")
     c = counts
     coincidences = (c.n_pp, c.n_pm, c.n_mp, c.n_mm)
     only_a = (c.s_a_plus - c.n_pp - c.n_pm, c.s_a_minus - c.n_mp - c.n_mm)
@@ -251,7 +253,11 @@ def generate_streams(
         sign = (t & np.uint64(1)).astype(np.uint8)
         t >>= np.uint64(1)
         idx = np.full(t.shape[0], setting_index, dtype=np.uint8)
-        streams.append(EventStream(station, tick_resolution_ps, t, sign, idx))
+        # The sort gives the (t, sign) order, sign is one bit and the
+        # setting was checked above: nothing is left for EventStream to scan.
+        streams.append(
+            EventStream(station, tick_resolution_ps, t, sign, idx, validate=False)
+        )
     return streams[0], streams[1]
 
 

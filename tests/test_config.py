@@ -171,8 +171,31 @@ def test_load_config_not_utf8(tmp_path):
         # A NaN rate compares False with everything; it is the rate's fault,
         # not that of the dark-count bound computed from it.
         (lambda d: d.update(pair_rate_hz=math.nan), "pair_rate_hz"),
+        # An infinite rate would put every emission time at 0.
+        (lambda d: d.update(pair_rate_hz=math.inf), "pair_rate_hz"),
+        # Jitter that is not finite makes every event time NaN or infinite.
+        (lambda d: d.update(jitter_sd_ticks=math.nan), "jitter_sd_ticks"),
+        (lambda d: d.update(jitter_sd_ticks=math.inf), "jitter_sd_ticks"),
+        # Angles that are not finite make the model probabilities NaN.
+        (lambda d: d["scan"]["angles_deg"].__setitem__(1, math.nan), "scan.angles_deg[1]"),
+        (lambda d: d["scan"]["angles_deg"].__setitem__(4, math.inf), "scan.angles_deg[4]"),
+        (lambda d: d["scan"].update(fixed_angle_deg=math.nan), "scan.fixed_angle_deg"),
+        (lambda d: d["scan"].update(fixed_angle_deg=math.inf), "scan.fixed_angle_deg"),
     ],
-    ids=["varied-list", "tick-2**64", "window-2**64", "seed-negative", "pair-rate-nan"],
+    ids=[
+        "varied-list",
+        "tick-2**64",
+        "window-2**64",
+        "seed-negative",
+        "pair-rate-nan",
+        "pair-rate-inf",
+        "jitter-nan",
+        "jitter-inf",
+        "angle-nan",
+        "angle-inf",
+        "fixed-angle-nan",
+        "fixed-angle-inf",
+    ],
 )
 def test_values_the_pipeline_cannot_take_are_config_errors(mutate, field):
     doc = good_doc()

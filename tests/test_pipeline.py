@@ -1,11 +1,16 @@
 """End-to-end run pipeline: simulate to TTG1, analyze, report, CLI contract."""
 
+import ctypes
 import json
 import math
+import platform
+import resource
+import sys
 
 import numpy as np
 import pytest
 
+from fairsample import cli
 from fairsample.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, OUTPUT_DIR_ENV, main
 from fairsample.config import config_from_dict, config_to_dict
 from fairsample.detection import SAMPLER_NAME, SAMPLER_VERSION
@@ -338,6 +343,56 @@ def test_cli_simulate_analyze_report(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "Run summary" in stdout
     assert (out / "report.md").exists()
+
+
+needs_glibc_mallopt = pytest.mark.skipif(
+    not sys.platform.startswith("linux")
+    or platform.libc_ver()[0] != "glibc"
+    or not hasattr(ctypes.CDLL(None), "mallopt"),
+    reason="the heap pad is a glibc mallopt setting",
+)
+
+
+@needs_glibc_mallopt
+def test_cli_reanalysis_faults_in_no_fresh_memory(tmp_path, capsys):
+    # One arm of the README quick start at 2 x 10^5 pairs per point.  The
+    # first analysis sizes the heaps.  With the CLI's heap pad, the second
+    # finds every page it needs still resident; without it, each point
+    # faults its freed working set back in (about 5700 faults in all).
+    doc = small_doc(
+        efficiencies={"a_plus": 0.10, "a_minus": 0.05, "b_plus": 0.08, "b_minus": 0.08},
+        scan={"varied": "alice", "angles_deg": [9.0 * i for i in range(21)],
+              "fixed_angle_deg": 0.0},
+        pairs_per_point=200_000,
+        pair_rate_hz=250.0,
+        jitter_sd_ticks=50.0,
+        coincidence_window_ticks=250,
+        seed=1234,
+    )
+    out = tmp_path / "out"
+    analyze = ["analyze", "--manifest", str(out / "manifest.json")]
+    assert main(["simulate", "--config", str(_write_cfg(tmp_path, doc)),
+                 "--output-dir", str(out)]) == EXIT_OK
+    assert main(analyze) == EXIT_OK
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(analyze) == EXIT_OK
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 10 * 21
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize(
+    "cdll", [_no_c_library, lambda name: object()], ids=["no-libc", "no-mallopt"]
+)
+def test_cli_runs_without_mallopt(tmp_path, capsys, monkeypatch, cdll):
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cfg_path = _write_cfg(tmp_path, small_doc(pairs_per_point=2000))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(out)]) == EXIT_OK
+    assert main(["analyze", "--manifest", str(out / "manifest.json")]) == EXIT_OK
 
 
 def test_cli_invalid_config_field_exit_code(tmp_path, capsys):

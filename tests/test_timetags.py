@@ -385,6 +385,34 @@ def test_generate_streams_single_pair_no_jitter():
     assert a.setting_index[0] == 3 and b.setting_index[0] == 3
 
 
+@pytest.mark.parametrize("setting_index", [-1, 4, 256])
+def test_generate_streams_rejects_setting_index_out_of_range(setting_index):
+    det = _detections([True], [True])
+    with pytest.raises(ValueError, match="setting_index"):
+        generate_streams(det, 1e4, 1000, 0.0, seed=2, setting_index=setting_index)
+
+
+def test_generate_streams_pass_full_validation():
+    # Streams are built without EventStream's scans; building them again
+    # with the scans must accept the same arrays.
+    counts = simulate_block(
+        SourceState(p=1.0),
+        EfficiencyConfig(0.6, 0.5, 0.55, 0.65),
+        SamplingPolicy(),
+        SettingsPair(alpha=0.3, beta=1.1),
+        20_000,
+        seed=11,
+    )
+    # Coarse ticks, wide jitter and dark counts make many equal timestamps
+    # of opposite signs, where the tie rule matters.
+    streams = generate_streams(
+        counts, 1e6, 10**6, 2.0, seed=12, setting_index=2, dark_rate_hz=5e5
+    )
+    for s in streams:
+        assert np.any((s.t[1:] == s.t[:-1]) & (s.sign[1:] != s.sign[:-1]))
+        EventStream(s.station, s.tick_resolution_ps, s.t, s.sign, s.setting_index)
+
+
 def test_generate_streams_mean_emission_gap():
     n = 100_000
     det = _detections([True] * n, [True] * n)
