@@ -51,8 +51,6 @@ import numpy as np
 
 from .quantum import OutcomeSign, SettingsPair, SourceState, Station, joint_prob_table
 
-Seed = "int | tuple[int, ...] | np.random.SeedSequence"
-
 # Recorded in run manifests; bump the version whenever a seed's draws change.
 SAMPLER_NAME = "closed-form-categories"
 SAMPLER_VERSION = 3
@@ -150,12 +148,6 @@ class BlockCounts:
         return self.s_a_plus + self.s_a_minus + self.s_b_plus + self.s_b_minus
 
 
-def _rng_from_seed(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def category_probs(
     state: SourceState, eff: EfficiencyConfig, policy: SamplingPolicy, s: SettingsPair
 ) -> np.ndarray:
@@ -222,6 +214,6 @@ def simulate_block(
     """Simulate one settings block: one multinomial draw over the 16 categories."""
     if n_pairs < 0:
         raise ValueError(f"n_pairs must be >= 0, got {n_pairs}")
-    rng = _rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
     counts = rng.multinomial(n_pairs, category_probs(state, eff, policy, s).ravel())
     return _counts_from_categories(counts.reshape(4, 2, 2), s.alpha, s.beta, n_pairs)

@@ -1,16 +1,18 @@
 """Weighted least-squares model fits and the no-signalling test.
 
 Each singles-normalized marginal estimate, viewed as a curve over the
-varied analyzer angle, is fit with three nested models:
+varied analyzer angle, is fit with two nested models:
 
     Constant:  y = c0
-    Linear:    y = c0 + c1*x
     Cosine:    y = c0 + c1*cos(2x) + c2*sin(2x)
 
 The cosine frequency is fixed at 2 (period pi) because every angle
 dependence in this experiment family is built from squared sines and
-cosines of the angles.  Fits are weighted by the counting uncertainties;
-each richer model is compared against Constant with an F-test.
+cosines of the angles.  Fits are weighted by the counting uncertainties.
+Cosine is compared against Constant with an F-test: with n points its
+statistic follows F(2, n - 3) when the curve is flat, and the survival
+function of F(2, d2) has the closed form (1 + 2f/d2)**(-d2/2), from the
+regularized incomplete beta I_x(a, 1) = x**a (DLMF 8.17).
 
 A station's marginals must not depend on the *other* station's setting.
 The no-signalling verdict for a distant-station marginal is therefore
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,11 +42,7 @@ class DegenerateWeights(ValueError):
 
 class FitModel(enum.Enum):
     CONSTANT = "constant"
-    LINEAR = "linear"
     COSINE = "cosine"
-
-
-_N_PARAMS = {FitModel.CONSTANT: 1, FitModel.LINEAR: 2, FitModel.COSINE: 3}
 
 MARGINAL_NAMES = ("a_plus", "a_minus", "b_plus", "b_minus")
 
@@ -72,7 +70,7 @@ class FitReport:
 
 @dataclass(frozen=True)
 class MarginalFits:
-    """All three model fits for one marginal curve."""
+    """Both model fits for one marginal curve."""
 
     name: str
     n_points: int
@@ -96,42 +94,44 @@ class NoSignallingReport:
 def _design_matrix(x: np.ndarray, model: FitModel) -> np.ndarray:
     if model == FitModel.CONSTANT:
         return np.ones((x.shape[0], 1))
-    if model == FitModel.LINEAR:
-        return np.column_stack([np.ones_like(x), x])
     return np.column_stack([np.ones_like(x), np.cos(2.0 * x), np.sin(2.0 * x)])
 
 
 def fit_model(
     x: np.ndarray, y: np.ndarray, sigma: np.ndarray, model: FitModel
 ) -> FitReport:
-    """Weighted least-squares fit of one model; no model comparison."""
+    """Weighted least-squares fit of one model; no model comparison.
+
+    A design whose weighted columns are linearly dependent at double
+    precision (all x equal, or cosine angles on multiples of 90 degrees,
+    where sin 2x vanishes) raises InsufficientPoints.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     n = x.shape[0]
-    k = _N_PARAMS[model]
     if y.shape[0] != n or sigma.shape[0] != n:
         raise ValueError("x, y and sigma must have equal length")
-    if n - k <= 0:
-        raise InsufficientPoints(
-            f"{model.value} fit needs more than {k} points, got {n}"
-        )
     if np.any(~np.isfinite(sigma)) or np.any(sigma <= 0.0):
         raise DegenerateWeights("sigmas must be finite and > 0")
     if np.any(~np.isfinite(x)) or np.any(~np.isfinite(y)):
         raise DegenerateWeights("x and y must be finite")
-
     design = _design_matrix(x, model)
+    k = design.shape[1]
+    if n - k <= 0:
+        raise InsufficientPoints(
+            f"{model.value} fit needs more than {k} points, got {n}"
+        )
+
     sqrt_w = 1.0 / sigma
     dw = design * sqrt_w[:, None]
     yw = y * sqrt_w
-    normal = dw.T @ dw
-    try:
-        cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError:
+    rank = np.linalg.matrix_rank(dw)
+    if rank < k:
         raise InsufficientPoints(
-            f"{model.value} design matrix is singular for these x values"
-        ) from None
+            f"{model.value} design has rank {rank} < {k} for these x values"
+        )
+    cov = np.linalg.inv(dw.T @ dw)
     params = cov @ (dw.T @ yw)
     resid = yw - dw @ params
     chi2 = float(resid @ resid)
@@ -159,66 +159,13 @@ def fit_model(
     )
 
 
-# Lentz's continued fraction stops when a step changes the value by less
-# than _CF_EPS (relative); _CF_TINY stands in for a zero denominator.
-_CF_EPS = 1e-15
-_CF_TINY = 1e-300
-_CF_MAX_STEPS = 10_000
+def _f_sf(f: float, d2: int) -> float:
+    """P(F > f) for the F distribution with (2, d2) degrees of freedom.
 
-
-# Above this argument the Stirling series of log Gamma, cut after the
-# 1/x**11 term, is exact to double precision.
-_STIRLING_MIN = 10.0
-# Coefficients of 1/x, 1/x**3, ..., 1/x**11 in log Gamma(x) minus its
-# Stirling approximation (x - 1/2) log x - x + log(2 pi)/2 (DLMF 5.11.1).
-_STIRLING_TERMS = (
-    1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0, -691.0 / 360360.0,
-)
-
-
-def _stirling_corr(x: float) -> float:
-    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2, for x >= _STIRLING_MIN."""
-    inv_sq = 1.0 / (x * x)
-    total = 0.0
-    for coef in reversed(_STIRLING_TERMS):
-        total = total * inv_sq + coef
-    return total / x
-
-
-def _log_beta(a: float, b: float) -> float:
-    """log B(a, b) without the cancellation of three large log Gammas.
-
-    When an argument is large, lgamma(a + b) - lgamma(a) - lgamma(b)
-    subtracts numbers of size a log a whose difference is of order one,
-    so the Stirling terms that cancel are taken out by hand and only
-    small corrections remain.
-    """
-    p, q = min(a, b), max(a, b)
-    if q < _STIRLING_MIN:
-        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
-    s = p + q
-    corr = _stirling_corr(q) - _stirling_corr(s)
-    if p < _STIRLING_MIN:
-        # lgamma(q) - lgamma(s) = corr - (q - 1/2) log(1 + p/q) - p log s + p.
-        return math.lgamma(p) + corr - (q - 0.5) * math.log1p(p / q) - p * math.log(s) + p
-    return (
-        0.5 * math.log(2.0 * math.pi / s)
-        + corr
-        + _stirling_corr(p)
-        + (p - 0.5) * math.log(p / s)
-        + (q - 0.5) * math.log1p(-p / s)
-    )
-
-
-def _f_sf(f: float, d1: int, d2: int) -> float:
-    """P(F > f) for the F distribution with (d1, d2) degrees of freedom.
-
-    This is the regularized incomplete beta I_x(d2/2, d1/2) at
-    x = d2 / (d2 + d1 f), by Lentz's continued fraction (DLMF 8.17.22;
-    Numerical Recipes 6.4).  The fraction converges fast for
-    x < (a+1)/(a+b+2); above that the symmetry I_x(a, b) = 1 - I_y(b, a)
-    is used, so a small p-value is never formed by cancellation.  Both
-    x and its complement y come straight from r = d1 f / d2.
+    This is the regularized incomplete beta I_x(d2/2, 1) at
+    x = d2 / (d2 + 2f), and I_x(a, 1) = x**a (DLMF 8.17), so
+    P(F > f) = (1 + 2f/d2)**(-d2/2).  It is formed from log1p, so a
+    small p-value keeps its relative precision.
     """
     if math.isnan(f):
         return math.nan
@@ -226,36 +173,7 @@ def _f_sf(f: float, d1: int, d2: int) -> float:
         return 1.0
     if f == math.inf:
         return 0.0
-    r = d1 * f / d2
-    log_x, log_y = -math.log1p(r), math.log(r) - math.log1p(r)
-    a, b = d2 / 2.0, d1 / 2.0
-    if 1.0 / (1.0 + r) < (a + 1.0) / (a + b + 2.0):
-        return _beta_cf(a, b, log_x, log_y)
-    return 1.0 - _beta_cf(b, a, log_y, log_x)
-
-
-def _beta_cf(a: float, b: float, log_x: float, log_y: float) -> float:
-    """I_x(a, b) by its continued fraction, given log x and log(1 - x)."""
-    x = math.exp(log_x)
-    front = math.exp(a * log_x + b * log_y - _log_beta(a, b)) / a
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
-    h = d
-    for m in range(1, _CF_MAX_STEPS):
-        # Even step d_2m, then odd step d_2m+1 of DLMF 8.17.22.
-        for coef in (
-            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
-            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
-        ):
-            d = 1.0 + coef * d
-            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
-            c = 1.0 + coef / c
-            c = c if abs(c) > _CF_TINY else _CF_TINY
-            step = c * d
-            h *= step
-        if abs(step - 1.0) < _CF_EPS:
-            return front * h
-    raise ArithmeticError(f"incomplete beta did not converge (a={a}, b={b})")
+    return math.exp(-0.5 * d2 * math.log1p(2.0 * f / d2))
 
 
 # chi-squared this small is rounding noise, not a residual: with correct
@@ -263,46 +181,34 @@ def _beta_cf(a: float, b: float, log_x: float, log_y: float) -> float:
 _PERFECT_CHI2 = 1e-20
 
 
-def _f_test_vs_constant(chi2_const: float, fit: FitReport) -> tuple[float, float]:
-    """F statistic and p-value of ``fit`` against the Constant fit.
+def _f_test_vs_constant(chi2_const: float, cosine: FitReport) -> tuple[float, float]:
+    """F statistic and p-value of the Cosine fit against the Constant fit.
 
-    Degenerate cases: if the constant fit is already perfect there is
-    nothing to improve (p = 1); if only the richer fit is perfect the
-    improvement is infinitely significant (p = 0).
+    Cosine has two parameters more than Constant.  Degenerate cases: if
+    the constant fit is already perfect there is nothing to improve
+    (p = 1); if only the cosine fit is perfect the improvement is
+    infinitely significant (p = 0).
     """
-    extra = _N_PARAMS[fit.model] - 1
     if chi2_const <= _PERFECT_CHI2:
         return 0.0, 1.0
-    if fit.chi2 <= _PERFECT_CHI2:
+    if cosine.chi2 <= _PERFECT_CHI2:
         return math.inf, 0.0
-    improvement = max(chi2_const - fit.chi2, 0.0)
-    f_stat = (improvement / extra) / (fit.chi2 / fit.dof)
-    p_value = _f_sf(f_stat, extra, fit.dof)
-    return f_stat, p_value
+    improvement = max(chi2_const - cosine.chi2, 0.0)
+    f_stat = (improvement / 2) / (cosine.chi2 / cosine.dof)
+    return f_stat, _f_sf(f_stat, cosine.dof)
 
 
 def fit_marginal_curve(
     x: np.ndarray, y: np.ndarray, sigma: np.ndarray
 ) -> dict[FitModel, FitReport]:
-    """Fit all three models and attach F-test comparisons to Constant."""
-    fits = {model: fit_model(x, y, sigma, model) for model in FitModel}
-    chi2_const = fits[FitModel.CONSTANT].chi2
-    out: dict[FitModel, FitReport] = {FitModel.CONSTANT: fits[FitModel.CONSTANT]}
-    for model in (FitModel.LINEAR, FitModel.COSINE):
-        fit = fits[model]
-        f_stat, p_value = _f_test_vs_constant(chi2_const, fit)
-        out[model] = FitReport(
-            model=fit.model,
-            params=fit.params,
-            cov=fit.cov,
-            chi2=fit.chi2,
-            dof=fit.dof,
-            f_stat=f_stat,
-            p_value=p_value,
-            amplitude=fit.amplitude,
-            amplitude_sigma=fit.amplitude_sigma,
-        )
-    return out
+    """Fit both models and attach the F-test against Constant to Cosine."""
+    constant = fit_model(x, y, sigma, FitModel.CONSTANT)
+    cosine = fit_model(x, y, sigma, FitModel.COSINE)
+    f_stat, p_value = _f_test_vs_constant(constant.chi2, cosine)
+    return {
+        FitModel.CONSTANT: constant,
+        FitModel.COSINE: replace(cosine, f_stat=f_stat, p_value=p_value),
+    }
 
 
 def nosignalling_stats(

@@ -53,6 +53,7 @@ from .timetags import generate_streams, read_ttg, write_ttg
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
+NOSIGNALLING_SCHEMA_VERSION = 2
 
 _ROLE_COUNTS = 0
 _ROLE_STREAMS = 1
@@ -426,7 +427,7 @@ def analyze_run(
         if pt.est is not None and sigma.low_statistics
     ]
     ns_doc = {
-        "schema_version": 1,
+        "schema_version": NOSIGNALLING_SCHEMA_VERSION,
         "kind": "fairsample-nosignalling",
         "run": {
             "p": cfg.source.p,
@@ -450,6 +451,70 @@ def analyze_run(
     )
 
 
+_JSON_TYPE_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    dict: "an object", list: "an array", type(None): "null",
+}
+_NUMBER = (int, float)
+_STRING = (str,)
+_COSINE_FIELDS = ("amplitude", "amplitude_sigma", "p_value")
+
+
+def _field(doc, key: str, kinds: tuple, where: str = ""):
+    """``doc[key]`` if ``doc`` is an object and the value one of ``kinds``.
+
+    Anything else raises ValueError.  A boolean counts as a number only
+    where ``kinds`` names bool.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: must be an object, got {doc!r}")
+    name = f"{where}.{key}" if where else key
+    if key not in doc:
+        raise ValueError(f"{name}: missing required field")
+    value = doc[key]
+    if not isinstance(value, kinds) or (
+        isinstance(value, bool) and bool not in kinds
+    ):
+        expected = " or ".join(dict.fromkeys(_JSON_TYPE_NAMES[k] for k in kinds))
+        raise ValueError(f"{name}: must be {expected}, got {value!r}")
+    return value
+
+
+def _check_nosignalling(ns) -> None:
+    """Check the kind, version and every field of ``ns`` that write_report reads."""
+    if not isinstance(ns, dict) or ns.get("kind") != "fairsample-nosignalling":
+        raise ValueError("not a no-signalling document")
+    if ns.get("schema_version") != NOSIGNALLING_SCHEMA_VERSION:
+        raise ValueError(
+            f"unsupported schema version {ns.get('schema_version')!r}, "
+            f"expected {NOSIGNALLING_SCHEMA_VERSION}"
+        )
+    run = _field(ns, "run", (dict,))
+    for key, kinds in (
+        ("p", _NUMBER), ("policy", _STRING), ("d", _NUMBER),
+        ("varied", _STRING), ("n_points", (int,)), ("window_ticks", (int,)),
+    ):
+        _field(run, key, kinds, "run")
+    _field(ns, "fit_note", (str, type(None)))
+    _field(ns, "low_statistics_points", (list,))
+    for i, item in enumerate(_field(ns, "skipped_points", (list,))):
+        where = f"skipped_points[{i}]"
+        _field(item, "index", (int,), where)
+        _field(item, "reason", _STRING, where)
+    report = _field(ns, "report", (dict, type(None)))
+    if report is None:
+        return
+    _field(report, "consistent", (bool,), "report")
+    _field(report, "alpha_level", _NUMBER, "report")
+    for name, mf in _field(report, "marginals", (dict,), "report").items():
+        where = f"report.marginals.{name}"
+        _field(mf, "verdict", (str, type(None)), where)
+        fits = _field(mf, "fits", (dict,), where)
+        cosine = _field(fits, "cosine", (dict,), f"{where}.fits")
+        for key in _COSINE_FIELDS:
+            _field(cosine, key, (int, float, type(None)), f"{where}.fits.cosine")
+
+
 def write_report(analysis_dir) -> Path:
     """Render a human-readable summary of an analyzed run to report.md."""
     base = Path(analysis_dir)
@@ -461,14 +526,24 @@ def write_report(analysis_dir) -> Path:
                 errno.ENOENT, f"no analysis artifacts found in {base}", str(path)
             )
     ns = json.loads(ns_path.read_text(encoding="utf-8"))
+    try:
+        _check_nosignalling(ns)
+    except ValueError as exc:
+        raise ValueError(f"{ns_path}: {exc}") from None
 
     deviations = []
     with open(corr_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        if not {"corr_standard", "corr_model"} <= set(reader.fieldnames or ()):
+            raise ValueError(
+                f"{corr_path}: needs corr_standard and corr_model columns"
+            )
+        for row in reader:
             try:
                 measured = float(row["corr_standard"])
                 model = float(row["corr_model"])
-            except ValueError:
+            except (TypeError, ValueError):
+                # A short row reads None for its missing cells.
                 continue
             if math.isfinite(measured) and math.isfinite(model):
                 deviations.append(measured - model)
@@ -508,15 +583,12 @@ def write_report(analysis_dir) -> Path:
         "## No-signalling test (singles-normalized marginals)",
         "",
     ]
-    report = ns.get("report")
+    report = ns["report"]
     if report is None:
-        lines.append(f"- {ns.get('fit_note') or 'fits unavailable'}")
+        lines.append(f"- {ns['fit_note'] or 'fits unavailable'}")
     else:
         for name, mf in report["marginals"].items():
-            cos = mf["fits"]["cosine"]
-            amp = cos["amplitude"]
-            amp_s = cos["amplitude_sigma"]
-            p_val = cos["p_value"]
+            amp, amp_s, p_val = (mf["fits"]["cosine"][k] for k in _COSINE_FIELDS)
             desc = (
                 f"cosine amplitude {amp:.5f} ± {amp_s:.5f}, p = {p_val:.3g}"
                 if amp is not None and amp_s is not None and p_val is not None
@@ -537,8 +609,8 @@ def write_report(analysis_dir) -> Path:
                 f"p<{report['alpha_level']:g}** — distant-station marginals "
                 "depend on the remote setting."
             )
-    low = ns.get("low_statistics_points") or []
-    skipped = ns.get("skipped_points") or []
+    low = ns["low_statistics_points"]
+    skipped = ns["skipped_points"]
     if low or skipped:
         lines += ["", "## Warnings", ""]
         if low:

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import BlockCounts, _rng_from_seed
+from .detection import BlockCounts
 from .fileio import atomic_write
 from .quantum import Station
 
@@ -212,7 +212,7 @@ def generate_streams(
         raise ValueError(
             f"counts hold {n_observed} observed pairs but n_pairs_emitted is {n}"
         )
-    rng = _rng_from_seed(seed)
+    rng = np.random.default_rng(seed)
 
     ticks_per_second = 1e12 / tick_resolution_ps
     mean_gap_ticks = ticks_per_second / pair_rate_hz

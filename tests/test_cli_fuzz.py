@@ -1,6 +1,6 @@
 """The CLI's exit-code contract under malformed inputs.
 
-Configs, manifests and TTG1 files are mutated (truncated, bytes replaced,
+Configs, manifests, TTG1 files and analysis results are mutated (truncated, bytes replaced,
 JSON values swapped for other types or deleted) and fed to ``cli.main``.
 Every run must end with a documented exit code (0, 2, 3 or 4) and write
 no traceback to stderr.  JSON documents get one byte replaced at most, so
@@ -119,6 +119,18 @@ def base_run(tmp_path_factory) -> Path:
     return root / "run"
 
 
+@pytest.fixture(scope="module")
+def analyzed_run(tmp_path_factory) -> Path:
+    # Six points, so the fits run and nosignalling.json holds a report.
+    root = tmp_path_factory.mktemp("fuzz_analyzed")
+    config = dict(BASE_CONFIG, scan=dict(BASE_CONFIG["scan"], angles_deg=[0.0, 30.0, 60.0, 90.0, 120.0, 150.0]))
+    (root / "run.json").write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(root / "run.json"), "--output-dir", str(root / "run")]) == 0
+    assert main(["analyze", "--manifest", str(root / "run" / "manifest.json")]) == 0
+    assert json.loads((root / "run" / "nosignalling.json").read_text())["report"] is not None
+    return root / "run"
+
+
 @contextlib.contextmanager
 def _copy_of(run_dir: Path):
     with tempfile.TemporaryDirectory() as tmp:
@@ -153,3 +165,12 @@ def test_mutated_ttg(base_run, data):
         original = (run / victim).read_bytes()
         (run / victim).write_bytes(data.draw(mutated_bytes(original, max_replaced=4)))
         _analyze_and_report(run / "manifest.json")
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_nosignalling(analyzed_run, data):
+    doc = json.loads((analyzed_run / "nosignalling.json").read_text())
+    with _copy_of(analyzed_run) as run:
+        (run / "nosignalling.json").write_bytes(data.draw(mutated_json(doc)))
+        _run(["report", "--dir", str(run)])

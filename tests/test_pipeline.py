@@ -304,6 +304,22 @@ def test_outputs_carry_manifest_point_indices(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n_points", [5, 6])
+def test_right_angle_scan_skips_fits(tmp_path, n_points):
+    # sin 2x vanishes on every point, so the cosine fit has no unique
+    # solution; it must become a note, not a verdict.
+    angles = [90.0 * i for i in range(n_points)]
+    cfg = config_from_dict(small_doc(scan={
+        "varied": "alice", "angles_deg": angles, "fixed_angle_deg": 0.0,
+    }))
+    result = analyze_run(simulate_run(cfg, tmp_path))
+    assert result.nosignalling is None
+    assert "insufficient points" in result.fit_note
+    assert "rank 2 < 3" in result.fit_note
+    assert json.loads(result.files["nosignalling"].read_text())["report"] is None
+    assert "insufficient points" in write_report(tmp_path).read_text()
+
+
 def test_zero_pair_run_analyzes_cleanly(tmp_path):
     cfg = config_from_dict(small_doc(pairs_per_point=0))
     manifest = simulate_run(cfg, tmp_path)
@@ -546,9 +562,8 @@ def test_cli_rejects_bad_option_values_before_any_work(tmp_path, capsys, argv):
     assert argv[1] in capsys.readouterr().err
 
 
-def test_report_rejected_phrasing(tmp_path):
-    # A doctored analysis directory with a violated verdict drives the
-    # headline phrasing; the report renderer needs no other context.
+def _violated_nosignalling_doc() -> dict:
+    """A hand-written nosignalling.json whose distant marginals are violated."""
     cosine = {
         "params": [0.5, 0.05, 0.0],
         "cov": [[1e-6, 0, 0], [0, 1e-6, 0], [0, 0, 1e-6]],
@@ -566,10 +581,10 @@ def test_report_rejected_phrasing(tmp_path):
         marginals[name] = {
             "n_points": 21,
             "verdict": verdict,
-            "fits": {"constant": flat, "linear": dict(cosine), "cosine": dict(cosine)},
+            "fits": {"constant": flat, "cosine": dict(cosine)},
         }
-    ns = {
-        "schema_version": 1,
+    return {
+        "schema_version": 2,
         "kind": "fairsample-nosignalling",
         "run": {"p": 1.0, "policy": "unfair_malus", "d": 0.5, "varied": "alice", "window_ticks": 250, "n_points": 21},
         "alpha_level": 0.01,
@@ -586,10 +601,56 @@ def test_report_rejected_phrasing(tmp_path):
         "skipped_points": [],
         "low_statistics_points": [],
     }
-    (tmp_path / "nosignalling.json").write_text(json.dumps(ns))
-    (tmp_path / "correlation.csv").write_text(
-        "point,alpha_deg,beta_deg,corr_standard,sigma_standard,corr_singles,sigma_singles,corr_model\n"
-    )
+
+
+_CORRELATION_HEADER = (
+    "point,alpha_deg,beta_deg,corr_standard,sigma_standard,corr_singles,sigma_singles,corr_model\n"
+)
+
+
+def test_report_rejected_phrasing(tmp_path):
+    # A doctored analysis directory with a violated verdict drives the
+    # headline phrasing; the report renderer needs no other context.
+    (tmp_path / "nosignalling.json").write_text(json.dumps(_violated_nosignalling_doc()))
+    (tmp_path / "correlation.csv").write_text(_CORRELATION_HEADER)
     text = write_report(tmp_path).read_text()
     assert "fair sampling REJECTED at p<0.01" in text
     assert "b_plus" in text
+
+
+def _without_cosine(doc):
+    del doc["report"]["marginals"]["b_plus"]["fits"]["cosine"]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: {}, "not a no-signalling document"),
+        (lambda doc: [1], "not a no-signalling document"),
+        (lambda doc: doc.update(schema_version=1), "schema version 1"),
+        (_without_cosine, "report.marginals.b_plus.fits.cosine: missing"),
+        (lambda doc: doc["report"].update(consistent=1), "report.consistent: must be a boolean"),
+        (lambda doc: doc["run"].update(p="1"), "run.p: must be an integer or a number"),
+        (lambda doc: doc.update(skipped_points=[3]), "skipped_points[0]: must be an object"),
+    ],
+    ids=["empty", "array", "schema-1", "no-cosine", "consistent-int", "p-string", "skipped-int"],
+)
+def test_cli_report_rejects_malformed_nosignalling(tmp_path, capsys, mutate, message):
+    # A mutation edits the document in place or returns a replacement.
+    doc = _violated_nosignalling_doc()
+    replacement = mutate(doc)
+    doc = doc if replacement is None else replacement
+    (tmp_path / "nosignalling.json").write_text(json.dumps(doc))
+    (tmp_path / "correlation.csv").write_text(_CORRELATION_HEADER)
+    assert main(["report", "--dir", str(tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.md").exists()
+
+
+def test_cli_report_rejects_correlation_table_without_columns(tmp_path, capsys):
+    (tmp_path / "nosignalling.json").write_text(json.dumps(_violated_nosignalling_doc()))
+    (tmp_path / "correlation.csv").write_text("point,alpha_deg\n0,0.0\n")
+    assert main(["report", "--dir", str(tmp_path)]) == EXIT_DATA
+    assert "corr_standard and corr_model" in capsys.readouterr().err
