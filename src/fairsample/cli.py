@@ -5,8 +5,9 @@
                        [--alpha-level 0.01] [--output-dir DIR] [--jobs N]
     fairsample report --dir DIR
 
-Exit codes: 0 success, 2 configuration error (a bad config or option
-value), 3 data error (missing or corrupt files), 4 degenerate statistics.
+Exit codes: 0 success, 2 configuration error (a bad config file or option
+value), 3 data error (missing or corrupt files, including a manifest whose
+embedded config is malformed), 4 degenerate statistics.
 The default output directory for `simulate` is taken from --output-dir,
 then the config's ``output_dir`` field, then the FAIRSAMPLE_OUTPUT_DIR
 environment variable.

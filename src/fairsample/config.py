@@ -2,8 +2,12 @@
 
 Angles live in degrees here and in all emitted tables (that is the
 convention experimenters read); they are converted to radians exactly
-once, at the boundary into the physics code.  Error messages carry the
-JSON path of the offending field (e.g. ``source.p``).
+once, at the boundary into the physics code.
+
+``json_field`` is the one reader of JSON fields: it serves the config,
+run manifests and ``nosignalling.json``.  Its errors, like every
+ConfigError, carry the JSON path of the offending field (e.g.
+``source.p``, ``points[1].bob_file``).
 """
 
 from __future__ import annotations
@@ -35,6 +39,47 @@ class ConfigError(ValueError):
     def __init__(self, field: str, message: str) -> None:
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+_JSON_TYPE_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    dict: "an object", list: "an array", type(None): "null",
+}
+# A JSON number: bool is an int subclass but never counts as one.
+NUMBER = (int, float)
+_REQUIRED = object()
+
+
+def json_field(doc, key, kinds: "tuple | None" = None, where: str = "",
+               default=_REQUIRED):
+    """``doc[key]`` of a parsed JSON document, checked.
+
+    ``doc`` must be an object, or an array where ``key`` is an index.  The
+    value must be of one of the Python types ``kinds`` (any value when
+    None); a boolean counts only where ``kinds`` names bool.  A missing
+    key gives ``default`` when one is passed.  Anything else raises
+    ConfigError named by the JSON path: ``where.key``, or ``where[key]``
+    for an index (``where`` is empty at the root).
+    """
+    container = list if isinstance(key, int) else dict
+    if not isinstance(doc, container):
+        expected = _JSON_TYPE_NAMES[container]
+        raise ConfigError(where or "<root>", f"must be {expected}, got {doc!r}")
+    if container is list:
+        name, present = f"{where}[{key}]", 0 <= key < len(doc)
+    else:
+        name, present = f"{where}.{key}" if where else key, key in doc
+    if not present:
+        if default is not _REQUIRED:
+            return default
+        raise ConfigError(name, "missing required field")
+    value = doc[key]
+    if kinds is not None and (
+        not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds)
+    ):
+        expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
+        raise ConfigError(name, f"must be {expected}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -114,125 +159,67 @@ class RunConfig:
         return SettingsPair(alpha=fixed_rad, beta=varied_rad)
 
 
-def _require(doc: dict, field: str, path: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(path.rsplit(".", 1)[0], "must be a JSON object")
-    if field not in doc:
-        raise ConfigError(path, "missing required field")
-    return doc[field]
-
-
-def _number(value, path: str, *, integer: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"must be a number, got {value!r}")
-    if integer and not isinstance(value, int):
-        raise ConfigError(path, f"must be an integer, got {value!r}")
-    return value
-
-
 def config_from_dict(doc: dict) -> RunConfig:
     """Build and validate a RunConfig from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    version = _require(doc, "schema_version", "schema_version")
+    version = json_field(doc, "schema_version", (int,))
     if version != SCHEMA_VERSION:
         raise ConfigError(
             "schema_version", f"expected {SCHEMA_VERSION}, got {version!r}"
         )
 
-    source_doc = _require(doc, "source", "source")
+    p = json_field(json_field(doc, "source", (dict,)), "p", NUMBER, "source")
     try:
-        source = SourceState(p=_number(_require(source_doc, "p", "source.p"), "source.p"))
+        source = SourceState(p=p)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError("source.p", str(exc)) from None
 
-    eff_doc = _require(doc, "efficiencies", "efficiencies")
-    eff_values = {}
-    for key in ("a_plus", "a_minus", "b_plus", "b_minus"):
-        eff_values[key] = _number(
-            _require(eff_doc, key, f"efficiencies.{key}"), f"efficiencies.{key}"
-        )
+    eff_doc = json_field(doc, "efficiencies", (dict,))
+    etas = [
+        json_field(eff_doc, key, NUMBER, "efficiencies")
+        for key in ("a_plus", "a_minus", "b_plus", "b_minus")
+    ]
     try:
-        efficiencies = EfficiencyConfig(
-            eta_a_plus=eff_values["a_plus"],
-            eta_a_minus=eff_values["a_minus"],
-            eta_b_plus=eff_values["b_plus"],
-            eta_b_minus=eff_values["b_minus"],
-        )
+        efficiencies = EfficiencyConfig(*etas)
     except ValueError as exc:
         raise ConfigError("efficiencies", str(exc)) from None
 
-    policy_doc = _require(doc, "policy", "policy")
-    kind_name = _require(policy_doc, "kind", "policy.kind")
+    policy_doc = json_field(doc, "policy", (dict,))
+    kind_name = json_field(policy_doc, "kind", where="policy")
     try:
         kind = PolicyKind(kind_name)
     except ValueError:
         valid = ", ".join(k.value for k in PolicyKind)
         raise ConfigError("policy.kind", f"must be one of: {valid}") from None
-    d = _number(policy_doc.get("d", 0.0), "policy.d")
+    d = json_field(policy_doc, "d", NUMBER, "policy", default=0.0)
     try:
         policy = SamplingPolicy(kind=kind, d=d)
     except ValueError as exc:
         raise ConfigError("policy.d", str(exc)) from None
 
-    scan_doc = _require(doc, "scan", "scan")
-    varied_name = _require(scan_doc, "varied", "scan.varied")
+    scan_doc = json_field(doc, "scan", (dict,))
+    varied_name = json_field(scan_doc, "varied", where="scan")
     if not isinstance(varied_name, str) or varied_name not in _STATION_NAMES:
         raise ConfigError("scan.varied", "must be 'alice' or 'bob'")
-    angles = _require(scan_doc, "angles_deg", "scan.angles_deg")
-    if not isinstance(angles, list):
-        raise ConfigError("scan.angles_deg", "must be a list of numbers")
-    angles_deg = tuple(
-        _number(a, f"scan.angles_deg[{i}]") for i, a in enumerate(angles)
-    )
-    fixed = _number(
-        _require(scan_doc, "fixed_angle_deg", "scan.fixed_angle_deg"),
-        "scan.fixed_angle_deg",
-    )
-
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError("output_dir", "must be a string path")
+    angles = json_field(scan_doc, "angles_deg", (list,), "scan")
 
     return RunConfig(
         source=source,
         efficiencies=efficiencies,
         policy=policy,
         varied=_STATION_NAMES[varied_name],
-        angles_deg=angles_deg,
-        fixed_angle_deg=fixed,
-        pairs_per_point=int(
-            _number(
-                _require(doc, "pairs_per_point", "pairs_per_point"),
-                "pairs_per_point",
-                integer=True,
-            )
+        angles_deg=tuple(
+            json_field(angles, i, NUMBER, "scan.angles_deg")
+            for i in range(len(angles))
         ),
-        pair_rate_hz=_number(
-            _require(doc, "pair_rate_hz", "pair_rate_hz"), "pair_rate_hz"
-        ),
-        tick_resolution_ps=int(
-            _number(
-                _require(doc, "tick_resolution_ps", "tick_resolution_ps"),
-                "tick_resolution_ps",
-                integer=True,
-            )
-        ),
-        jitter_sd_ticks=_number(
-            _require(doc, "jitter_sd_ticks", "jitter_sd_ticks"), "jitter_sd_ticks"
-        ),
-        coincidence_window_ticks=int(
-            _number(
-                _require(doc, "coincidence_window_ticks", "coincidence_window_ticks"),
-                "coincidence_window_ticks",
-                integer=True,
-            )
-        ),
-        dark_rate_hz=_number(doc.get("dark_rate_hz", 0.0), "dark_rate_hz"),
-        seed=int(_number(_require(doc, "seed", "seed"), "seed", integer=True)),
-        output_dir=output_dir,
+        fixed_angle_deg=json_field(scan_doc, "fixed_angle_deg", NUMBER, "scan"),
+        pairs_per_point=json_field(doc, "pairs_per_point", (int,)),
+        pair_rate_hz=json_field(doc, "pair_rate_hz", NUMBER),
+        tick_resolution_ps=json_field(doc, "tick_resolution_ps", (int,)),
+        jitter_sd_ticks=json_field(doc, "jitter_sd_ticks", NUMBER),
+        coincidence_window_ticks=json_field(doc, "coincidence_window_ticks", (int,)),
+        dark_rate_hz=json_field(doc, "dark_rate_hz", NUMBER, default=0.0),
+        seed=json_field(doc, "seed", (int,)),
+        output_dir=json_field(doc, "output_dir", (str, type(None)), default=None),
     )
 
 

@@ -27,7 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from .coincidence import CoincidenceWindow, count_coincidences
-from .config import RunConfig, config_from_dict, config_to_dict
+from .config import (
+    NUMBER,
+    ConfigError,
+    RunConfig,
+    config_from_dict,
+    config_to_dict,
+    json_field,
+)
 from .detection import SAMPLER_NAME, SAMPLER_VERSION, simulate_block
 from .estimator import (
     AllZeroRatios,
@@ -173,28 +180,17 @@ class ManifestPoint:
 def _parse_point(i: int, doc, base: Path) -> ManifestPoint:
     """Validate one manifest point; file names must stay inside ``base``."""
     where = f"points[{i}]"
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: must be a JSON object")
-    for key in ("index", "alpha_deg", "beta_deg", "alice_file", "bob_file"):
-        if key not in doc:
-            raise ValueError(f"{where}.{key}: missing required field")
-    index = doc["index"]
-    if isinstance(index, bool) or not isinstance(index, int):
-        raise ValueError(f"{where}.index: must be an integer, got {index!r}")
+    index = json_field(doc, "index", (int,), where)
     angles = []
     for key in ("alpha_deg", "beta_deg"):
-        value = doc[key]
-        if (
-            isinstance(value, bool)
-            or not isinstance(value, (int, float))
-            or not math.isfinite(value)
-        ):
+        value = json_field(doc, key, NUMBER, where)
+        if not math.isfinite(value):
             raise ValueError(f"{where}.{key}: must be a finite number, got {value!r}")
         angles.append(math.radians(value))
     root = base.resolve()
     files = []
     for key in ("alice_file", "bob_file"):
-        name = doc[key]
+        name = json_field(doc, key, where=where)
         target = (base / name).resolve() if isinstance(name, str) else None
         if target is None or root not in target.parents:
             raise ValueError(
@@ -211,27 +207,36 @@ def load_manifest(
     """Read and validate a manifest.
 
     Returns (document, typed config, base directory, validated points).
-    A malformed document or point raises ValueError.
+    A malformed document, embedded config or point raises ValueError that
+    names the manifest path and the JSON path of the fault.
     """
     path = Path(manifest_path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(doc, dict) or doc.get("kind") != "fairsample-run":
-        raise ValueError(f"{path}: not a run manifest")
-    if doc.get("schema_version") != MANIFEST_SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported manifest schema version")
-    if not isinstance(doc.get("points"), list):
-        raise ValueError(f"{path}: manifest has no point list")
-    cfg = config_from_dict(doc.get("config", {}))
     base = path.parent
     try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or doc.get("kind") != "fairsample-run":
+            raise ValueError("not a run manifest")
+        version = json_field(doc, "schema_version", (int,))
+        if version != MANIFEST_SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported manifest schema version {version!r}, "
+                f"expected {MANIFEST_SCHEMA_VERSION}"
+            )
+        if not isinstance(doc.get("points"), list):
+            raise ValueError("manifest has no point list")
+        config_doc = json_field(doc, "config", (dict,))
+        try:
+            cfg = config_from_dict(config_doc)
+        except ConfigError as exc:
+            raise ValueError(f"config.{exc}") from None
         points = [_parse_point(i, pd, base) for i, pd in enumerate(doc["points"])]
+        seen = set()
+        for i, pt in enumerate(points):
+            if pt.index in seen:
+                raise ValueError(f"points[{i}].index: duplicate index {pt.index}")
+            seen.add(pt.index)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    seen = set()
-    for i, pt in enumerate(points):
-        if pt.index in seen:
-            raise ValueError(f"{path}: points[{i}].index: duplicate index {pt.index}")
-        seen.add(pt.index)
     return doc, cfg, base, points
 
 
@@ -435,7 +440,7 @@ def analyze_run(
             "d": cfg.policy.d,
             "varied": "alice" if cfg.varied == Station.ALICE else "bob",
             "window_ticks": window.width_ticks,
-            "n_points": cfg.n_points,
+            "n_points": len(points),
         },
         "alpha_level": alpha_level,
         "report": None if report is None else _report_to_dict(report),
@@ -451,68 +456,43 @@ def analyze_run(
     )
 
 
-_JSON_TYPE_NAMES = {
-    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-    dict: "an object", list: "an array", type(None): "null",
-}
-_NUMBER = (int, float)
-_STRING = (str,)
 _COSINE_FIELDS = ("amplitude", "amplitude_sigma", "p_value")
-
-
-def _field(doc, key: str, kinds: tuple, where: str = ""):
-    """``doc[key]`` if ``doc`` is an object and the value one of ``kinds``.
-
-    Anything else raises ValueError.  A boolean counts as a number only
-    where ``kinds`` names bool.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: must be an object, got {doc!r}")
-    name = f"{where}.{key}" if where else key
-    if key not in doc:
-        raise ValueError(f"{name}: missing required field")
-    value = doc[key]
-    if not isinstance(value, kinds) or (
-        isinstance(value, bool) and bool not in kinds
-    ):
-        expected = " or ".join(dict.fromkeys(_JSON_TYPE_NAMES[k] for k in kinds))
-        raise ValueError(f"{name}: must be {expected}, got {value!r}")
-    return value
 
 
 def _check_nosignalling(ns) -> None:
     """Check the kind, version and every field of ``ns`` that write_report reads."""
     if not isinstance(ns, dict) or ns.get("kind") != "fairsample-nosignalling":
         raise ValueError("not a no-signalling document")
-    if ns.get("schema_version") != NOSIGNALLING_SCHEMA_VERSION:
+    version = json_field(ns, "schema_version", (int,))
+    if version != NOSIGNALLING_SCHEMA_VERSION:
         raise ValueError(
-            f"unsupported schema version {ns.get('schema_version')!r}, "
+            f"unsupported schema version {version!r}, "
             f"expected {NOSIGNALLING_SCHEMA_VERSION}"
         )
-    run = _field(ns, "run", (dict,))
+    run = json_field(ns, "run", (dict,))
     for key, kinds in (
-        ("p", _NUMBER), ("policy", _STRING), ("d", _NUMBER),
-        ("varied", _STRING), ("n_points", (int,)), ("window_ticks", (int,)),
+        ("p", NUMBER), ("policy", (str,)), ("d", NUMBER),
+        ("varied", (str,)), ("n_points", (int,)), ("window_ticks", (int,)),
     ):
-        _field(run, key, kinds, "run")
-    _field(ns, "fit_note", (str, type(None)))
-    _field(ns, "low_statistics_points", (list,))
-    for i, item in enumerate(_field(ns, "skipped_points", (list,))):
+        json_field(run, key, kinds, "run")
+    json_field(ns, "fit_note", (str, type(None)))
+    json_field(ns, "low_statistics_points", (list,))
+    for i, item in enumerate(json_field(ns, "skipped_points", (list,))):
         where = f"skipped_points[{i}]"
-        _field(item, "index", (int,), where)
-        _field(item, "reason", _STRING, where)
-    report = _field(ns, "report", (dict, type(None)))
+        json_field(item, "index", (int,), where)
+        json_field(item, "reason", (str,), where)
+    report = json_field(ns, "report", (dict, type(None)))
     if report is None:
         return
-    _field(report, "consistent", (bool,), "report")
-    _field(report, "alpha_level", _NUMBER, "report")
-    for name, mf in _field(report, "marginals", (dict,), "report").items():
+    json_field(report, "consistent", (bool,), "report")
+    json_field(report, "alpha_level", NUMBER, "report")
+    for name, mf in json_field(report, "marginals", (dict,), "report").items():
         where = f"report.marginals.{name}"
-        _field(mf, "verdict", (str, type(None)), where)
-        fits = _field(mf, "fits", (dict,), where)
-        cosine = _field(fits, "cosine", (dict,), f"{where}.fits")
+        json_field(mf, "verdict", (str, type(None)), where)
+        fits = json_field(mf, "fits", (dict,), where)
+        cosine = json_field(fits, "cosine", (dict,), f"{where}.fits")
         for key in _COSINE_FIELDS:
-            _field(cosine, key, (int, float, type(None)), f"{where}.fits.cosine")
+            json_field(cosine, key, (int, float, type(None)), f"{where}.fits.cosine")
 
 
 def write_report(analysis_dir) -> Path:
@@ -525,8 +505,8 @@ def write_report(analysis_dir) -> Path:
             raise FileNotFoundError(
                 errno.ENOENT, f"no analysis artifacts found in {base}", str(path)
             )
-    ns = json.loads(ns_path.read_text(encoding="utf-8"))
     try:
+        ns = json.loads(ns_path.read_text(encoding="utf-8"))
         _check_nosignalling(ns)
     except ValueError as exc:
         raise ValueError(f"{ns_path}: {exc}") from None

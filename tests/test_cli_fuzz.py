@@ -3,7 +3,8 @@
 Configs, manifests, TTG1 files and analysis results are mutated (truncated, bytes replaced,
 JSON values swapped for other types or deleted) and fed to ``cli.main``.
 Every run must end with a documented exit code (0, 2, 3 or 4) and write
-no traceback to stderr.  JSON documents get one byte replaced at most, so
+no traceback to stderr; ``analyze`` and ``report`` read data files only and
+never exit 2.  JSON documents get one byte replaced at most, so
 no number in the small base config can grow into a run too large to make.
 """
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
-from fairsample.cli import main
+from fairsample.cli import EXIT_CONFIG, main
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -103,6 +104,8 @@ def _run(argv) -> int:
         code = main(argv)
     assert code in EXIT_CODES, (code, err.getvalue())
     assert "Traceback" not in err.getvalue(), err.getvalue()
+    # analyze and report read data files only: any fault in them is a data error.
+    assert code != EXIT_CONFIG or argv[0] == "simulate", err.getvalue()
     return code
 
 

@@ -2,14 +2,17 @@
 
 import json
 import math
+import re
 
 import pytest
 
 from fairsample.config import (
+    NUMBER,
     ConfigError,
     RunConfig,
     config_from_dict,
     config_to_dict,
+    json_field,
     load_config,
 )
 from fairsample.detection import PolicyKind
@@ -84,6 +87,9 @@ def test_optional_fields_have_defaults():
     [
         (lambda d: d.pop("schema_version"), "schema_version"),
         (lambda d: d.update(schema_version=99), "schema_version"),
+        # True == 1 == 1.0 in Python; a version is read as an integer.
+        (lambda d: d.update(schema_version=True), "schema_version"),
+        (lambda d: d.update(schema_version=1.0), "schema_version"),
         (lambda d: d.pop("source"), "source"),
         (lambda d: d.update(source=5), "source"),
         (lambda d: d["source"].update(p=1.5), "source.p"),
@@ -117,6 +123,25 @@ def test_field_errors_carry_json_path(mutate, field):
         config_from_dict(doc)
     assert err.value.field == field
     assert field in str(err.value)
+
+
+def test_json_field_paths_and_defaults():
+    doc = {"a": {"b": [1, 2.5, True]}}
+    assert json_field(doc, "a", (dict,)) == {"b": [1, 2.5, True]}
+    assert json_field(doc["a"]["b"], 1, NUMBER, "a.b") == 2.5
+    assert json_field(doc["a"]["b"], 2, where="a.b") is True
+    assert json_field(doc["a"], "c", NUMBER, "a", default=0.0) == 0.0
+    for args, message in [
+        ((doc, "x"), "x: missing required field"),
+        ((doc["a"], "c", NUMBER, "a"), "a.c: missing required field"),
+        ((doc["a"]["b"], 2, NUMBER, "a.b"), "a.b[2]: must be an integer or a number, got True"),
+        ((doc["a"]["b"], 3, NUMBER, "a.b"), "a.b[3]: missing required field"),
+        ((doc["a"], "b", (str, type(None)), "a"), "a.b: must be a string or null"),
+        ((doc["a"]["b"], "k", None, "a.b"), "a.b: must be an object, got [1, 2.5, True]"),
+        (([], "k"), "<root>: must be an object"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            json_field(*args)
 
 
 def test_non_object_root_rejected():
@@ -163,6 +188,9 @@ def test_load_config_not_utf8(tmp_path):
     [
         # An unhashable value must not reach the name lookup.
         (lambda d: d["scan"].update(varied=[]), "scan.varied"),
+        # Fields checked against a set of names take any JSON value.
+        (lambda d: d["scan"].update(varied=True), "scan.varied"),
+        (lambda d: d["policy"].update(kind=True), "policy.kind"),
         # Tick resolutions and windows are stored and compared as uint64.
         (lambda d: d.update(tick_resolution_ps=2**64), "tick_resolution_ps"),
         (lambda d: d.update(coincidence_window_ticks=2**64), "coincidence_window_ticks"),
@@ -184,6 +212,8 @@ def test_load_config_not_utf8(tmp_path):
     ],
     ids=[
         "varied-list",
+        "varied-true",
+        "kind-true",
         "tick-2**64",
         "window-2**64",
         "seed-negative",

@@ -510,6 +510,47 @@ def test_load_manifest_rejects_malformed_points(tmp_path, key, value):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, 2], ids=["true", "1.0", "2"])
+def test_load_manifest_reads_schema_version_as_integer(tmp_path, version):
+    path, doc = _simulated_manifest(tmp_path)
+    doc["schema_version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="schema"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc.pop("config"), "config: missing required field"),
+        (lambda doc: doc["config"]["source"].update(p=5), "config.source.p: "),
+        (lambda doc: doc["config"].update(seed="x"), "config.seed: must be an integer"),
+    ],
+    ids=["no-config", "p-5", "seed-string"],
+)
+def test_cli_analyze_bad_manifest_config_is_a_data_error(tmp_path, capsys, mutate, message):
+    # The user gave no config here: the manifest's echo of one is data.
+    path, doc = _simulated_manifest(tmp_path)
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {path}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_scan_points_counted_from_the_point_list(tmp_path, capsys):
+    # A hand-written manifest may echo a config of fewer angles than it has points.
+    path, doc = _simulated_manifest(tmp_path)
+    doc["config"]["scan"]["angles_deg"] = [0.0]
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_OK
+    ns = json.loads((path.parent / "nosignalling.json").read_text())
+    assert ns["run"]["n_points"] == len(doc["points"]) == len(ANGLES_DEG)
+    assert main(["report", "--dir", str(path.parent)]) == EXIT_OK
+    assert f"scan points: {len(ANGLES_DEG)};" in (path.parent / "report.md").read_text()
+
+
 def test_cli_analyze_window_and_alpha_flags(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, small_doc(pairs_per_point=5000))
     out = tmp_path / "out"
@@ -628,12 +669,13 @@ def _without_cosine(doc):
         (lambda doc: {}, "not a no-signalling document"),
         (lambda doc: [1], "not a no-signalling document"),
         (lambda doc: doc.update(schema_version=1), "schema version 1"),
+        (lambda doc: doc.update(schema_version=2.0), "schema_version: must be an integer"),
         (_without_cosine, "report.marginals.b_plus.fits.cosine: missing"),
         (lambda doc: doc["report"].update(consistent=1), "report.consistent: must be a boolean"),
         (lambda doc: doc["run"].update(p="1"), "run.p: must be an integer or a number"),
         (lambda doc: doc.update(skipped_points=[3]), "skipped_points[0]: must be an object"),
     ],
-    ids=["empty", "array", "schema-1", "no-cosine", "consistent-int", "p-string", "skipped-int"],
+    ids=["empty", "array", "schema-1", "schema-2.0", "no-cosine", "consistent-int", "p-string", "skipped-int"],
 )
 def test_cli_report_rejects_malformed_nosignalling(tmp_path, capsys, mutate, message):
     # A mutation edits the document in place or returns a replacement.
