@@ -62,9 +62,7 @@ from .quantum import (
     Station,
     chsh_value,
     correlation_qt,
-    joint_prob,
     joint_prob_table,
-    marginal,
 )
 from .timetags import (
     BadMagic,

@@ -23,7 +23,6 @@ import sys
 from .config import ConfigError, load_config
 from .fits import DegenerateWeights
 from .pipeline import analyze_run, simulate_run, write_report
-from .timetags import TtgFormatError
 
 OUTPUT_DIR_ENV = "FAIRSAMPLE_OUTPUT_DIR"
 
@@ -174,9 +173,6 @@ def main(argv: "list[str] | None" = None) -> int:
     except DegenerateWeights as exc:
         print(f"statistics error: {exc}", file=sys.stderr)
         return EXIT_STATISTICS
-    except TtgFormatError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except FileNotFoundError as exc:
         print(f"data error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_DATA

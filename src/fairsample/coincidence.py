@@ -28,9 +28,10 @@ the number of iterations is set by the longest cluster, not by the
 number of events.  Both stages work through the streams in blocks, so
 their temporaries stay bounded whatever the input size.
 
-``count_coincidences_naive`` re-implements the policy by explicit
+``match_events_naive`` re-implements the matching policy by explicit
 per-event enumeration and exists as an independent oracle for tests and
-verification.  Both reduce to the same counts structure, where singles
+verification; ``count_coincidences_naive`` runs it through the same
+event selection and counting as ``count_coincidences``, where singles
 count every event on a channel whether or not it was matched.
 """
 
@@ -204,6 +205,16 @@ def _lockstep(
         i, a_end, j, b_end = i[live], a_end[live], j[live], b_end[live]
 
 
+def _sorted_u64(t_a: np.ndarray, t_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both timestamp arrays as contiguous uint64; raise if either is unsorted."""
+    t_a = np.ascontiguousarray(t_a, dtype=np.uint64)
+    t_b = np.ascontiguousarray(t_b, dtype=np.uint64)
+    for name, t in (("t_a", t_a), ("t_b", t_b)):
+        if t.shape[0] > 1 and np.any(t[1:] < t[:-1]):
+            raise UnsortedInput(f"{name} is not sorted by timestamp")
+    return t_a, t_b
+
+
 def match_events(
     t_a: np.ndarray, t_b: np.ndarray, window: CoincidenceWindow
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,11 +231,7 @@ def match_events(
     and a cluster retires when either pointer leaves its range.  Matches
     are recorded by A index, so they come out in sweep order.
     """
-    t_a = np.ascontiguousarray(t_a, dtype=np.uint64)
-    t_b = np.ascontiguousarray(t_b, dtype=np.uint64)
-    for name, t in (("t_a", t_a), ("t_b", t_b)):
-        if t.shape[0] > 1 and np.any(t[1:] < t[:-1]):
-            raise UnsortedInput(f"{name} is not sorted by timestamp")
+    t_a, t_b = _sorted_u64(t_a, t_b)
     width = np.uint64(window.width_ticks)
     partner = np.full(t_a.shape[0], -1, dtype=np.int64)
     pending, count = [], 0
@@ -240,32 +247,27 @@ def match_events(
     return idx_a, partner[idx_a]
 
 
-def _check_streams(stream_a: EventStream, stream_b: EventStream) -> None:
+def _count(
+    match, stream_a: EventStream, stream_b: EventStream, window: CoincidenceWindow,
+    settings_filter: "tuple[int, int] | None", alpha: float, beta: float,
+) -> BlockCounts:
+    """Select each stream's events, pair them with ``match`` and count.
+
+    Singles count every selected event on a channel, matched or not.
+    """
     if stream_a.tick_resolution_ps != stream_b.tick_resolution_ps:
         raise TickResolutionMismatch(
             f"stream A has {stream_a.tick_resolution_ps} ps/tick, "
             f"stream B has {stream_b.tick_resolution_ps} ps/tick"
         )
-
-
-def _select(
-    stream: EventStream, wanted_setting: "int | None"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Timestamps and signs of the events under consideration."""
-    if wanted_setting is None:
-        return stream.t, stream.sign
-    keep = stream.setting_index == wanted_setting
-    return stream.t[keep], stream.sign[keep]
-
-
-def _reduce(
-    sign_a: np.ndarray,
-    sign_b: np.ndarray,
-    idx_a: np.ndarray,
-    idx_b: np.ndarray,
-    alpha: float,
-    beta: float,
-) -> BlockCounts:
+    t_a, sign_a = stream_a.t, stream_a.sign
+    t_b, sign_b = stream_b.t, stream_b.sign
+    if settings_filter is not None:
+        keep_a = stream_a.setting_index == settings_filter[0]
+        keep_b = stream_b.setting_index == settings_filter[1]
+        t_a, sign_a = t_a[keep_a], sign_a[keep_a]
+        t_b, sign_b = t_b[keep_b], sign_b[keep_b]
+    idx_a, idx_b = match(t_a, t_b, window)
     cells = (sign_a[idx_a].astype(np.intp) << 1) | sign_b[idx_b]
     coinc = np.bincount(cells, minlength=4)
     # Signs are 0 (Plus) or 1 (Minus), so one pass per station counts the
@@ -298,13 +300,9 @@ def count_coincidences(
     With ``settings_filter = (setting_a, setting_b)`` only events carrying
     those setting indices take part, in matching and in the singles totals.
     """
-    _check_streams(stream_a, stream_b)
-    want_a = None if settings_filter is None else settings_filter[0]
-    want_b = None if settings_filter is None else settings_filter[1]
-    t_a, sign_a = _select(stream_a, want_a)
-    t_b, sign_b = _select(stream_b, want_b)
-    idx_a, idx_b = match_events(t_a, t_b, window)
-    return _reduce(sign_a, sign_b, idx_a, idx_b, alpha, beta)
+    return _count(
+        match_events, stream_a, stream_b, window, settings_filter, alpha, beta
+    )
 
 
 def match_events_naive(
@@ -316,11 +314,7 @@ def match_events_naive(
     enumerated and the earliest unmatched one is taken.  Quadratic in
     the worst case; use only for verification.
     """
-    t_a = np.ascontiguousarray(t_a, dtype=np.uint64)
-    t_b = np.ascontiguousarray(t_b, dtype=np.uint64)
-    for name, t in (("t_a", t_a), ("t_b", t_b)):
-        if t.shape[0] > 1 and np.any(t[1:] < t[:-1]):
-            raise UnsortedInput(f"{name} is not sorted by timestamp")
+    t_a, t_b = _sorted_u64(t_a, t_b)
     w = int(window.width_ticks)
     u64_max = np.iinfo(np.uint64).max
     taken = np.zeros(t_b.shape[0], dtype=bool)
@@ -350,11 +344,7 @@ def count_coincidences_naive(
     alpha: float = math.nan,
     beta: float = math.nan,
 ) -> BlockCounts:
-    """Reference implementation of :func:`count_coincidences`."""
-    _check_streams(stream_a, stream_b)
-    want_a = None if settings_filter is None else settings_filter[0]
-    want_b = None if settings_filter is None else settings_filter[1]
-    t_a, sign_a = _select(stream_a, want_a)
-    t_b, sign_b = _select(stream_b, want_b)
-    idx_a, idx_b = match_events_naive(t_a, t_b, window)
-    return _reduce(sign_a, sign_b, idx_a, idx_b, alpha, beta)
+    """:func:`count_coincidences` with the oracle matcher."""
+    return _count(
+        match_events_naive, stream_a, stream_b, window, settings_filter, alpha, beta
+    )

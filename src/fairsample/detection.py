@@ -29,7 +29,9 @@ integrates it out in closed form, using
     E[cos^2(lam - a)]                    = 1/2
     E[cos^2(lam - a) * cos^2(lam - b)]   = 1/4 + cos(2(a - b))/8,
 
-and is the single source of the model's probabilities.  There is one
+and weights each cell of :func:`fairsample.quantum.joint_prob_table` by
+its detection probabilities.  It is the single source of the detection
+model's probabilities.  There is one
 sampler, :func:`simulate_block`: one multinomial draw of the block's
 pairs over the 16 categories.  Event streams are built from its counts
 by :func:`fairsample.timetags.generate_streams`, which gives the observed
@@ -38,7 +40,9 @@ are independent of the times, so nothing else needs to be drawn per pair.
 
 With d=0 the category probabilities are bit-identical to FAIR's, so the
 two policies consume the RNG identically.  The per-pair sampler that
-draws ``lam`` explicitly lives in the tests as the reference.
+draws ``lam`` explicitly lives in the tests as the reference; it keeps
+its own channel-efficiency lookup, so it shares only the joint table
+with this module.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum import OutcomeSign, SettingsPair, SourceState, Station, joint_prob_table
+from .quantum import OutcomeSign, SettingsPair, SourceState, joint_prob_table
 
 # Recorded in run manifests; bump the version whenever a seed's draws change.
 SAMPLER_NAME = "closed-form-categories"
@@ -79,11 +83,6 @@ class EfficiencyConfig:
         ):
             if not (0.0 < value <= 1.0):
                 raise ValueError(f"{name} must be in (0, 1], got {value!r}")
-
-    def eta(self, station: Station, sign: OutcomeSign) -> float:
-        if station == Station.ALICE:
-            return self.eta_a_plus if sign == OutcomeSign.PLUS else self.eta_a_minus
-        return self.eta_b_plus if sign == OutcomeSign.PLUS else self.eta_b_minus
 
 
 @dataclass(frozen=True)

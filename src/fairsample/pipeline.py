@@ -246,6 +246,16 @@ def _analyze_point(
     stream_a = read_ttg(point.alice_file)
     stream_b = read_ttg(point.bob_file)
     index, alpha, beta = point.index, point.alpha, point.beta
+    # Swapped files would pass for a run with the stations' roles exchanged.
+    for key, path, stream, role in (
+        ("alice_file", point.alice_file, stream_a, Station.ALICE),
+        ("bob_file", point.bob_file, stream_b, Station.BOB),
+    ):
+        if stream.station != role:
+            raise ValueError(
+                f"point {index}: {key} {path} holds station "
+                f"{stream.station.name.lower()}'s events"
+            )
     counts = count_coincidences(stream_a, stream_b, window, alpha=alpha, beta=beta)
     est: "EstimateSet | None"
     note: "str | None" = None
@@ -475,6 +485,9 @@ def _check_nosignalling(ns) -> None:
         ("varied", (str,)), ("n_points", (int,)), ("window_ticks", (int,)),
     ):
         json_field(run, key, kinds, "run")
+    # write_report builds the model from run.p; NaN fails the comparison.
+    if not 0.0 <= run["p"] <= 1.0:
+        raise ValueError(f"run.p: must be a number in [0, 1], got {run['p']!r}")
     json_field(ns, "fit_note", (str, type(None)))
     json_field(ns, "low_statistics_points", (list,))
     for i, item in enumerate(json_field(ns, "skipped_points", (list,))):

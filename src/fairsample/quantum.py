@@ -11,8 +11,13 @@ labelled Plus ("+", transmission at the analyzer angle) and Minus ("-",
 the orthogonal output).
 
 Everything in this module is a pure function of the state and the two
-analyzer angles.  The joint probabilities are written out cell by cell,
-without trig-identity rewriting, so each line can be audited directly.
+analyzer angles.  :func:`joint_prob_table` is the one source of the
+model's probabilities: the correlation and the CHSH value are computed
+from it, :func:`fairsample.detection.category_probs` weights its cells,
+and a station's marginal is a row or column sum of it (Alice's Plus
+marginal is ``p_pp + p_pm``, Bob's is ``p_pp + p_mp``).  Its cells are
+written out one by one, without trig-identity rewriting, so each line
+can be audited directly.
 """
 
 from __future__ import annotations
@@ -90,16 +95,6 @@ class ProbTable:
         total = self.p_pp + self.p_pm + self.p_mp + self.p_mm
         return (self.p_pp + self.p_mm - self.p_pm - self.p_mp) / total
 
-    def marginal(self, station: Station, sign: OutcomeSign) -> float:
-        """Row/column sum of the table (one station's outcome probability)."""
-        if station == Station.ALICE:
-            if sign == OutcomeSign.PLUS:
-                return self.p_pp + self.p_pm
-            return self.p_mp + self.p_mm
-        if sign == OutcomeSign.PLUS:
-            return self.p_pp + self.p_mp
-        return self.p_pm + self.p_mm
-
 
 def joint_prob_table(state: SourceState, s: SettingsPair) -> ProbTable:
     """All four joint probabilities at analyzer angles (alpha, beta)."""
@@ -112,40 +107,6 @@ def joint_prob_table(state: SourceState, s: SettingsPair) -> ProbTable:
     p_mp = (p * ca * cb + sa * sb) ** 2 / norm
     p_mm = (sa * cb - p * ca * sb) ** 2 / norm
     return ProbTable(p_pp, p_pm, p_mp, p_mm)
-
-
-def joint_prob(
-    state: SourceState, e1: OutcomeSign, e2: OutcomeSign, s: SettingsPair
-) -> float:
-    """Probability that Alice sees e1 and Bob sees e2 at settings (alpha, beta)."""
-    table = joint_prob_table(state, s)
-    return {
-        (OutcomeSign.PLUS, OutcomeSign.PLUS): table.p_pp,
-        (OutcomeSign.PLUS, OutcomeSign.MINUS): table.p_pm,
-        (OutcomeSign.MINUS, OutcomeSign.PLUS): table.p_mp,
-        (OutcomeSign.MINUS, OutcomeSign.MINUS): table.p_mm,
-    }[(e1, e2)]
-
-
-def marginal(
-    state: SourceState, station: Station, e: OutcomeSign, s: SettingsPair
-) -> float:
-    """Single-station outcome probability; depends only on the local angle.
-
-    Alice: P(+) = (cos^2 a + p^2 sin^2 a)/(1+p^2).
-    Bob:   P(+) = (p^2 cos^2 b + sin^2 b)/(1+p^2).
-    """
-    p = state.p
-    norm = 1.0 + p * p
-    if station == Station.ALICE:
-        sa, ca = math.sin(s.alpha), math.cos(s.alpha)
-        if e == OutcomeSign.PLUS:
-            return (ca * ca + p * p * sa * sa) / norm
-        return (p * p * ca * ca + sa * sa) / norm
-    sb, cb = math.sin(s.beta), math.cos(s.beta)
-    if e == OutcomeSign.PLUS:
-        return (p * p * cb * cb + sb * sb) / norm
-    return (cb * cb + p * p * sb * sb) / norm
 
 
 def correlation_qt(state: SourceState, s: SettingsPair) -> float:

@@ -60,6 +60,13 @@ def sample_pair_outcome(
     return OutcomeSign((cell >> 1) & 1), OutcomeSign(cell & 1)
 
 
+def channel_efficiency(eff: EfficiencyConfig, station: Station, e: OutcomeSign) -> float:
+    """Base detection probability of channel (station, e)."""
+    if station == Station.ALICE:
+        return eff.eta_a_plus if e == OutcomeSign.PLUS else eff.eta_a_minus
+    return eff.eta_b_plus if e == OutcomeSign.PLUS else eff.eta_b_minus
+
+
 def detection_probability(
     policy: SamplingPolicy,
     eff: EfficiencyConfig,
@@ -69,7 +76,7 @@ def detection_probability(
     hv: HiddenVariable,
 ) -> float:
     """Probability that a photon in channel (station, e) is detected."""
-    base = eff.eta(station, e)
+    base = channel_efficiency(eff, station, e)
     if policy.kind == PolicyKind.FAIR or e == OutcomeSign.MINUS:
         return base
     c = math.cos(hv.lam - setting)

@@ -37,12 +37,11 @@ from fairsample.estimator import (
 from fairsample.fits import FitModel, nosignalling_stats
 from fairsample.pipeline import analyze_run, simulate_run
 from fairsample.quantum import (
-    OutcomeSign,
     SettingsPair,
     SourceState,
     Station,
     correlation_qt,
-    marginal,
+    joint_prob_table,
 )
 from fairsample.timetags import make_stream, read_ttg, write_ttg
 
@@ -199,7 +198,8 @@ def test_criterion_3_partially_entangled_marginals(capsys):
     sq_devs = []
     min_coinc = None
     for pt in scan.points:
-        curve = marginal(state, Station.ALICE, OutcomeSign.PLUS, SettingsPair(pt.alpha, 0.0))
+        t = joint_prob_table(state, SettingsPair(pt.alpha, 0.0))
+        curve = t.p_pp + t.p_pm
         sq_devs.append((pt.est.marginals.a_minus - curve) ** 2)
         sq_devs.append((pt.est.marginals.a_plus - (1.0 - curve)) ** 2)
         n = pt.counts.total_coincidences

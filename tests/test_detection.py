@@ -25,7 +25,7 @@ from fairsample.quantum import (
     joint_prob_table,
 )
 from fairsample.timetags import generate_streams
-from pair_oracle import sample_pair_outcome
+from pair_oracle import channel_efficiency, sample_pair_outcome
 
 FAIR = SamplingPolicy(PolicyKind.FAIR)
 ETA_MIXED = EfficiencyConfig(0.10, 0.05, 0.08, 0.08)
@@ -101,7 +101,7 @@ def test_unfair_minus_channel_keeps_base_efficiency():
 )
 def test_unfair_probability_bounded_by_base(d, setting, other, e, station):
     pol = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=d)
-    base = ETA_MIXED.eta(station, e)
+    base = channel_efficiency(ETA_MIXED, station, e)
     got = detect_prob(pol, ETA_MIXED, station, e, SettingsPair(setting, other))
     assert 0.0 <= got <= base * (1 + 1e-12)
     if e == OutcomeSign.PLUS:
@@ -393,10 +393,10 @@ def test_efficiency_config_rejects_out_of_range(eta):
 
 
 def test_efficiency_lookup():
-    assert ETA_MIXED.eta(Station.ALICE, OutcomeSign.PLUS) == 0.10
-    assert ETA_MIXED.eta(Station.ALICE, OutcomeSign.MINUS) == 0.05
-    assert ETA_MIXED.eta(Station.BOB, OutcomeSign.PLUS) == 0.08
-    assert ETA_MIXED.eta(Station.BOB, OutcomeSign.MINUS) == 0.08
+    assert channel_efficiency(ETA_MIXED, Station.ALICE, OutcomeSign.PLUS) == 0.10
+    assert channel_efficiency(ETA_MIXED, Station.ALICE, OutcomeSign.MINUS) == 0.05
+    assert channel_efficiency(ETA_MIXED, Station.BOB, OutcomeSign.PLUS) == 0.08
+    assert channel_efficiency(ETA_MIXED, Station.BOB, OutcomeSign.MINUS) == 0.08
 
 
 @pytest.mark.parametrize("d", [-0.1, 1.1, math.nan])

@@ -496,6 +496,20 @@ def test_cli_analyze_point_file_outside_run_dir(tmp_path, capsys):
     assert "inside the run directory" in capsys.readouterr().err
 
 
+def test_cli_analyze_rejects_swapped_station_files(tmp_path, capsys):
+    # Each file is a valid stream: only its header's station byte shows
+    # that it holds the other station's events.
+    path, doc = _simulated_manifest(tmp_path)
+    for pt in doc["points"]:
+        pt["alice_file"], pt["bob_file"] = pt["bob_file"], pt["alice_file"]
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "point 0: alice_file " in err
+    assert "point_000_bob.ttg holds station bob's events" in err
+    assert not (path.parent / "nosignalling.json").exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("index", "0"), ("index", True), ("alpha_deg", "ten"), ("beta_deg", None),
@@ -673,9 +687,14 @@ def _without_cosine(doc):
         (_without_cosine, "report.marginals.b_plus.fits.cosine: missing"),
         (lambda doc: doc["report"].update(consistent=1), "report.consistent: must be a boolean"),
         (lambda doc: doc["run"].update(p="1"), "run.p: must be an integer or a number"),
+        (lambda doc: doc["run"].update(p=5), "run.p: must be a number in [0, 1], got 5"),
+        (lambda doc: doc["run"].update(p=math.nan), "run.p: must be a number in [0, 1], got nan"),
         (lambda doc: doc.update(skipped_points=[3]), "skipped_points[0]: must be an object"),
     ],
-    ids=["empty", "array", "schema-1", "schema-2.0", "no-cosine", "consistent-int", "p-string", "skipped-int"],
+    ids=[
+        "empty", "array", "schema-1", "schema-2.0", "no-cosine", "consistent-int",
+        "p-string", "p-5", "p-nan", "skipped-int",
+    ],
 )
 def test_cli_report_rejects_malformed_nosignalling(tmp_path, capsys, mutate, message):
     # A mutation edits the document in place or returns a replacement.

@@ -14,9 +14,7 @@ from fairsample.quantum import (
     Station,
     chsh_value,
     correlation_qt,
-    joint_prob,
     joint_prob_table,
-    marginal,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -30,6 +28,18 @@ def _flip(e: OutcomeSign) -> OutcomeSign:
     return OutcomeSign.MINUS if e is OutcomeSign.PLUS else OutcomeSign.PLUS
 
 
+def _cell(state: SourceState, e1: OutcomeSign, e2: OutcomeSign, s: SettingsPair) -> float:
+    """P(Alice e1, Bob e2): the table entry at category_probs' cell index."""
+    return joint_prob_table(state, s).as_tuple()[(e1 << 1) | e2]
+
+
+def _marginal(state: SourceState, station: Station, e: OutcomeSign, s: SettingsPair) -> float:
+    """One station's outcome probability: a row (Alice) or column (Bob) sum."""
+    if station == Station.ALICE:
+        return sum(_cell(state, e, other, s) for other in OutcomeSign)
+    return sum(_cell(state, other, e, s) for other in OutcomeSign)
+
+
 # ---------------------------------------------------------------------------
 # Frozen point values
 # ---------------------------------------------------------------------------
@@ -38,22 +48,22 @@ def _flip(e: OutcomeSign) -> OutcomeSign:
 def test_singlet_equal_angles_never_same_sign():
     s = SettingsPair(0.0, 0.0)
     state = SourceState(1.0)
-    assert joint_prob(state, OutcomeSign.PLUS, OutcomeSign.PLUS, s) == pytest.approx(0.0, abs=1e-15)
-    assert joint_prob(state, OutcomeSign.MINUS, OutcomeSign.MINUS, s) == pytest.approx(0.0, abs=1e-15)
-    assert joint_prob(state, OutcomeSign.PLUS, OutcomeSign.MINUS, s) == pytest.approx(0.5, abs=1e-15)
+    assert _cell(state, OutcomeSign.PLUS, OutcomeSign.PLUS, s) == pytest.approx(0.0, abs=1e-15)
+    assert _cell(state, OutcomeSign.MINUS, OutcomeSign.MINUS, s) == pytest.approx(0.0, abs=1e-15)
+    assert _cell(state, OutcomeSign.PLUS, OutcomeSign.MINUS, s) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_joint_prob_asymmetric_source_at_zero():
     # (p·cosα·cosβ + sinα·sinβ)²/(1+p²) at α=β=0 is p²/(1+p²) = 0.25/1.25.
     state = SourceState(0.5)
-    got = joint_prob(state, OutcomeSign.MINUS, OutcomeSign.PLUS, SettingsPair(0.0, 0.0))
+    got = _cell(state, OutcomeSign.MINUS, OutcomeSign.PLUS, SettingsPair(0.0, 0.0))
     assert got == pytest.approx(0.2, abs=1e-15)
 
 
 @given(a=angles, b=angles)
 def test_product_state_limit(a, b):
     # p=0 is the product state: same-sign outcome probability factorizes.
-    got = joint_prob(SourceState(0.0), OutcomeSign.PLUS, OutcomeSign.PLUS, SettingsPair(a, b))
+    got = _cell(SourceState(0.0), OutcomeSign.PLUS, OutcomeSign.PLUS, SettingsPair(a, b))
     assert got == pytest.approx(math.cos(a) ** 2 * math.sin(b) ** 2, abs=1e-12)
 
 
@@ -78,12 +88,12 @@ def test_singlet_marginals_are_half():
         s = SettingsPair(a, b)
         for station in Station:
             for e in OutcomeSign:
-                assert marginal(state, station, e, s) == pytest.approx(0.5, abs=1e-12)
+                assert _marginal(state, station, e, s) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_alice_plus_marginal_asymmetric():
     # (cos²α + p²·sin²α)/(1+p²) at p=0.5, α=0 is 1/1.25.
-    got = marginal(SourceState(0.5), Station.ALICE, OutcomeSign.PLUS, SettingsPair(0.0, 0.9))
+    got = _marginal(SourceState(0.5), Station.ALICE, OutcomeSign.PLUS, SettingsPair(0.0, 0.9))
     assert got == pytest.approx(0.8, abs=1e-15)
 
 
@@ -91,8 +101,8 @@ def test_bob_marginals_at_quarter_turn():
     # B⁻(β) = (cos²β + p²·sin²β)/(1+p²): at β=π/2 this is p²/(1+p²).
     state = SourceState(0.7)
     s = SettingsPair(0.3, math.pi / 2)
-    assert marginal(state, Station.BOB, OutcomeSign.MINUS, s) == pytest.approx(0.49 / 1.49, abs=1e-12)
-    assert marginal(state, Station.BOB, OutcomeSign.PLUS, s) == pytest.approx(1.0 / 1.49, abs=1e-12)
+    assert _marginal(state, Station.BOB, OutcomeSign.MINUS, s) == pytest.approx(0.49 / 1.49, abs=1e-12)
+    assert _marginal(state, Station.BOB, OutcomeSign.PLUS, s) == pytest.approx(1.0 / 1.49, abs=1e-12)
 
 
 def test_correlation_singlet_points():
@@ -155,16 +165,16 @@ def test_pi_periodicity(p, a, b):
 @given(p=p_values, a=angles, b1=angles, b2=angles)
 def test_alice_marginal_ignores_bob_setting(p, a, b1, b2):
     state = SourceState(p)
-    m1 = marginal(state, Station.ALICE, OutcomeSign.PLUS, SettingsPair(a, b1))
-    m2 = marginal(state, Station.ALICE, OutcomeSign.PLUS, SettingsPair(a, b2))
+    m1 = _marginal(state, Station.ALICE, OutcomeSign.PLUS, SettingsPair(a, b1))
+    m2 = _marginal(state, Station.ALICE, OutcomeSign.PLUS, SettingsPair(a, b2))
     assert m1 == pytest.approx(m2, abs=1e-12)
 
 
 @given(p=p_values, b=angles, a1=angles, a2=angles)
 def test_bob_marginal_ignores_alice_setting(p, b, a1, a2):
     state = SourceState(p)
-    m1 = marginal(state, Station.BOB, OutcomeSign.MINUS, SettingsPair(a1, b))
-    m2 = marginal(state, Station.BOB, OutcomeSign.MINUS, SettingsPair(a2, b))
+    m1 = _marginal(state, Station.BOB, OutcomeSign.MINUS, SettingsPair(a1, b))
+    m2 = _marginal(state, Station.BOB, OutcomeSign.MINUS, SettingsPair(a2, b))
     assert m1 == pytest.approx(m2, abs=1e-12)
 
 
@@ -185,16 +195,16 @@ def test_station_exchange_with_sign_flip(p, a, b, e1, e2):
     # Swapping stations maps each outcome to the opposite sign of the other
     # photon: P(ε1,ε2; α,β) = P(ε̄2,ε̄1; β,α) for every p.
     state = SourceState(p)
-    lhs = joint_prob(state, e1, e2, SettingsPair(a, b))
-    rhs = joint_prob(state, _flip(e2), _flip(e1), SettingsPair(b, a))
+    lhs = _cell(state, e1, e2, SettingsPair(a, b))
+    rhs = _cell(state, _flip(e2), _flip(e1), SettingsPair(b, a))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 @given(a=angles, b=angles, e1=st.sampled_from(OutcomeSign), e2=st.sampled_from(OutcomeSign))
 def test_plain_station_exchange_holds_for_singlet(a, b, e1, e2):
     state = SourceState(1.0)
-    lhs = joint_prob(state, e1, e2, SettingsPair(a, b))
-    rhs = joint_prob(state, e2, e1, SettingsPair(b, a))
+    lhs = _cell(state, e1, e2, SettingsPair(a, b))
+    rhs = _cell(state, e2, e1, SettingsPair(b, a))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -212,13 +222,18 @@ def test_marginal_matches_table_sums(p, a, b):
     state = SourceState(p)
     s = SettingsPair(a, b)
     t = joint_prob_table(state, s)
-    assert marginal(state, Station.ALICE, OutcomeSign.PLUS, s) == pytest.approx(
-        t.p_pp + t.p_pm, abs=1e-12
+    # A⁺(α) = (cos²α + p²·sin²α)/(1+p²) and B⁻(β) = (cos²β + p²·sin²β)/(1+p²).
+    norm = 1.0 + p * p
+    alice_plus = (math.cos(a) ** 2 + p * p * math.sin(a) ** 2) / norm
+    bob_minus = (math.cos(b) ** 2 + p * p * math.sin(b) ** 2) / norm
+    assert t.p_pp + t.p_pm == pytest.approx(alice_plus, abs=1e-12)
+    assert t.p_pm + t.p_mm == pytest.approx(bob_minus, abs=1e-12)
+    assert _marginal(state, Station.ALICE, OutcomeSign.PLUS, s) == pytest.approx(
+        alice_plus, abs=1e-12
     )
-    assert marginal(state, Station.BOB, OutcomeSign.MINUS, s) == pytest.approx(
-        t.p_pm + t.p_mm, abs=1e-12
+    assert _marginal(state, Station.BOB, OutcomeSign.MINUS, s) == pytest.approx(
+        bob_minus, abs=1e-12
     )
-    assert t.marginal(Station.ALICE, OutcomeSign.PLUS) == pytest.approx(t.p_pp + t.p_pm, abs=1e-12)
 
 
 @given(p=p_values, a1=angles, a2=angles, b1=angles, b2=angles)
