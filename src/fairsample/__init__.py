@@ -12,8 +12,6 @@ coincidence-normalized estimates (`estimator`), no-signalling model fits
 
 from .coincidence import (
     CoincidenceWindow,
-    TickResolutionMismatch,
-    UnsortedInput,
     count_coincidences,
     count_coincidences_naive,
     match_events,
@@ -65,14 +63,8 @@ from .quantum import (
     joint_prob_table,
 )
 from .timetags import (
-    BadMagic,
     EventStream,
-    InvalidFlags,
-    TrailingData,
-    TruncatedFile,
     TtgFormatError,
-    UnsortedTimestamps,
-    UnsupportedVersion,
     generate_streams,
     make_stream,
     read_ttg,

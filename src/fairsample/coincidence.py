@@ -33,25 +33,20 @@ per-event enumeration and exists as an independent oracle for tests and
 verification; ``count_coincidences_naive`` runs it through the same
 event selection and counting as ``count_coincidences``, where singles
 count every event on a channel whether or not it was matched.
+
+Both engines raise ``ValueError`` for unsorted timestamp arrays and for
+streams of different tick resolutions.  The counts they return hold no
+angles: the caller keeps a point's settings with the point.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detection import BlockCounts
 from .timetags import EventStream
-
-
-class UnsortedInput(ValueError):
-    """Raw timestamp arrays handed to the matcher were not sorted."""
-
-
-class TickResolutionMismatch(ValueError):
-    """The two streams use different tick resolutions."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +206,7 @@ def _sorted_u64(t_a: np.ndarray, t_b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     t_b = np.ascontiguousarray(t_b, dtype=np.uint64)
     for name, t in (("t_a", t_a), ("t_b", t_b)):
         if t.shape[0] > 1 and np.any(t[1:] < t[:-1]):
-            raise UnsortedInput(f"{name} is not sorted by timestamp")
+            raise ValueError(f"{name} is not sorted by timestamp")
     return t_a, t_b
 
 
@@ -249,14 +244,14 @@ def match_events(
 
 def _count(
     match, stream_a: EventStream, stream_b: EventStream, window: CoincidenceWindow,
-    settings_filter: "tuple[int, int] | None", alpha: float, beta: float,
+    settings_filter: "tuple[int, int] | None",
 ) -> BlockCounts:
     """Select each stream's events, pair them with ``match`` and count.
 
     Singles count every selected event on a channel, matched or not.
     """
     if stream_a.tick_resolution_ps != stream_b.tick_resolution_ps:
-        raise TickResolutionMismatch(
+        raise ValueError(
             f"stream A has {stream_a.tick_resolution_ps} ps/tick, "
             f"stream B has {stream_b.tick_resolution_ps} ps/tick"
         )
@@ -271,8 +266,9 @@ def _count(
     cells = (sign_a[idx_a].astype(np.intp) << 1) | sign_b[idx_b]
     coinc = np.bincount(cells, minlength=4)
     # Signs are 0 (Plus) or 1 (Minus), so one pass per station counts the
-    # Minus singles and the rest are Plus.
-    minus_a, minus_b = np.count_nonzero(sign_a), np.count_nonzero(sign_b)
+    # Minus singles and the rest are Plus.  Every count is a Python int, as
+    # simulate_block's are, so the counts serialize to JSON as they are.
+    minus_a, minus_b = int(np.count_nonzero(sign_a)), int(np.count_nonzero(sign_b))
     return BlockCounts(
         n_pp=int(coinc[0]),
         n_pm=int(coinc[1]),
@@ -282,8 +278,6 @@ def _count(
         s_a_minus=minus_a,
         s_b_plus=sign_b.shape[0] - minus_b,
         s_b_minus=minus_b,
-        alpha=alpha,
-        beta=beta,
     )
 
 
@@ -292,17 +286,13 @@ def count_coincidences(
     stream_b: EventStream,
     window: CoincidenceWindow,
     settings_filter: "tuple[int, int] | None" = None,
-    alpha: float = math.nan,
-    beta: float = math.nan,
 ) -> BlockCounts:
     """Match two streams and reduce to coincidence and singles counts.
 
     With ``settings_filter = (setting_a, setting_b)`` only events carrying
     those setting indices take part, in matching and in the singles totals.
     """
-    return _count(
-        match_events, stream_a, stream_b, window, settings_filter, alpha, beta
-    )
+    return _count(match_events, stream_a, stream_b, window, settings_filter)
 
 
 def match_events_naive(
@@ -341,10 +331,6 @@ def count_coincidences_naive(
     stream_b: EventStream,
     window: CoincidenceWindow,
     settings_filter: "tuple[int, int] | None" = None,
-    alpha: float = math.nan,
-    beta: float = math.nan,
 ) -> BlockCounts:
     """:func:`count_coincidences` with the oracle matcher."""
-    return _count(
-        match_events_naive, stream_a, stream_b, window, settings_filter, alpha, beta
-    )
+    return _count(match_events_naive, stream_a, stream_b, window, settings_filter)

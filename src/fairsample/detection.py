@@ -37,6 +37,8 @@ pairs over the 16 categories.  Event streams are built from its counts
 by :func:`fairsample.timetags.generate_streams`, which gives the observed
 pairs their emission times; the categories of a Poisson stream of pairs
 are independent of the times, so nothing else needs to be drawn per pair.
+A block's counts hold no angles: the caller keeps the settings pair with
+the point (``ScanPoint``, the run manifest).
 
 With d=0 the category probabilities are bit-identical to FAIR's, so the
 two policies consume the RNG identically.  The per-pair sampler that
@@ -114,8 +116,6 @@ class BlockCounts:
     s_a_minus: int
     s_b_plus: int
     s_b_minus: int
-    alpha: float = math.nan
-    beta: float = math.nan
     n_pairs_emitted: int = 0
 
     def __post_init__(self) -> None:
@@ -180,9 +180,7 @@ def category_probs(
     return np.maximum(probs, 0.0)
 
 
-def _counts_from_categories(
-    cats: np.ndarray, alpha: float, beta: float, n_pairs: int
-) -> BlockCounts:
+def _counts_from_categories(cats: np.ndarray, n_pairs: int) -> BlockCounts:
     """Reduce (4, 2, 2) category counts to block counts."""
     coinc = cats[:, 1, 1]
     at_a = cats[:, 1, :].sum(axis=1)
@@ -196,8 +194,6 @@ def _counts_from_categories(
         s_a_minus=int(at_a[2] + at_a[3]),
         s_b_plus=int(at_b[0] + at_b[2]),
         s_b_minus=int(at_b[1] + at_b[3]),
-        alpha=alpha,
-        beta=beta,
         n_pairs_emitted=n_pairs,
     )
 
@@ -215,4 +211,4 @@ def simulate_block(
         raise ValueError(f"n_pairs must be >= 0, got {n_pairs}")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(n_pairs, category_probs(state, eff, policy, s).ravel())
-    return _counts_from_categories(counts.reshape(4, 2, 2), s.alpha, s.beta, n_pairs)
+    return _counts_from_categories(counts.reshape(4, 2, 2), n_pairs)

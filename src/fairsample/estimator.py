@@ -128,9 +128,6 @@ class ScanResult:
 
     points: tuple[ScanPoint, ...]
 
-    def __len__(self) -> int:
-        return len(self.points)
-
 
 _SINGLES = ("s_a_plus", "s_a_minus", "s_b_plus", "s_b_minus")
 _COUNTS = ("n_pp", "n_pm", "n_mp", "n_mm") + _SINGLES

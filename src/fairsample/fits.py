@@ -72,7 +72,6 @@ class FitReport:
 class MarginalFits:
     """Both model fits for one marginal curve."""
 
-    name: str
     n_points: int
     fits: dict[FitModel, FitReport]
     verdict: "str | None"
@@ -217,7 +216,7 @@ def nosignalling_stats(
     """Fit all four marginal curves against the varied angle and judge.
 
     Points whose estimates or uncertainties are unavailable (failed
-    estimation, NaN sigmas) are skipped; at least 5 usable points are
+    estimation, NaN or zero sigmas) are skipped; at least 5 usable points are
     required.  Verdicts are attached to the *distant* station's marginals
     only — the varied station's own marginals legitimately depend on its
     own angle for a non-maximally-entangled source.
@@ -243,7 +242,8 @@ def nosignalling_stats(
                 continue
             y = pt.est.marginals.as_tuple()[idx]
             s = pt.est.sigma.marginals[idx]
-            if not (math.isfinite(y) and math.isfinite(s)):
+            # A zero sigma (every coincidence in one cell) cannot weight a fit.
+            if not (math.isfinite(y) and math.isfinite(s) and s > 0.0):
                 continue
             xs.append(pt.alpha if varied == Station.ALICE else pt.beta)
             ys.append(y)
@@ -263,9 +263,7 @@ def nosignalling_stats(
             p_cos = fits[FitModel.COSINE].p_value
             verdict = "consistent" if p_cos >= alpha_level else "violated"
             consistent = consistent and verdict == "consistent"
-        marginals[name] = MarginalFits(
-            name=name, n_points=n_valid, fits=fits, verdict=verdict
-        )
+        marginals[name] = MarginalFits(n_points=n_valid, fits=fits, verdict=verdict)
 
     return NoSignallingReport(
         varied=varied,

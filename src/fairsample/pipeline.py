@@ -243,20 +243,27 @@ def load_manifest(
 def _analyze_point(
     point: ManifestPoint, window: CoincidenceWindow
 ) -> tuple[int, ScanPoint, "str | None"]:
-    stream_a = read_ttg(point.alice_file)
-    stream_b = read_ttg(point.bob_file)
     index, alpha, beta = point.index, point.alpha, point.beta
-    # Swapped files would pass for a run with the stations' roles exchanged.
-    for key, path, stream, role in (
-        ("alice_file", point.alice_file, stream_a, Station.ALICE),
-        ("bob_file", point.bob_file, stream_b, Station.BOB),
+    streams = []
+    for key, path, role in (
+        ("alice_file", point.alice_file, Station.ALICE),
+        ("bob_file", point.bob_file, Station.BOB),
     ):
+        try:
+            stream = read_ttg(path)
+        except ValueError as exc:
+            raise ValueError(f"point {index}: {path}: {exc}") from None
+        # Swapped files would pass for a run with the stations' roles exchanged.
         if stream.station != role:
             raise ValueError(
                 f"point {index}: {key} {path} holds station "
                 f"{stream.station.name.lower()}'s events"
             )
-    counts = count_coincidences(stream_a, stream_b, window, alpha=alpha, beta=beta)
+        streams.append(stream)
+    try:
+        counts = count_coincidences(streams[0], streams[1], window)
+    except ValueError as exc:
+        raise ValueError(f"point {index}: {exc}") from None
     est: "EstimateSet | None"
     note: "str | None" = None
     try:

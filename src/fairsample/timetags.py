@@ -7,7 +7,9 @@ pairs, and one uniform time under it per observed pair, which is exactly
 the process seen at the observed pairs (see :func:`generate_streams`).
 Each detected photon gets independent Gaussian timing jitter, and
 optional dark counts are superimposed as a uniform Poisson background
-with random signs.
+with random signs.  A block is one settings pair, so every generated
+event carries setting index 0; the point's angles are recorded in the
+run manifest, not in the events.
 
 The TTG1 format is this project's own container for such streams:
 
@@ -26,7 +28,8 @@ The TTG1 format is this project's own container for such streams:
 
 Readers reject unknown magic/version, non-zero reserved fields, a zero
 tick resolution, out-of-order timestamps, truncated files and trailing
-bytes, each with a byte offset pointing at the problem.
+bytes.  Each is a ``TtgFormatError`` (a ``ValueError``) whose ``offset``
+is the byte that shows the problem.
 """
 
 from __future__ import annotations
@@ -60,30 +63,6 @@ class TtgFormatError(ValueError):
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (at byte offset {offset})")
         self.offset = offset
-
-
-class BadMagic(TtgFormatError):
-    pass
-
-
-class UnsupportedVersion(TtgFormatError):
-    pass
-
-
-class TruncatedFile(TtgFormatError):
-    pass
-
-
-class UnsortedTimestamps(TtgFormatError):
-    pass
-
-
-class InvalidFlags(TtgFormatError):
-    pass
-
-
-class TrailingData(TtgFormatError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -171,7 +150,6 @@ def generate_streams(
     tick_resolution_ps: int,
     jitter_sd_ticks: float,
     seed,
-    setting_index: int = 0,
     dark_rate_hz: float = 0.0,
 ) -> tuple[EventStream, EventStream]:
     """Time-tag the observed pairs of a block as two per-station streams.
@@ -200,8 +178,6 @@ def generate_streams(
         raise ValueError(f"jitter_sd_ticks must be >= 0, got {jitter_sd_ticks}")
     if dark_rate_hz < 0.0:
         raise ValueError(f"dark_rate_hz must be >= 0, got {dark_rate_hz}")
-    if not 0 <= setting_index <= 3:
-        raise ValueError(f"setting_index must be in 0..3, got {setting_index}")
     c = counts
     coincidences = (c.n_pp, c.n_pm, c.n_mp, c.n_mm)
     only_a = (c.s_a_plus - c.n_pp - c.n_pm, c.s_a_minus - c.n_mp - c.n_mm)
@@ -252,9 +228,9 @@ def generate_streams(
         t.sort()
         sign = (t & np.uint64(1)).astype(np.uint8)
         t >>= np.uint64(1)
-        idx = np.full(t.shape[0], setting_index, dtype=np.uint8)
-        # The sort gives the (t, sign) order, sign is one bit and the
-        # setting was checked above: nothing is left for EventStream to scan.
+        idx = np.zeros(t.shape[0], dtype=np.uint8)
+        # The sort gives the (t, sign) order, sign is one bit and every
+        # setting is 0: nothing is left for EventStream to scan.
         streams.append(
             EventStream(station, tick_resolution_ps, t, sign, idx, validate=False)
         )
@@ -283,31 +259,31 @@ def read_ttg(path) -> EventStream:
     """Read and validate a TTG1 file."""
     data = Path(path).read_bytes()
     if len(data) < HEADER.size:
-        raise TruncatedFile(
+        raise TtgFormatError(
             f"file is {len(data)} bytes, header needs {HEADER.size}", 0
         )
     magic, version, station, reserved, tick, count = HEADER.unpack_from(data, 0)
     if magic != MAGIC:
-        raise BadMagic(f"expected magic {MAGIC!r}, got {magic!r}", 0)
+        raise TtgFormatError(f"expected magic {MAGIC!r}, got {magic!r}", 0)
     if version != VERSION:
-        raise UnsupportedVersion(f"unsupported version {version}", 4)
+        raise TtgFormatError(f"unsupported version {version}", 4)
     if station not in (0, 1):
-        raise InvalidFlags(f"station byte must be 0 or 1, got {station}", 5)
+        raise TtgFormatError(f"station byte must be 0 or 1, got {station}", 5)
     if reserved != 0:
-        raise InvalidFlags(f"reserved header field must be 0, got {reserved}", 6)
+        raise TtgFormatError(f"reserved header field must be 0, got {reserved}", 6)
     if tick == 0:
-        raise InvalidFlags("tick_resolution_ps must be > 0", 8)
+        raise TtgFormatError("tick_resolution_ps must be > 0", 8)
 
     body = len(data) - HEADER.size
     expected = count * RECORD_DTYPE.itemsize
     if body < expected:
         n_complete = body // RECORD_DTYPE.itemsize
-        raise TruncatedFile(
+        raise TtgFormatError(
             f"header promises {count} records but only {n_complete} are complete",
             HEADER.size + n_complete * RECORD_DTYPE.itemsize,
         )
     if body > expected:
-        raise TrailingData(
+        raise TtgFormatError(
             f"{body - expected} unexpected bytes after {count} records",
             HEADER.size + expected,
         )
@@ -322,7 +298,7 @@ def read_ttg(path) -> EventStream:
     # has one set.
     if count and flags.max() & _RESERVED_MASK:
         i = int(np.flatnonzero(flags & _RESERVED_MASK)[0])
-        raise InvalidFlags(
+        raise TtgFormatError(
             f"record {i} has non-zero reserved flag bits",
             HEADER.size + i * RECORD_DTYPE.itemsize + 8,
         )
@@ -332,7 +308,7 @@ def read_ttg(path) -> EventStream:
     drops = ties[t[ties + 1] < t[ties]]
     if drops.size:
         i = int(drops[0]) + 1
-        raise UnsortedTimestamps(
+        raise TtgFormatError(
             f"record {i} timestamp {int(t[i])} is before its predecessor "
             f"{int(t[i - 1])}",
             HEADER.size + i * RECORD_DTYPE.itemsize,

@@ -29,6 +29,14 @@ from pair_oracle import channel_efficiency, sample_pair_outcome
 
 FAIR = SamplingPolicy(PolicyKind.FAIR)
 ETA_MIXED = EfficiencyConfig(0.10, 0.05, 0.08, 0.08)
+# Four distinct efficiencies, so a swap of either station's channels shows.
+ETA_DISTINCT = EfficiencyConfig(0.10, 0.05, 0.08, 0.06)
+DISTINCT_BY_CHANNEL = {
+    (Station.ALICE, OutcomeSign.PLUS): 0.10,
+    (Station.ALICE, OutcomeSign.MINUS): 0.05,
+    (Station.BOB, OutcomeSign.PLUS): 0.08,
+    (Station.BOB, OutcomeSign.MINUS): 0.06,
+}
 ETA_FLAT = EfficiencyConfig(0.35, 0.35, 0.35, 0.35)
 ETA_UNIT = EfficiencyConfig(1.0, 1.0, 1.0, 1.0)
 SINGLET = SourceState(1.0)
@@ -60,6 +68,9 @@ def test_fair_probability_is_base_efficiency(setting, other):
     assert got == pytest.approx(0.10, rel=1e-12)
     got = detect_prob(FAIR, ETA_MIXED, Station.BOB, OutcomeSign.MINUS, s)
     assert got == pytest.approx(0.08, rel=1e-12)
+    for (station, e), eta in DISTINCT_BY_CHANNEL.items():
+        got = detect_prob(FAIR, ETA_DISTINCT, station, e, s)
+        assert got == pytest.approx(eta, rel=1e-12)
 
 
 def test_unfair_plus_channel_aligned_hidden_variable():
@@ -101,11 +112,12 @@ def test_unfair_minus_channel_keeps_base_efficiency():
 )
 def test_unfair_probability_bounded_by_base(d, setting, other, e, station):
     pol = SamplingPolicy(PolicyKind.UNFAIR_MALUS, d=d)
-    base = channel_efficiency(ETA_MIXED, station, e)
-    got = detect_prob(pol, ETA_MIXED, station, e, SettingsPair(setting, other))
-    assert 0.0 <= got <= base * (1 + 1e-12)
-    if e == OutcomeSign.PLUS:
-        assert got == pytest.approx(base * (1 - d / 2), rel=1e-12)
+    for eff in (ETA_MIXED, ETA_DISTINCT):
+        base = channel_efficiency(eff, station, e)
+        got = detect_prob(pol, eff, station, e, SettingsPair(setting, other))
+        assert 0.0 <= got <= base * (1 + 1e-12)
+        if e == OutcomeSign.PLUS:
+            assert got == pytest.approx(base * (1 - d / 2), rel=1e-12)
 
 
 @given(p=st.floats(0.0, 1.0, allow_nan=False), setting=angles, other=angles)
@@ -190,14 +202,14 @@ def test_count_detections_by_hand():
     # (-, +) at Bob only.
     counts = BlockCounts(
         n_pp=0, n_pm=1, n_mp=0, n_mm=1, s_a_plus=2, s_a_minus=1, s_b_plus=1, s_b_minus=2,
-        alpha=0.3, beta=0.0, n_pairs_emitted=6,
+        n_pairs_emitted=6,
     )
     a, b = generate_streams(counts, 1e3, 1, 0.0, seed=5)
     assert sorted(a.sign) == [0, 0, 1] and sorted(b.sign) == [0, 1, 1]
     shared = np.intersect1d(a.t, b.t)
     assert shared.shape == (2,)
     assert sorted(b.sign[np.isin(b.t, shared)]) == [1, 1]
-    matched = count_coincidences(a, b, CoincidenceWindow(0), alpha=0.3, beta=0.0)
+    matched = count_coincidences(a, b, CoincidenceWindow(0))
     assert matched == dataclasses.replace(counts, n_pairs_emitted=0)
 
 
@@ -397,6 +409,8 @@ def test_efficiency_lookup():
     assert channel_efficiency(ETA_MIXED, Station.ALICE, OutcomeSign.MINUS) == 0.05
     assert channel_efficiency(ETA_MIXED, Station.BOB, OutcomeSign.PLUS) == 0.08
     assert channel_efficiency(ETA_MIXED, Station.BOB, OutcomeSign.MINUS) == 0.08
+    for (station, e), eta in DISTINCT_BY_CHANNEL.items():
+        assert channel_efficiency(ETA_DISTINCT, station, e) == eta
 
 
 @pytest.mark.parametrize("d", [-0.1, 1.1, math.nan])

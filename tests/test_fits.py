@@ -337,6 +337,20 @@ def test_skipped_points_are_counted():
     assert report.n_points_skipped == 4
 
 
+def test_zero_sigma_point_is_skipped():
+    # Every coincidence in the -- cell: the singles-normalized marginals are
+    # exactly 0 and 1, and their delta-method sigmas exactly 0.
+    counts = BlockCounts(0, 0, 0, 9, 1, 9, 2, 9)
+    est = estimate_block(counts)
+    assert est.sigma.marginals == (0.0,) * 4
+    points = list(_scan(lambda a: 0.5, rng=np.random.default_rng(13)).points)
+    points[9] = ScanPoint(alpha=points[9].alpha, beta=0.0, counts=counts, est=est)
+    report = nosignalling_stats(ScanResult(points=tuple(points)), varied=Station.ALICE)
+    assert report.n_points_used == ANGLES.size - 1
+    assert report.n_points_skipped == 1
+    assert all(mf.n_points == ANGLES.size - 1 for mf in report.marginals.values())
+
+
 def test_too_few_usable_points_raises():
     scan = _scan(lambda a: 0.5, rng=np.random.default_rng(11), n_missing=ANGLES.size - 4)
     with pytest.raises(InsufficientPoints):

@@ -1,6 +1,7 @@
 """End-to-end run pipeline: simulate to TTG1, analyze, report, CLI contract."""
 
 import ctypes
+import dataclasses
 import json
 import math
 import platform
@@ -16,7 +17,7 @@ from fairsample.config import config_from_dict, config_to_dict
 from fairsample.detection import SAMPLER_NAME, SAMPLER_VERSION
 from fairsample.pipeline import analyze_run, load_manifest, simulate_run, write_report
 from fairsample.quantum import Station
-from fairsample.timetags import make_stream, write_ttg
+from fairsample.timetags import make_stream, read_ttg, write_ttg
 
 ANGLES_DEG = [0.0, 30.0, 60.0, 90.0, 120.0, 150.0, 180.0]
 
@@ -236,23 +237,19 @@ def test_report_fair_run(fair_run):
 # ---------------------------------------------------------------------------
 
 
-def _hand_written_manifest(tmp_path, indices=(0, 1, 2)):
-    """Three points, one coincidence each, no Alice minus singles."""
+def _write_manifest(tmp_path, points):
+    """A hand-written run of (index, alpha_deg, Alice stream, Bob stream) points."""
     cfg = config_from_dict(small_doc(scan={
         "varied": "alice",
-        "angles_deg": [0.0, 45.0, 90.0],
+        "angles_deg": [alpha for _, alpha, _, _ in points],
         "fixed_angle_deg": 0.0,
     }))
-    points = []
-    for i, (index, alpha) in enumerate(zip(indices, [0.0, 45.0, 90.0])):
-        t_a = np.array([1000 + 5000 * i], dtype=np.uint64)
-        t_b = np.array([1030 + 5000 * i, 40_000_000 + i], dtype=np.uint64)
-        a = make_stream(Station.ALICE, 1000, t_a, np.array([0], dtype=np.uint8), np.zeros(1, dtype=np.uint8))
-        b = make_stream(Station.BOB, 1000, t_b, np.array([1, 1], dtype=np.uint8), np.zeros(2, dtype=np.uint8))
+    entries = []
+    for i, (index, alpha, a, b) in enumerate(points):
         names = (f"pt{i}_a.ttg", f"pt{i}_b.ttg")
         write_ttg(a, tmp_path / names[0])
         write_ttg(b, tmp_path / names[1])
-        points.append(
+        entries.append(
             {
                 "index": index,
                 "alpha_deg": alpha,
@@ -268,11 +265,45 @@ def _hand_written_manifest(tmp_path, indices=(0, 1, 2)):
         "config": config_to_dict(cfg),
         "rng": {"algorithm": "PCG64", "seeding": "external"},
         "format": {"name": "TTG1", "version": 1},
-        "points": points,
+        "points": entries,
     }
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     return path
+
+
+def _u8(values):
+    return np.array(values, dtype=np.uint8)
+
+
+def _hand_written_manifest(tmp_path, indices=(0, 1, 2)):
+    """Three points, one coincidence each, no Alice minus singles."""
+    points = []
+    for i, (index, alpha) in enumerate(zip(indices, [0.0, 45.0, 90.0])):
+        t_a = np.array([1000 + 5000 * i], dtype=np.uint64)
+        t_b = np.array([1030 + 5000 * i, 40_000_000 + i], dtype=np.uint64)
+        a = make_stream(Station.ALICE, 1000, t_a, _u8([0]), _u8([0]))
+        b = make_stream(Station.BOB, 1000, t_b, _u8([1, 1]), _u8([0, 0]))
+        points.append((index, alpha, a, b))
+    return _write_manifest(tmp_path, points)
+
+
+def _cell_streams(cells, only_a=(), only_b=()):
+    """Streams of ``cells`` = (n_pp, n_pm, n_mp, n_mm) coincident pairs.
+
+    ``only_a`` and ``only_b`` give the signs of unmatched singles.
+    """
+    pairs = [sign for sign, n in zip([(0, 0), (0, 1), (1, 0), (1, 1)], cells) for _ in range(n)]
+    t = [1000 * (k + 1) for k in range(len(pairs))]
+    streams = []
+    for station, own, only in ((Station.ALICE, 0, only_a), (Station.BOB, 1, only_b)):
+        # Each station's unmatched singles lie far from everything else.
+        times = t + [10**8 * (own + 1) + 1000 * k for k in range(len(only))]
+        signs = [pair[own] for pair in pairs] + list(only)
+        streams.append(make_stream(
+            station, 1000, np.array(times, dtype=np.uint64), _u8(signs), _u8([0] * len(signs))
+        ))
+    return streams
 
 
 def test_analyze_hand_written_manifest(tmp_path):
@@ -508,6 +539,41 @@ def test_cli_analyze_rejects_swapped_station_files(tmp_path, capsys):
     assert "point 0: alice_file " in err
     assert "point_000_bob.ttg holds station bob's events" in err
     assert not (path.parent / "nosignalling.json").exists()
+
+
+def test_cli_analyze_names_the_point_of_a_corrupt_file(tmp_path, capsys):
+    path, _ = _simulated_manifest(tmp_path)
+    victim = path.parent / "point_002_bob.ttg"
+    victim.write_bytes(victim.read_bytes()[:30])
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
+    assert f"point 2: {victim.resolve()}: header promises" in capsys.readouterr().err
+
+
+def test_cli_analyze_names_the_point_of_a_tick_mismatch(tmp_path, capsys):
+    path, _ = _simulated_manifest(tmp_path)
+    victim = path.parent / "point_002_bob.ttg"
+    write_ttg(dataclasses.replace(read_ttg(victim), tick_resolution_ps=500), victim)
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "point 2: stream A has 1000 ps/tick, stream B has 500 ps/tick" in err
+
+
+def test_cli_analyze_skips_a_zero_sigma_point(tmp_path, capsys):
+    # Point 3 has all its coincidences in the -- cell, so its singles-
+    # normalized marginals are 0 and 1 with zero sigma: no fit weight.
+    points = [
+        (i, 15.0 * i, *_cell_streams((3, 2 + i % 3, 2, 3), only_a=[0], only_b=[1]))
+        for i in range(7)
+    ]
+    points[3] = (3, 45.0, *_cell_streams((0, 0, 0, 9), only_a=[0], only_b=[0, 0]))
+    path = _write_manifest(tmp_path, points)
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_OK
+    for name in ("counts.csv", "correlation.csv", "evenodd_standard.csv",
+                 "marginals_singles.csv", "nosignalling.json"):
+        assert (tmp_path / name).exists()
+    assert "3,45.0,0.0,0,0,0,9,1,9,2,9" in (tmp_path / "counts.csv").read_text()
+    report = json.loads((tmp_path / "nosignalling.json").read_text())["report"]
+    assert (report["n_points_used"], report["n_points_skipped"]) == (6, 1)
 
 
 @pytest.mark.parametrize(

@@ -14,13 +14,8 @@ from fairsample.coincidence import CoincidenceWindow, count_coincidences
 from fairsample.detection import BlockCounts, EfficiencyConfig, SamplingPolicy, simulate_block
 from fairsample.quantum import SettingsPair, SourceState, Station
 from fairsample.timetags import (
-    BadMagic,
     EventStream,
-    InvalidFlags,
-    TrailingData,
-    TruncatedFile,
-    UnsortedTimestamps,
-    UnsupportedVersion,
+    TtgFormatError,
     generate_streams,
     make_stream,
     read_ttg,
@@ -197,35 +192,35 @@ def ttg_file(tmp_path):
 
 def test_bad_magic(ttg_file):
     path = ttg_file(lambda raw: raw.__setitem__(slice(0, 4), b"XXXX"))
-    with pytest.raises(BadMagic) as err:
+    with pytest.raises(TtgFormatError, match="expected magic") as err:
         read_ttg(path)
     assert err.value.offset == 0
 
 
 def test_unsupported_version(ttg_file):
     path = ttg_file(lambda raw: raw.__setitem__(4, 2))
-    with pytest.raises(UnsupportedVersion) as err:
+    with pytest.raises(TtgFormatError, match="unsupported version 2") as err:
         read_ttg(path)
     assert err.value.offset == 4
 
 
 def test_invalid_station_byte(ttg_file):
     path = ttg_file(lambda raw: raw.__setitem__(5, 7))
-    with pytest.raises(InvalidFlags) as err:
+    with pytest.raises(TtgFormatError, match="station byte must be 0 or 1, got 7") as err:
         read_ttg(path)
     assert err.value.offset == 5
 
 
 def test_nonzero_reserved_header_field(ttg_file):
     path = ttg_file(lambda raw: raw.__setitem__(6, 1))
-    with pytest.raises(InvalidFlags) as err:
+    with pytest.raises(TtgFormatError, match="reserved header field must be 0") as err:
         read_ttg(path)
     assert err.value.offset == 6
 
 
 def test_zero_tick_resolution_in_header(ttg_file):
     path = ttg_file(lambda raw: raw.__setitem__(slice(8, 16), (0).to_bytes(8, "little")))
-    with pytest.raises(InvalidFlags) as err:
+    with pytest.raises(TtgFormatError, match="tick_resolution_ps must be > 0") as err:
         read_ttg(path)
     assert err.value.offset == 8
 
@@ -235,7 +230,7 @@ def test_truncated_header(tmp_path):
     path = tmp_path / "t.ttg"
     write_ttg(s, path)
     path.write_bytes(path.read_bytes()[:10])
-    with pytest.raises(TruncatedFile) as err:
+    with pytest.raises(TtgFormatError, match="header needs 24") as err:
         read_ttg(path)
     assert err.value.offset == 0
 
@@ -246,7 +241,7 @@ def test_truncated_mid_record(tmp_path):
     write_ttg(s, path)
     # Keep the header, two full records, and 4 stray bytes of the third.
     path.write_bytes(path.read_bytes()[: HEADER_SIZE + 2 * RECORD_SIZE + 4])
-    with pytest.raises(TruncatedFile) as err:
+    with pytest.raises(TtgFormatError, match="header promises 3 records but only 2") as err:
         read_ttg(path)
     assert err.value.offset == HEADER_SIZE + 2 * RECORD_SIZE
 
@@ -256,14 +251,14 @@ def test_missing_records_relative_to_count(tmp_path):
     path = tmp_path / "t.ttg"
     write_ttg(s, path)
     path.write_bytes(path.read_bytes()[: HEADER_SIZE + 2 * RECORD_SIZE])
-    with pytest.raises(TruncatedFile) as err:
+    with pytest.raises(TtgFormatError, match="header promises 3 records but only 2") as err:
         read_ttg(path)
     assert err.value.offset == HEADER_SIZE + 2 * RECORD_SIZE
 
 
 def test_trailing_data(ttg_file):
     path = ttg_file(lambda raw: raw.extend(b"\x00" * 5))
-    with pytest.raises(TrailingData) as err:
+    with pytest.raises(TtgFormatError, match="5 unexpected bytes") as err:
         read_ttg(path)
     assert err.value.offset == HEADER_SIZE + 3 * RECORD_SIZE
 
@@ -271,7 +266,7 @@ def test_trailing_data(ttg_file):
 def test_record_reserved_flag_bits(ttg_file):
     flag_offset = HEADER_SIZE + 1 * RECORD_SIZE + 8
     path = ttg_file(lambda raw: raw.__setitem__(flag_offset, raw[flag_offset] | 0x08))
-    with pytest.raises(InvalidFlags) as err:
+    with pytest.raises(TtgFormatError, match="record 1 has non-zero reserved flag bits") as err:
         read_ttg(path)
     assert err.value.offset == flag_offset
 
@@ -280,14 +275,14 @@ def test_unsorted_timestamps(ttg_file):
     # Drop the second record's timestamp below the first one's.
     t_offset = HEADER_SIZE + RECORD_SIZE
     path = ttg_file(lambda raw: raw.__setitem__(slice(t_offset, t_offset + 8), (1).to_bytes(8, "little")))
-    with pytest.raises(UnsortedTimestamps) as err:
+    with pytest.raises(TtgFormatError, match="record 1 timestamp 1 is before its predecessor") as err:
         read_ttg(path)
     assert err.value.offset == t_offset
 
 
 def test_error_message_includes_offset(ttg_file):
     path = ttg_file(lambda raw: raw.__setitem__(slice(0, 4), b"NOPE"))
-    with pytest.raises(BadMagic, match=r"at byte offset 0"):
+    with pytest.raises(TtgFormatError, match=r"at byte offset 0"):
         read_ttg(path)
 
 
@@ -379,17 +374,10 @@ def test_generate_streams_empty():
 
 def test_generate_streams_single_pair_no_jitter():
     det = _detections([True], [True])
-    a, b = generate_streams(det, 1e4, 1000, 0.0, seed=2, setting_index=3)
+    a, b = generate_streams(det, 1e4, 1000, 0.0, seed=2)
     assert len(a) == len(b) == 1
     assert a.t[0] == b.t[0]
-    assert a.setting_index[0] == 3 and b.setting_index[0] == 3
-
-
-@pytest.mark.parametrize("setting_index", [-1, 4, 256])
-def test_generate_streams_rejects_setting_index_out_of_range(setting_index):
-    det = _detections([True], [True])
-    with pytest.raises(ValueError, match="setting_index"):
-        generate_streams(det, 1e4, 1000, 0.0, seed=2, setting_index=setting_index)
+    assert a.setting_index[0] == 0 and b.setting_index[0] == 0
 
 
 def test_generate_streams_pass_full_validation():
@@ -406,7 +394,7 @@ def test_generate_streams_pass_full_validation():
     # Coarse ticks, wide jitter and dark counts make many equal timestamps
     # of opposite signs, where the tie rule matters.
     streams = generate_streams(
-        counts, 1e6, 10**6, 2.0, seed=12, setting_index=2, dark_rate_hz=5e5
+        counts, 1e6, 10**6, 2.0, seed=12, dark_rate_hz=5e5
     )
     for s in streams:
         assert np.any((s.t[1:] == s.t[:-1]) & (s.sign[1:] != s.sign[:-1]))
@@ -540,5 +528,5 @@ def test_generate_streams_reproduce_block_counts():
     s = SettingsPair(math.radians(30.0), 0.0)
     counts = simulate_block(SourceState(1.0), eff, SamplingPolicy(), s, 10**6, seed=41)
     a, b = generate_streams(counts, 250.0, 1000, 0.0, seed=42)
-    matched = count_coincidences(a, b, CoincidenceWindow(0), alpha=s.alpha, beta=s.beta)
+    matched = count_coincidences(a, b, CoincidenceWindow(0))
     assert dataclasses.replace(matched, n_pairs_emitted=10**6) == counts
