@@ -77,15 +77,14 @@ def describe(name: str, arm: dict) -> None:
         return
     verdict = "consistent" if report["consistent"] else "REJECTED"
     print(f"    no-signalling verdict on distant marginals: {verdict}")
-    for channel in ("b_plus", "b_minus"):
-        fit = report["marginals"][channel]["fits"][FitModel.COSINE.value]
-        amp = fit["amplitude"]
-        sig = fit["amplitude_sigma"]
-        z = amp / sig if sig else float("nan")
-        print(
-            f"    {channel}: cosine-vs-constant p = {fit['p_value']:.3g}, "
-            f"modulation amplitude = {amp:.5f} ± {sig:.5f} ({z:.1f}σ)"
-        )
+    fit = report["marginals"]["b_plus"]["fits"][FitModel.COSINE.value]
+    amp = fit["amplitude"]
+    sig = fit["amplitude_sigma"]
+    z = amp / sig if sig else float("nan")
+    print(
+        f"    b_plus: cosine-vs-constant p = {fit['p_value']:.3g}, "
+        f"modulation amplitude = {amp:.5f} ± {sig:.5f} ({z:.1f}σ)"
+    )
 
 
 def main(argv=None) -> int:

@@ -23,10 +23,11 @@ every B event, so each sweep step matches and advances both pointers:
 the k-th A event pairs with the k-th B event for k < min(n_A, n_B).
 That is exact, not an approximation, and these pairs are written
 directly.  Only the *wide* clusters are swept, in lockstep: each
-iteration is one vectorized sweep step in every live wide cluster, so
-the number of iterations is set by the longest cluster, not by the
-number of events.  Both stages work through the streams in blocks, so
-their temporaries stay bounded whatever the input size.
+iteration is one vectorized sweep step in every live wide cluster of a
+block, so the number of iterations is set by the block's longest
+cluster, not by the number of events.  Both stages work through the
+streams one block at a time, so their temporaries stay bounded whatever
+the input size.
 
 ``match_events_naive`` re-implements the matching policy by explicit
 per-event enumeration and exists as an independent oracle for tests and
@@ -66,12 +67,6 @@ class CoincidenceWindow:
 # larger after a dense analysis, which raised the process's peak memory in
 # the next simulation.
 _BLOCK = 1 << 18
-# The least number of wide clusters per lockstep pass.  A pass costs one
-# numpy step per sweep step of its longest cluster, so passes over few
-# clusters are slow when clusters are long (a window many times the mean
-# gap); a dense point has about 40000 wide clusters per block and sweeps
-# each block's before merging the next.
-_SWEEP = 1 << 12
 
 
 def _block_clusters(
@@ -222,22 +217,16 @@ def match_events(
     :func:`_block_clusters`).  A cluster that spans no more than the window
     needs no sweep: every step in it matches, so its k-th A event pairs
     with its k-th B event for k < min(n_A, n_B).  The other clusters are
-    swept in lockstep: each iteration is one sweep step in all of them,
-    and a cluster retires when either pointer leaves its range.  Matches
-    are recorded by A index, so they come out in sweep order.
+    swept in lockstep, one pass per block: each iteration is one sweep
+    step in all of the block's wide clusters, and a cluster retires when
+    either pointer leaves its range.  Matches are recorded by A index, so
+    they come out in sweep order.
     """
     t_a, t_b = _sorted_u64(t_a, t_b)
     width = np.uint64(window.width_ticks)
     partner = np.full(t_a.shape[0], -1, dtype=np.int64)
-    pending, count = [], 0
     for ranges in _cluster_blocks(t_a, t_b, width, partner):
-        pending.append(ranges)
-        count += ranges.shape[1]
-        if count >= _SWEEP:
-            _lockstep(t_a, t_b, width, np.concatenate(pending, axis=1), partner)
-            pending, count = [], 0
-    if pending:
-        _lockstep(t_a, t_b, width, np.concatenate(pending, axis=1), partner)
+        _lockstep(t_a, t_b, width, ranges, partner)
     idx_a = np.flatnonzero(partner >= 0)
     return idx_a, partner[idx_a]
 

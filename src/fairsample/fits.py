@@ -15,9 +15,14 @@ function of F(2, d2) has the closed form (1 + 2f/d2)**(-d2/2), from the
 regularized incomplete beta I_x(a, 1) = x**a (DLMF 8.17).
 
 A station's marginals must not depend on the *other* station's setting.
-The no-signalling verdict for a distant-station marginal is therefore
-"consistent" when the cosine model is not a significant improvement over
+The no-signalling verdict is therefore "consistent" when, for the distant
+station's marginal, the cosine model is not a significant improvement over
 Constant (p >= alpha_level), and "violated" otherwise.
+
+Only each station's Plus marginal is fitted.  A station's two outcome
+probabilities sum to 1, and the estimator gives the Minus marginal as
+1 - Plus with the same delta-method sigma, so a Minus fit would mirror
+the Plus fit in chi-squared, amplitude and p-value.
 """
 
 from __future__ import annotations
@@ -44,7 +49,9 @@ class FitModel(enum.Enum):
     CONSTANT = "constant"
     COSINE = "cosine"
 
-MARGINAL_NAMES = ("a_plus", "a_minus", "b_plus", "b_minus")
+# Each station's Plus marginal: its name and its position in the estimate's
+# marginal tuples.
+_PLUS = {Station.ALICE: ("a_plus", 0), Station.BOB: ("b_plus", 2)}
 
 
 @dataclass(frozen=True)
@@ -79,15 +86,12 @@ class MarginalFits:
 
 @dataclass(frozen=True)
 class NoSignallingReport:
-    """Fit results for all four marginals and the distant-station verdict."""
+    """Fits of each station's Plus marginal and the distant station's verdict."""
 
-    varied: Station
     distant: Station
     alpha_level: float
     marginals: dict[str, MarginalFits]
     consistent: bool
-    n_points_used: int
-    n_points_skipped: int
 
 
 def _design_matrix(x: np.ndarray, model: FitModel) -> np.ndarray:
@@ -213,13 +217,14 @@ def fit_marginal_curve(
 def nosignalling_stats(
     scan: ScanResult, varied: Station, alpha_level: float = 0.01
 ) -> NoSignallingReport:
-    """Fit all four marginal curves against the varied angle and judge.
+    """Fit each station's Plus marginal against the varied angle and judge.
 
     Points whose estimates or uncertainties are unavailable (failed
-    estimation, NaN or zero sigmas) are skipped; at least 5 usable points are
-    required.  Verdicts are attached to the *distant* station's marginals
-    only — the varied station's own marginals legitimately depend on its
-    own angle for a non-maximally-entangled source.
+    estimation, NaN or zero sigmas) are left out of that marginal's fit,
+    and each fit records its own point count; at least 5 usable points
+    are required.  The verdict is attached to the *distant* station's
+    marginal only — the varied station's own marginal legitimately
+    depends on its own angle for a non-maximally-entangled source.
     """
     if not (0.0 < alpha_level < 1.0):
         raise ValueError(f"alpha_level must be in (0, 1), got {alpha_level!r}")
@@ -232,10 +237,7 @@ def nosignalling_stats(
         raise ValueError("the non-varied angle must be constant across the scan")
 
     marginals: dict[str, MarginalFits] = {}
-    n_used = 0
-    n_skipped = 0
-    consistent = True
-    for idx, name in enumerate(MARGINAL_NAMES):
+    for station, (name, idx) in _PLUS.items():
         xs, ys, ss = [], [], []
         for pt in scan.points:
             if pt.est is None:
@@ -249,28 +251,20 @@ def nosignalling_stats(
             ys.append(y)
             ss.append(s)
         n_valid = len(xs)
-        if idx == 0:
-            n_used = n_valid
-            n_skipped = len(scan.points) - n_valid
         if n_valid < 5:
             raise InsufficientPoints(
                 f"marginal {name}: {n_valid} usable points, need at least 5"
             )
         fits = fit_marginal_curve(np.array(xs), np.array(ys), np.array(ss))
-        is_distant = name.startswith("b" if distant == Station.BOB else "a")
         verdict: "str | None" = None
-        if is_distant:
+        if station == distant:
             p_cos = fits[FitModel.COSINE].p_value
             verdict = "consistent" if p_cos >= alpha_level else "violated"
-            consistent = consistent and verdict == "consistent"
         marginals[name] = MarginalFits(n_points=n_valid, fits=fits, verdict=verdict)
 
     return NoSignallingReport(
-        varied=varied,
         distant=distant,
         alpha_level=alpha_level,
         marginals=marginals,
-        consistent=consistent,
-        n_points_used=n_used,
-        n_points_skipped=n_skipped,
+        consistent=marginals[_PLUS[distant][0]].verdict == "consistent",
     )

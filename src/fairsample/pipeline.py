@@ -60,7 +60,7 @@ from .timetags import generate_streams, read_ttg, write_ttg
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
-NOSIGNALLING_SCHEMA_VERSION = 2
+NOSIGNALLING_SCHEMA_VERSION = 3
 
 _ROLE_COUNTS = 0
 _ROLE_STREAMS = 1
@@ -360,12 +360,9 @@ def _fit_to_dict(fit) -> dict:
 
 def _report_to_dict(report: NoSignallingReport) -> dict:
     return {
-        "varied": "alice" if report.varied == Station.ALICE else "bob",
         "distant": "alice" if report.distant == Station.ALICE else "bob",
         "alpha_level": report.alpha_level,
         "consistent": report.consistent,
-        "n_points_used": report.n_points_used,
-        "n_points_skipped": report.n_points_skipped,
         "marginals": {
             name: {
                 "n_points": mf.n_points,
@@ -508,6 +505,7 @@ def _check_nosignalling(ns) -> None:
     json_field(report, "alpha_level", NUMBER, "report")
     for name, mf in json_field(report, "marginals", (dict,), "report").items():
         where = f"report.marginals.{name}"
+        json_field(mf, "n_points", (int,), where)
         json_field(mf, "verdict", (str, type(None)), where)
         fits = json_field(mf, "fits", (dict,), where)
         cosine = json_field(fits, "cosine", (dict,), f"{where}.fits")
@@ -595,7 +593,7 @@ def write_report(analysis_dir) -> Path:
                 else "cosine fit unavailable"
             )
             verdict = f" → {mf['verdict']}" if mf["verdict"] else ""
-            lines.append(f"- {name}: {desc}{verdict}")
+            lines.append(f"- {name} ({mf['n_points']} points): {desc}{verdict}")
         lines.append("")
         if report["consistent"]:
             lines.append(

@@ -139,9 +139,16 @@ def test_marginal_pair_sums_are_one():
     counts = simulate_block(
         SourceState(0.7), ETA_MIXED, FAIR, SettingsPair(0.5, 0.2), 200_000, seed=104
     )
-    m = estimate_block(counts).marginals
-    assert m.a_plus + m.a_minus == pytest.approx(1.0, abs=1e-12)
-    assert m.b_plus + m.b_minus == pytest.approx(1.0, abs=1e-12)
+    est = estimate_block(counts)
+    for m in (est.marginals, evenodd_sums_standard(counts)):
+        assert m.a_plus + m.a_minus == pytest.approx(1.0, abs=1e-12)
+        assert m.b_plus + m.b_minus == pytest.approx(1.0, abs=1e-12)
+    # Minus = 1 - Plus has Plus's sigma: the no-signalling fits use Plus alone.
+    for sigmas in (est.sigma.marginals, est.sigma.marginals_standard):
+        a_plus, a_minus, b_plus, b_minus = sigmas
+        assert min(sigmas) > 0.0
+        assert a_minus == pytest.approx(a_plus, rel=1e-12)
+        assert b_minus == pytest.approx(b_plus, rel=1e-12)
 
 
 def test_estimate_efficiency_invariance():

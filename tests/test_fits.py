@@ -280,10 +280,8 @@ def test_flat_marginals_judged_consistent():
     assert report.consistent
     assert report.distant == Station.BOB
     assert report.marginals["b_plus"].verdict == "consistent"
-    assert report.marginals["b_minus"].verdict == "consistent"
     assert report.marginals["a_plus"].verdict is None
-    assert report.n_points_used == ANGLES.size
-    assert report.n_points_skipped == 0
+    assert all(mf.n_points == ANGLES.size for mf in report.marginals.values())
 
 
 def test_modulated_distant_marginal_judged_violated():
@@ -333,22 +331,33 @@ def test_varied_bob_attaches_verdicts_to_alice():
 def test_skipped_points_are_counted():
     scan = _scan(lambda a: 0.5, rng=np.random.default_rng(10), n_missing=4)
     report = nosignalling_stats(scan, varied=Station.ALICE)
-    assert report.n_points_used == ANGLES.size - 4
-    assert report.n_points_skipped == 4
+    assert all(mf.n_points == ANGLES.size - 4 for mf in report.marginals.values())
 
 
-def test_zero_sigma_point_is_skipped():
-    # Every coincidence in the -- cell: the singles-normalized marginals are
-    # exactly 0 and 1, and their delta-method sigmas exactly 0.
-    counts = BlockCounts(0, 0, 0, 9, 1, 9, 2, 9)
+@pytest.mark.parametrize(
+    "counts, sigmas, skipped",
+    [
+        # Every coincidence in the -- cell: the singles-normalized marginals
+        # are exactly 0 and 1, and their delta-method sigmas exactly 0.
+        (BlockCounts(0, 0, 0, 9, 1, 9, 2, 9), (0.0,) * 4, (1, 1)),
+        # No coincidence on Bob's Plus channel: Bob's marginals are exactly
+        # 0 and 1 with zero sigma, while Alice's are still defined.
+        (
+            BlockCounts(0, 5, 0, 4, 6, 5, 1, 9),
+            (pytest.approx(0.226, abs=5e-4),) * 2 + (0.0, 0.0),
+            (0, 1),
+        ),
+    ],
+    ids=["all-in-one-cell", "bob-only"],
+)
+def test_zero_sigma_point_is_skipped(counts, sigmas, skipped):
     est = estimate_block(counts)
-    assert est.sigma.marginals == (0.0,) * 4
+    assert est.sigma.marginals == sigmas
     points = list(_scan(lambda a: 0.5, rng=np.random.default_rng(13)).points)
     points[9] = ScanPoint(alpha=points[9].alpha, beta=0.0, counts=counts, est=est)
     report = nosignalling_stats(ScanResult(points=tuple(points)), varied=Station.ALICE)
-    assert report.n_points_used == ANGLES.size - 1
-    assert report.n_points_skipped == 1
-    assert all(mf.n_points == ANGLES.size - 1 for mf in report.marginals.values())
+    used = tuple(report.marginals[name].n_points for name in ("a_plus", "b_plus"))
+    assert used == tuple(ANGLES.size - k for k in skipped)
 
 
 def test_too_few_usable_points_raises():

@@ -573,7 +573,11 @@ def test_cli_analyze_skips_a_zero_sigma_point(tmp_path, capsys):
         assert (tmp_path / name).exists()
     assert "3,45.0,0.0,0,0,0,9,1,9,2,9" in (tmp_path / "counts.csv").read_text()
     report = json.loads((tmp_path / "nosignalling.json").read_text())["report"]
-    assert (report["n_points_used"], report["n_points_skipped"]) == (6, 1)
+    assert {name: mf["n_points"] for name, mf in report["marginals"].items()} == {
+        "a_plus": 6, "b_plus": 6,
+    }
+    assert main(["report", "--dir", str(tmp_path)]) == EXIT_OK
+    assert "- b_plus (6 points): cosine amplitude " in (tmp_path / "report.md").read_text()
 
 
 @pytest.mark.parametrize(
@@ -697,7 +701,7 @@ def _violated_nosignalling_doc() -> dict:
     }
     flat = dict(cosine, params=[0.5], cov=[[1e-6]], amplitude=None, amplitude_sigma=None)
     marginals = {}
-    for name in ("a_plus", "a_minus", "b_plus", "b_minus"):
+    for name in ("a_plus", "b_plus"):
         verdict = "violated" if name.startswith("b") else None
         marginals[name] = {
             "n_points": 21,
@@ -705,17 +709,14 @@ def _violated_nosignalling_doc() -> dict:
             "fits": {"constant": flat, "cosine": dict(cosine)},
         }
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "kind": "fairsample-nosignalling",
         "run": {"p": 1.0, "policy": "unfair_malus", "d": 0.5, "varied": "alice", "window_ticks": 250, "n_points": 21},
         "alpha_level": 0.01,
         "report": {
-            "varied": "alice",
             "distant": "bob",
             "alpha_level": 0.01,
             "consistent": False,
-            "n_points_used": 21,
-            "n_points_skipped": 0,
             "marginals": marginals,
         },
         "fit_note": None,
@@ -751,6 +752,10 @@ def _without_cosine(doc):
         (lambda doc: doc.update(schema_version=1), "schema version 1"),
         (lambda doc: doc.update(schema_version=2.0), "schema_version: must be an integer"),
         (_without_cosine, "report.marginals.b_plus.fits.cosine: missing"),
+        (
+            lambda doc: doc["report"]["marginals"]["b_plus"].update(n_points=21.0),
+            "report.marginals.b_plus.n_points: must be an integer",
+        ),
         (lambda doc: doc["report"].update(consistent=1), "report.consistent: must be a boolean"),
         (lambda doc: doc["run"].update(p="1"), "run.p: must be an integer or a number"),
         (lambda doc: doc["run"].update(p=5), "run.p: must be a number in [0, 1], got 5"),
@@ -758,7 +763,8 @@ def _without_cosine(doc):
         (lambda doc: doc.update(skipped_points=[3]), "skipped_points[0]: must be an object"),
     ],
     ids=[
-        "empty", "array", "schema-1", "schema-2.0", "no-cosine", "consistent-int",
+        "empty", "array", "schema-1", "schema-2.0", "no-cosine", "n_points-float",
+        "consistent-int",
         "p-string", "p-5", "p-nan", "skipped-int",
     ],
 )
