@@ -65,9 +65,14 @@ from .quantum import (
 from .timetags import (
     EventStream,
     TtgFormatError,
+    TtgReader,
+    TtgWriter,
+    generate_slices,
     generate_streams,
     make_stream,
+    open_ttg,
     read_ttg,
+    ttg_writer,
     write_ttg,
 )
 

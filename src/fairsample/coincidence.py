@@ -26,8 +26,9 @@ directly.  Only the *wide* clusters are swept, in lockstep: each
 iteration is one vectorized sweep step in every live wide cluster of a
 block, so the number of iterations is set by the block's longest
 cluster, not by the number of events.  Both stages work through the
-streams one block at a time, so their temporaries stay bounded whatever
-the input size.
+streams one block at a time, and a block's matches are counted before the
+next block is read, so memory stays bounded whatever the input size; a
+stream can come in chunks, as a TTG1 file is read.
 
 ``match_events_naive`` re-implements the matching policy by explicit
 per-event enumeration and exists as an independent oracle for tests and
@@ -46,8 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import timetags
 from .detection import BlockCounts
-from .timetags import EventStream
+from .timetags import EventStream, TtgReader
 
 
 @dataclass(frozen=True)
@@ -61,17 +63,9 @@ class CoincidenceWindow:
             raise ValueError(f"width_ticks must be in 0..2**64 - 1, got {self.width_ticks}")
 
 
-# Events per station in one merge.  It bounds the matcher's temporaries
-# whatever the input size (about 40 MB at a 2.4M-event point).  Much
-# smaller blocks, of 2**15, left glibc's main heap fragmented and 50 MB
-# larger after a dense analysis, which raised the process's peak memory in
-# the next simulation.
-_BLOCK = 1 << 18
-
-
 def _block_clusters(
     t_a: np.ndarray, t_b: np.ndarray, width: np.uint64, final: bool,
-    partner: np.ndarray, b0: int,
+    partner: np.ndarray,
 ) -> tuple[np.ndarray, int, int]:
     """Match the narrow clusters of one block; return its wide ones.
 
@@ -83,11 +77,10 @@ def _block_clusters(
     A cluster is narrow when its last event is within ``width`` of its
     first.  Every comparison inside it then matches, so the sweep pairs
     its k-th A event with its k-th B event for k < min(n_A, n_B); these
-    pairs are written straight into ``partner`` (the block's slice, with
-    B indices offset by ``b0``).  Returns a (4, k) array of the ranges
-    a_lo, a_hi, b_lo, b_hi of the wide clusters that hold events of both
-    stations, indexed within the block, then the numbers of A and B
-    events settled.  Unless the block is ``final``, its last cluster may
+    pairs are written straight into ``partner``.  Returns a (4, k) array
+    of the ranges a_lo, a_hi, b_lo, b_hi of the wide clusters that hold
+    events of both stations, indexed within the block, then the numbers
+    of A and B events settled.  Unless the block is ``final``, its last cluster may
     go on past the block, so that cluster is left to the next block.
     """
     na = t_a.shape[0]
@@ -134,7 +127,7 @@ def _block_clusters(
     # Narrow clusters: the k-th A event takes the k-th B event.  Most hold
     # one pair, so each round k leaves fewer of them.
     sel = np.flatnonzero(narrow & (pairs > 0))
-    i, j, left = a_lo[sel], b_lo[sel] + b0, pairs[sel]
+    i, j, left = a_lo[sel], b_lo[sel], pairs[sel]
     while True:
         partner[i] = j
         more = np.flatnonzero(left > 1)
@@ -147,33 +140,88 @@ def _block_clusters(
     return ranges, a_done, stop - a_done
 
 
-def _cluster_blocks(
-    t_a: np.ndarray, t_b: np.ndarray, width: np.uint64, partner: np.ndarray
-):
-    """Match the narrow clusters block by block; yield the wide ones' ranges."""
-    na, nb = t_a.shape[0], t_b.shape[0]
-    a0 = b0 = 0
-    size = _BLOCK
-    while a0 < na and b0 < nb:
-        a1, b1 = min(a0 + size, na), min(b0 + size, nb)
-        if a1 < na or b1 < nb:
-            # Take every event up to the earlier block end, so that no
-            # event left for later precedes one taken.
-            cut = min(t[k - 1] for t, k in ((t_a, a1), (t_b, b1)) if k < t.shape[0])
+class _Pending:
+    """One station's events not yet settled, refilled from its chunks.
+
+    ``cols`` holds parallel arrays, timestamps first, of the events read
+    from ``chunks`` (tuples of such arrays) and not yet taken.
+    """
+
+    def __init__(self, chunks) -> None:
+        self._chunks = iter(chunks)
+        self.cols: tuple = ()
+        self.exhausted = False
+
+    def __len__(self) -> int:
+        return self.cols[0].shape[0] if self.cols else 0
+
+    def fill(self, n: int) -> None:
+        """Read chunks until ``n`` events are pending or none are left."""
+        while len(self) < n and not self.exhausted:
+            chunk = next(self._chunks, None)
+            if chunk is None:
+                self.exhausted = True
+            elif not len(self):
+                self.cols = chunk
+            else:
+                self.cols = tuple(np.concatenate(c) for c in zip(self.cols, chunk))
+
+    def more(self, k: int) -> bool:
+        """Whether events beyond the first ``k`` pending ones may exist."""
+        return k < len(self) or not self.exhausted
+
+    def take(self, k: int) -> tuple:
+        """Remove the first ``k`` pending events and return their columns."""
+        head = tuple(c[:k] for c in self.cols)
+        self.cols = tuple(c[k:] for c in self.cols)
+        return head
+
+    def drain(self) -> None:
+        """Read, and drop, every chunk not yet read."""
+        for _ in self._chunks:
+            pass
+
+
+def _settled_blocks(chunks_a, chunks_b, width: np.uint64):
+    """Match two streams given in chunks, one block of settled events at a time.
+
+    Each chunk is a tuple of parallel arrays whose first is the sorted
+    uint64 timestamps; the chunks of a station continue one another.  Per
+    block, yields the columns of the A and B events it settles, in stream
+    order, and the local indices (i, j) of its matches.  A block holds up
+    to ``BLOCK`` events, half from each station, besides a cluster carried
+    over; its own last cluster may go on past it, so that cluster's events
+    stay pending for the next block, as does every event once one station
+    has none left.  Both chunk sequences are read to their end.
+    """
+    a, b = _Pending(chunks_a), _Pending(chunks_b)
+    size = max(1, timetags.BLOCK // 2)
+    while True:
+        a.fill(size)
+        b.fill(size)
+        if not (len(a) and len(b)):
+            break
+        t_a, t_b = a.cols[0], b.cols[0]
+        a1, b1 = min(size, len(a)), min(size, len(b))
+        # Take every event up to the earlier block end, so that no event
+        # left for later precedes one taken.
+        ends = [t[k - 1] for t, k, q in ((t_a, a1, a), (t_b, b1, b)) if q.more(k)]
+        if ends:
+            cut = min(ends)
             a1 = int(np.searchsorted(t_a, cut, side="right"))
             b1 = int(np.searchsorted(t_b, cut, side="right"))
-        final = a1 == na and b1 == nb
+        partner = np.full(a1, -1, dtype=np.int64)
         ranges, a_done, b_done = _block_clusters(
-            t_a[a0:a1], t_b[b0:b1], width, final, partner[a0:a1], b0
+            t_a[:a1], t_b[:b1], width, not ends, partner
         )
         if a_done + b_done == 0:
             size *= 2  # one cluster fills the block
             continue
-        ranges[:2] += a0
-        ranges[2:] += b0
-        yield ranges
-        a0 += a_done
-        b0 += b_done
+        _lockstep(t_a[:a1], t_b[:b1], width, ranges, partner)
+        i = np.flatnonzero(partner[:a_done] >= 0)
+        yield a.take(a_done), b.take(b_done), i, partner[i]
+    a.drain()
+    b.drain()
 
 
 def _lockstep(
@@ -219,69 +267,99 @@ def match_events(
     with its k-th B event for k < min(n_A, n_B).  The other clusters are
     swept in lockstep, one pass per block: each iteration is one sweep
     step in all of the block's wide clusters, and a cluster retires when
-    either pointer leaves its range.  Matches are recorded by A index, so
-    they come out in sweep order.
+    either pointer leaves its range.  Matches come out in sweep order.
     """
     t_a, t_b = _sorted_u64(t_a, t_b)
     width = np.uint64(window.width_ticks)
-    partner = np.full(t_a.shape[0], -1, dtype=np.int64)
-    for ranges in _cluster_blocks(t_a, t_b, width, partner):
-        _lockstep(t_a, t_b, width, ranges, partner)
-    idx_a = np.flatnonzero(partner >= 0)
-    return idx_a, partner[idx_a]
+    idx_a, idx_b = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    a0 = b0 = 0
+    for (ta,), (tb,), i, j in _settled_blocks([(t_a,)], [(t_b,)], width):
+        idx_a.append(i + a0)
+        idx_b.append(j + b0)
+        a0 += ta.shape[0]
+        b0 += tb.shape[0]
+    return np.concatenate(idx_a), np.concatenate(idx_b)
 
 
-def _count(
-    match, stream_a: EventStream, stream_b: EventStream, window: CoincidenceWindow,
-    settings_filter: "tuple[int, int] | None",
-) -> BlockCounts:
-    """Select each stream's events, pair them with ``match`` and count.
-
-    Singles count every selected event on a channel, matched or not.
-    """
+def _check_inputs(
+    stream_a, stream_b, settings_filter: "tuple[int, int] | None"
+) -> tuple:
+    """Refuse streams of different tick resolutions and a filter index out
+    of 0..3; return the setting index each station keeps, or None."""
     if stream_a.tick_resolution_ps != stream_b.tick_resolution_ps:
         raise ValueError(
             f"stream A has {stream_a.tick_resolution_ps} ps/tick, "
             f"stream B has {stream_b.tick_resolution_ps} ps/tick"
         )
-    t_a, sign_a = stream_a.t, stream_a.sign
-    t_b, sign_b = stream_b.t, stream_b.sign
-    if settings_filter is not None:
-        keep_a = stream_a.setting_index == settings_filter[0]
-        keep_b = stream_b.setting_index == settings_filter[1]
-        t_a, sign_a = t_a[keep_a], sign_a[keep_a]
-        t_b, sign_b = t_b[keep_b], sign_b[keep_b]
-    idx_a, idx_b = match(t_a, t_b, window)
-    cells = (sign_a[idx_a].astype(np.intp) << 1) | sign_b[idx_b]
-    coinc = np.bincount(cells, minlength=4)
-    # Signs are 0 (Plus) or 1 (Minus), so one pass per station counts the
-    # Minus singles and the rest are Plus.  Every count is a Python int, as
-    # simulate_block's are, so the counts serialize to JSON as they are.
-    minus_a, minus_b = int(np.count_nonzero(sign_a)), int(np.count_nonzero(sign_b))
+    if settings_filter is None:
+        return None, None
+    for k, setting in enumerate(settings_filter):
+        if setting not in range(4):
+            raise ValueError(
+                f"settings_filter[{k}] must be a setting index in 0..3, got {setting!r}"
+            )
+    return settings_filter
+
+
+def _selected(chunk: EventStream, setting: "int | None") -> tuple[np.ndarray, np.ndarray]:
+    """Timestamps and signs of the events of ``chunk`` at ``setting`` (None: all)."""
+    if setting is None:
+        return chunk.t, chunk.sign
+    keep = chunk.setting_index == setting
+    return chunk.t[keep], chunk.sign[keep]
+
+
+def _block_counts(cells: np.ndarray, singles_a, singles_b) -> BlockCounts:
+    """BlockCounts from the coincidence cells' counts and each station's
+    (events, Minus events).
+
+    Signs are 0 (Plus) or 1 (Minus), so the Minus singles are a count of
+    non-zero signs and the rest are Plus.  Every count is a Python int, as
+    simulate_block's are, so the counts serialize to JSON as they are.
+    """
+    (n_a, minus_a), (n_b, minus_b) = singles_a, singles_b
     return BlockCounts(
-        n_pp=int(coinc[0]),
-        n_pm=int(coinc[1]),
-        n_mp=int(coinc[2]),
-        n_mm=int(coinc[3]),
-        s_a_plus=sign_a.shape[0] - minus_a,
-        s_a_minus=minus_a,
-        s_b_plus=sign_b.shape[0] - minus_b,
-        s_b_minus=minus_b,
+        n_pp=int(cells[0]),
+        n_pm=int(cells[1]),
+        n_mp=int(cells[2]),
+        n_mm=int(cells[3]),
+        s_a_plus=int(n_a - minus_a),
+        s_a_minus=int(minus_a),
+        s_b_plus=int(n_b - minus_b),
+        s_b_minus=int(minus_b),
     )
 
 
 def count_coincidences(
-    stream_a: EventStream,
-    stream_b: EventStream,
+    stream_a: "EventStream | TtgReader",
+    stream_b: "EventStream | TtgReader",
     window: CoincidenceWindow,
     settings_filter: "tuple[int, int] | None" = None,
 ) -> BlockCounts:
     """Match two streams and reduce to coincidence and singles counts.
 
-    With ``settings_filter = (setting_a, setting_b)`` only events carrying
-    those setting indices take part, in matching and in the singles totals.
+    Either stream may be an open :class:`~fairsample.timetags.TtgReader`:
+    its file is then read and matched chunk by chunk, so memory stays
+    bounded whatever its length.  With ``settings_filter = (setting_a,
+    setting_b)`` only events carrying those setting indices take part, in
+    matching and in the singles totals.  Singles count every selected
+    event on a channel, matched or not.
     """
-    return _count(match_events, stream_a, stream_b, window, settings_filter)
+    settings = _check_inputs(stream_a, stream_b, settings_filter)
+    singles = np.zeros((2, 2), dtype=np.int64)
+
+    def selected(stream, station: int):
+        for chunk in stream.chunks():
+            t, sign = _selected(chunk, settings[station])
+            singles[station] += (sign.shape[0], np.count_nonzero(sign))
+            yield t, sign
+
+    cells = np.zeros(4, dtype=np.int64)
+    for (_, sign_a), (_, sign_b), i, j in _settled_blocks(
+        selected(stream_a, 0), selected(stream_b, 1), np.uint64(window.width_ticks)
+    ):
+        cells += np.bincount((sign_a[i].astype(np.intp) << 1) | sign_b[j], minlength=4)
+    return _block_counts(cells, singles[0], singles[1])
 
 
 def match_events_naive(
@@ -321,5 +399,14 @@ def count_coincidences_naive(
     window: CoincidenceWindow,
     settings_filter: "tuple[int, int] | None" = None,
 ) -> BlockCounts:
-    """:func:`count_coincidences` with the oracle matcher."""
-    return _count(match_events_naive, stream_a, stream_b, window, settings_filter)
+    """:func:`count_coincidences` of two whole streams with the oracle matcher."""
+    settings = _check_inputs(stream_a, stream_b, settings_filter)
+    t_a, sign_a = _selected(stream_a, settings[0])
+    t_b, sign_b = _selected(stream_b, settings[1])
+    idx_a, idx_b = match_events_naive(t_a, t_b, window)
+    cells = np.bincount((sign_a[idx_a].astype(np.intp) << 1) | sign_b[idx_b], minlength=4)
+    return _block_counts(
+        cells,
+        (sign_a.shape[0], np.count_nonzero(sign_a)),
+        (sign_b.shape[0], np.count_nonzero(sign_b)),
+    )

@@ -34,7 +34,7 @@ its detection probabilities.  It is the single source of the detection
 model's probabilities.  There is one
 sampler, :func:`simulate_block`: one multinomial draw of the block's
 pairs over the 16 categories.  Event streams are built from its counts
-by :func:`fairsample.timetags.generate_streams`, which gives the observed
+by :func:`fairsample.timetags.generate_slices`, which gives the observed
 pairs their emission times; the categories of a Poisson stream of pairs
 are independent of the times, so nothing else needs to be drawn per pair.
 A block's counts hold no angles: the caller keeps the settings pair with
@@ -59,7 +59,7 @@ from .quantum import OutcomeSign, SettingsPair, SourceState, joint_prob_table
 
 # Recorded in run manifests; bump the version whenever a seed's draws change.
 SAMPLER_NAME = "closed-form-categories"
-SAMPLER_VERSION = 3
+SAMPLER_VERSION = 4
 
 
 class PolicyKind(enum.Enum):

@@ -56,7 +56,7 @@ from .fits import (
     nosignalling_stats,
 )
 from .quantum import SettingsPair, SourceState, Station, chsh_value, correlation_qt
-from .timetags import generate_streams, read_ttg, write_ttg
+from .timetags import TtgFormatError, generate_slices, open_ttg, ttg_writer
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA_VERSION = 1
@@ -110,18 +110,24 @@ def _simulate_point(cfg: RunConfig, index: int, out_dir: Path) -> dict:
         cfg.pairs_per_point,
         _point_seed(cfg.seed, index, _ROLE_COUNTS),
     )
-    stream_a, stream_b = generate_streams(
-        counts,
-        pair_rate_hz=cfg.pair_rate_hz,
-        tick_resolution_ps=cfg.tick_resolution_ps,
-        jitter_sd_ticks=cfg.jitter_sd_ticks,
-        seed=_point_seed(cfg.seed, index, _ROLE_STREAMS),
-        dark_rate_hz=cfg.dark_rate_hz,
-    )
     alice_name = f"point_{index:03d}_alice.ttg"
     bob_name = f"point_{index:03d}_bob.ttg"
-    write_ttg(stream_a, out_dir / alice_name)
-    write_ttg(stream_b, out_dir / bob_name)
+    tick = cfg.tick_resolution_ps
+    # Each time slice goes to both files as it is made, so the point's
+    # memory does not grow with its length.
+    with ttg_writer(out_dir / alice_name, Station.ALICE, tick) as alice, \
+            ttg_writer(out_dir / bob_name, Station.BOB, tick) as bob:
+        for stream_a, stream_b in generate_slices(
+            counts,
+            pair_rate_hz=cfg.pair_rate_hz,
+            tick_resolution_ps=tick,
+            jitter_sd_ticks=cfg.jitter_sd_ticks,
+            seed=_point_seed(cfg.seed, index, _ROLE_STREAMS),
+            dark_rate_hz=cfg.dark_rate_hz,
+        ):
+            alice.append(stream_a)
+            bob.append(stream_b)
+            del stream_a, stream_b  # freed before the next slice is made
     return {
         "index": index,
         "alpha_deg": math.degrees(s.alpha),
@@ -244,24 +250,22 @@ def _analyze_point(
     point: ManifestPoint, window: CoincidenceWindow
 ) -> tuple[int, ScanPoint, "str | None"]:
     index, alpha, beta = point.index, point.alpha, point.beta
-    streams = []
-    for key, path, role in (
-        ("alice_file", point.alice_file, Station.ALICE),
-        ("bob_file", point.bob_file, Station.BOB),
-    ):
-        try:
-            stream = read_ttg(path)
-        except ValueError as exc:
-            raise ValueError(f"point {index}: {path}: {exc}") from None
-        # Swapped files would pass for a run with the stations' roles exchanged.
-        if stream.station != role:
-            raise ValueError(
-                f"point {index}: {key} {path} holds station "
-                f"{stream.station.name.lower()}'s events"
-            )
-        streams.append(stream)
     try:
-        counts = count_coincidences(streams[0], streams[1], window)
+        with open_ttg(point.alice_file) as alice, open_ttg(point.bob_file) as bob:
+            # Swapped files would pass for a run with the stations' roles
+            # exchanged.
+            for key, reader, role in (
+                ("alice_file", alice, Station.ALICE), ("bob_file", bob, Station.BOB)
+            ):
+                if reader.station != role:
+                    raise ValueError(
+                        f"{key} {reader.path} holds station "
+                        f"{reader.station.name.lower()}'s events"
+                    )
+            # Both files are read chunk by chunk as they are matched.
+            counts = count_coincidences(alice, bob, window)
+    except TtgFormatError as exc:
+        raise ValueError(f"point {index}: {exc.path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"point {index}: {exc}") from None
     est: "EstimateSet | None"

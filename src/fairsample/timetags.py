@@ -4,12 +4,20 @@ Event generation turns the counts of a block (``simulate_block``) into two
 per-station streams of (timestamp, sign, setting) records.  Pair emission
 is a Poisson process: one Gamma(n + 1) horizon for the block's n emitted
 pairs, and one uniform time under it per observed pair, which is exactly
-the process seen at the observed pairs (see :func:`generate_streams`).
+the process seen at the observed pairs (see :func:`generate_slices`).
 Each detected photon gets independent Gaussian timing jitter, and
 optional dark counts are superimposed as a uniform Poisson background
 with random signs.  A block is one settings pair, so every generated
 event carries setting index 0; the point's angles are recorded in the
 run manifest, not in the events.
+
+A point's streams are generated, written, read and matched in pieces of
+at most ``BLOCK`` observed pairs or records, so that its working set does
+not grow with its length: :func:`generate_slices` yields the streams time
+slice by time slice, a :class:`TtgWriter` appends them to a file, and a
+:class:`TtgReader` reads a file back in chunks.  :func:`generate_streams`,
+:func:`write_ttg` and :func:`read_ttg` are the whole-stream forms of the
+same code.
 
 The TTG1 format is this project's own container for such streams:
 
@@ -29,14 +37,16 @@ The TTG1 format is this project's own container for such streams:
 Readers reject unknown magic/version, non-zero reserved fields, a zero
 tick resolution, out-of-order timestamps, truncated files and trailing
 bytes.  Each is a ``TtgFormatError`` (a ``ValueError``) whose ``offset``
-is the byte that shows the problem.
+is the byte that shows the problem and whose ``path`` is the file read.
 """
 
 from __future__ import annotations
 
+import math
 import struct
+from contextlib import contextmanager
 from dataclasses import InitVar, dataclass
-from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -56,13 +66,22 @@ _SETTING_SHIFT = 1
 _SETTING_MASK = 0x06
 _RESERVED_MASK = 0xF8
 
+# Observed pairs per generated time slice, records per chunk read from a
+# file, and events in one merge of the matcher, half from each station.  It
+# bounds a point's working set whatever the point's size.
+BLOCK = 1 << 18
+
 
 class TtgFormatError(ValueError):
-    """A TTG1 file violates the format; ``offset`` is the offending byte."""
+    """A TTG1 file violates the format; ``offset`` is the offending byte.
 
-    def __init__(self, message: str, offset: int) -> None:
+    ``path`` is the file, as it was given to the reader.
+    """
+
+    def __init__(self, message: str, offset: int, path=None) -> None:
         super().__init__(f"{message} (at byte offset {offset})")
         self.offset = offset
+        self.path = path
 
 
 @dataclass(frozen=True)
@@ -106,6 +125,10 @@ class EventStream:
     def __len__(self) -> int:
         return self.t.shape[0]
 
+    def chunks(self) -> "tuple[EventStream]":
+        """The stream as one chunk, as :meth:`TtgReader.chunks` gives a file."""
+        return (self,)
+
 
 def make_stream(
     station: Station,
@@ -114,7 +137,16 @@ def make_stream(
     sign: np.ndarray,
     setting_index: np.ndarray,
 ) -> EventStream:
-    """Build an EventStream, sorting by (t, sign) with a stable sort."""
+    """Build an EventStream, sorting by (t, sign) with a stable sort.
+
+    ``t`` must hold non-negative integers; a cast to uint64 would wrap a
+    negative timestamp round to near 2**64 and truncate a fractional one.
+    """
+    t = np.asarray(t)
+    if t.size and t.dtype.kind not in "ui":
+        raise ValueError(f"timestamps must be integers, got dtype {t.dtype}")
+    if t.size and t.dtype.kind == "i" and t.min() < 0:
+        raise ValueError(f"timestamps must be >= 0, got {int(t.min())}")
     order = np.lexsort((sign, t))
     return EventStream(
         station=station,
@@ -123,6 +155,17 @@ def make_stream(
         sign=np.ascontiguousarray(sign[order], dtype=np.uint8),
         setting_index=np.ascontiguousarray(setting_index[order], dtype=np.uint8),
     )
+
+
+def _joined(chunks: list, station: Station, tick_resolution_ps: int) -> EventStream:
+    """Consecutive chunks of one stream as one EventStream."""
+    if len(chunks) == 1:
+        return chunks[0]
+    t, sign, setting_index = (
+        np.concatenate([np.empty(0, dtype)] + [getattr(c, name) for c in chunks])
+        for name, dtype in (("t", np.uint64), ("sign", np.uint8), ("setting_index", np.uint8))
+    )
+    return EventStream(station, tick_resolution_ps, t, sign, setting_index, validate=False)
 
 
 def _to_ticks(t: np.ndarray) -> np.ndarray:
@@ -136,23 +179,29 @@ def _to_ticks(t: np.ndarray) -> np.ndarray:
     return t.astype(np.uint64)
 
 
-# Signs of the observed pairs, class by class, in the layout generate_streams
+# Signs of the observed pairs, class by class, in the layout generate_slices
 # gives them: A-only Plus, A-only Minus, the coincidence cells ++, +-, -+, --,
 # then B-only Plus, B-only Minus.  Alice's pairs are the first six classes and
 # Bob's the last six, so each station's emission times are one slice.
 _SIGNS_A = np.array([0, 1, 0, 0, 1, 1], dtype=np.uint8)
 _SIGNS_B = np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8)
 
+# Events within this many jitter standard deviations, plus one tick, of a
+# time slice's end are held back for the next slice.  A later slice's event
+# can land before them only with a Gaussian draw below -40 SD, whose
+# probability is under 1e-300.
+_HOLD_BACK_SD = 40.0
 
-def generate_streams(
+
+def generate_slices(
     counts: BlockCounts,
     pair_rate_hz: float,
     tick_resolution_ps: int,
     jitter_sd_ticks: float,
     seed,
     dark_rate_hz: float = 0.0,
-) -> tuple[EventStream, EventStream]:
-    """Time-tag the observed pairs of a block as two per-station streams.
+) -> Iterator[tuple[EventStream, EventStream]]:
+    """Time-tag the observed pairs of a block, one time slice at a time.
 
     ``counts`` fixes how many of its ``n_pairs_emitted`` pairs fall in each
     of the eight observed classes: the four coincidence cells, and the pairs
@@ -164,11 +213,23 @@ def generate_streams(
     U(0, tau) time per observed pair give the observed pairs exactly the
     emission times of the full process; the unobserved pairs need no time.
 
+    [0, tau) is cut into K = ceil(observed pairs / BLOCK) equal slices.
+    Each class's i.i.d. uniform times fall into the slices multinomially
+    and are uniform within their slice, which is the same law.  Dark
+    counts, if enabled, arrive uniformly over the nominal duration
+    D = n / pair_rate_hz on each channel independently at ``dark_rate_hz``
+    per channel: a Poisson count per slice over the slice's part of
+    [0, D), the last slice reaching to max(tau, D).
+
     A pair seen at both stations has one emission time; each detected
     photon's timestamp is that time plus its own Gaussian jitter (rounded,
-    clamped at zero).  Dark counts, if enabled, arrive uniformly over the
-    nominal duration n / pair_rate_hz on each channel independently at
-    ``dark_rate_hz`` per channel.
+    clamped at zero).  Each slice's events are sorted by (t, sign), and
+    those within 40 jitter SDs plus one tick of its end are held back into
+    the next slice, so that the yielded (Alice, Bob) pairs of streams join
+    into each station's sorted stream.  Draws go slice by slice: the first
+    slice's uniforms, then tau, then jitter for Alice and Bob, then dark
+    counts for Alice and Bob.  A one-slice block draws no numbers for its
+    split, so it draws as generation did before there were slices.
     """
     if pair_rate_hz <= 0.0:
         raise ValueError(f"pair_rate_hz must be > 0, got {pair_rate_hz}")
@@ -179,151 +240,306 @@ def generate_streams(
     if dark_rate_hz < 0.0:
         raise ValueError(f"dark_rate_hz must be >= 0, got {dark_rate_hz}")
     c = counts
-    coincidences = (c.n_pp, c.n_pm, c.n_mp, c.n_mm)
-    only_a = (c.s_a_plus - c.n_pp - c.n_pm, c.s_a_minus - c.n_mp - c.n_mm)
-    only_b = (c.s_b_plus - c.n_pp - c.n_mp, c.s_b_minus - c.n_pm - c.n_mm)
+    classes = np.array([
+        c.s_a_plus - c.n_pp - c.n_pm, c.s_a_minus - c.n_mp - c.n_mm,
+        c.n_pp, c.n_pm, c.n_mp, c.n_mm,
+        c.s_b_plus - c.n_pp - c.n_mp, c.s_b_minus - c.n_pm - c.n_mm,
+    ])
     n = c.n_pairs_emitted
-    n_observed = sum(coincidences) + sum(only_a) + sum(only_b)
+    n_observed = int(classes.sum())
     if n_observed > n:
         raise ValueError(
             f"counts hold {n_observed} observed pairs but n_pairs_emitted is {n}"
         )
     rng = np.random.default_rng(seed)
+    n_slices = max(1, -(-n_observed // BLOCK))
+    per_slice = rng.multinomial(classes, [1.0 / n_slices] * n_slices).T
 
     ticks_per_second = 1e12 / tick_resolution_ps
     mean_gap_ticks = ticks_per_second / pair_rate_hz
-    # Arrays are updated in place and dropped as soon as they are spent, so
-    # a point holds few full-size arrays at once.
-    emission = rng.random(n_observed)
-    emission *= rng.gamma(n + 1, mean_gap_ticks)
-    split = sum(only_a)
-    hits = []
-    for times, signs, classes in (
-        (emission[: split + sum(coincidences)], _SIGNS_A, only_a + coincidences),
-        (emission[split:], _SIGNS_B, coincidences + only_b),
-    ):
-        t = rng.normal(0.0, jitter_sd_ticks, times.shape[0])
-        t += times
-        np.rint(t, out=t)
-        np.maximum(t, 0.0, out=t)
-        hits.append((_to_ticks(t), np.repeat(signs, classes)))
-    del emission
-
     duration_ticks = n / pair_rate_hz * ticks_per_second
-    streams = []
-    for station in (Station.ALICE, Station.BOB):
-        t, sign = hits.pop(0)
-        if dark_rate_hz > 0.0:
-            n_dark = rng.poisson(2.0 * dark_rate_hz * n / pair_rate_hz)
-            t_dark = _to_ticks(rng.uniform(0.0, duration_ticks, n_dark))
-            sign_dark = rng.integers(0, 2, n_dark).astype(np.uint8)
-            t = np.concatenate([t, t_dark])
-            sign = np.concatenate([sign, sign_dark])
-        # One in-place sort of the key 2t + sign orders the events by
-        # (t, sign) as make_stream does, without its index and gathered
-        # arrays; _to_ticks keeps t below 2**63, so 2t + sign fits.
-        np.left_shift(t, np.uint64(1), out=t)
-        t |= sign
-        del sign
-        t.sort()
-        sign = (t & np.uint64(1)).astype(np.uint8)
-        t >>= np.uint64(1)
-        idx = np.zeros(t.shape[0], dtype=np.uint8)
-        # The sort gives the (t, sign) order, sign is one bit and every
-        # setting is 0: nothing is left for EventStream to scan.
-        streams.append(
-            EventStream(station, tick_resolution_ps, t, sign, idx, validate=False)
+    dark_mean = 2.0 * dark_rate_hz * n / pair_rate_hz
+    hold_back = _HOLD_BACK_SD * jitter_sd_ticks + 1.0
+    held = [np.empty(0, dtype=np.uint64)] * 2
+    last_key = [0, 0]
+    slice_ticks = 0.0
+    for k, sizes in enumerate(per_slice):
+        final = k == n_slices - 1
+        # Arrays are updated in place and dropped as soon as they are spent,
+        # so a slice holds few of its full-size arrays at once.
+        emission = rng.random(int(sizes.sum()))
+        if k == 0:
+            slice_ticks = rng.gamma(n + 1, mean_gap_ticks) / n_slices
+        emission += k
+        emission *= slice_ticks
+        split = int(sizes[:2].sum())
+        hits = []
+        for times, signs, classes_k in (
+            (emission[: split + int(sizes[2:6].sum())], _SIGNS_A, sizes[:6]),
+            (emission[split:], _SIGNS_B, sizes[2:]),
+        ):
+            t = rng.normal(0.0, jitter_sd_ticks, times.shape[0])
+            t += times
+            np.rint(t, out=t)
+            np.maximum(t, 0.0, out=t)
+            hits.append((_to_ticks(t), np.repeat(signs, classes_k)))
+        del emission
+
+        end = (k + 1) * slice_ticks
+        dark_lo = min(k * slice_ticks, duration_ticks)
+        dark_hi = duration_ticks if final else min(end, duration_ticks)
+        share = (dark_hi - dark_lo) / duration_ticks if duration_ticks > 0 else 0.0
+        streams = []
+        for s, station in enumerate((Station.ALICE, Station.BOB)):
+            t, sign = hits.pop(0)
+            if dark_rate_hz > 0.0:
+                n_dark = rng.poisson(dark_mean * share)
+                t_dark = _to_ticks(rng.uniform(dark_lo, dark_hi, n_dark))
+                sign_dark = rng.integers(0, 2, n_dark).astype(np.uint8)
+                t = np.concatenate([t, t_dark])
+                sign = np.concatenate([sign, sign_dark])
+            # One in-place sort of the key 2t + sign orders the events by
+            # (t, sign) as make_stream does, without its index and gathered
+            # arrays; _to_ticks keeps t below 2**63, so 2t + sign fits.
+            np.left_shift(t, np.uint64(1), out=t)
+            t |= sign
+            del sign
+            if held[s].shape[0]:
+                t = np.concatenate((held[s], t))
+            t.sort()
+            if not final:
+                # Later slices' events are at least end - 40 SD - 1/2 after
+                # rounding, so every event below the cut is final.
+                cut = end - hold_back
+                below = math.ceil(cut) if cut > 0.0 else 0
+                keep = (
+                    t.shape[0] if below >= 2**63
+                    else int(np.searchsorted(t, np.uint64(2 * below)))
+                )
+                held[s] = t[keep:].copy()
+                t = t[:keep]
+            if t.shape[0]:
+                if t[0] < last_key[s]:
+                    raise RuntimeError(
+                        f"slice {k}: an event lies before the events already "
+                        "given out, past the jitter hold-back"
+                    )
+                last_key[s] = int(t[-1])
+            sign = (t & np.uint64(1)).astype(np.uint8)
+            t >>= np.uint64(1)
+            idx = np.zeros(t.shape[0], dtype=np.uint8)
+            # The sort gives the (t, sign) order, sign is one bit and every
+            # setting is 0: nothing is left for EventStream to scan.
+            streams.append(
+                EventStream(station, tick_resolution_ps, t, sign, idx, validate=False)
+            )
+        # Keep no reference to the slice given out, so that its arrays are
+        # freed once the caller is done with them.
+        del t, sign, idx
+        yield streams.pop(0), streams.pop(0)
+
+
+def generate_streams(
+    counts: BlockCounts,
+    pair_rate_hz: float,
+    tick_resolution_ps: int,
+    jitter_sd_ticks: float,
+    seed,
+    dark_rate_hz: float = 0.0,
+) -> tuple[EventStream, EventStream]:
+    """Both stations' whole streams: :func:`generate_slices` joined."""
+    slices = list(
+        generate_slices(
+            counts, pair_rate_hz, tick_resolution_ps, jitter_sd_ticks, seed,
+            dark_rate_hz,
         )
-    return streams[0], streams[1]
+    )
+    return (
+        _joined([s[0] for s in slices], Station.ALICE, tick_resolution_ps),
+        _joined([s[1] for s in slices], Station.BOB, tick_resolution_ps),
+    )
+
+
+class TtgWriter:
+    """Appends one station's records to a TTG1 file opened by :func:`ttg_writer`."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+        self.count = 0
+
+    def append(self, stream: EventStream) -> None:
+        """Write the records of ``stream``, which continue those written."""
+        records = np.empty(len(stream), dtype=RECORD_DTYPE)
+        records["t"] = stream.t
+        records["flags"] = (
+            (stream.sign & _SIGN_BIT)
+            | ((stream.setting_index << _SETTING_SHIFT) & _SETTING_MASK)
+        ).astype(np.uint8)
+        self._fh.write(records.data)
+        self.count += records.shape[0]
+
+
+@contextmanager
+def ttg_writer(path, station: Station, tick_resolution_ps: int) -> Iterator[TtgWriter]:
+    """A :class:`TtgWriter` onto a new TTG1 file that appears at ``path`` atomically.
+
+    The header's record count is written when the block ends, just before
+    the file takes its name; a block that raises leaves no file behind.
+    """
+    with atomic_write(path, "wb") as fh:
+        fh.write(HEADER.pack(MAGIC, VERSION, int(station), 0, tick_resolution_ps, 0))
+        writer = TtgWriter(fh)
+        yield writer
+        fh.seek(0)
+        fh.write(
+            HEADER.pack(MAGIC, VERSION, int(station), 0, tick_resolution_ps, writer.count)
+        )
 
 
 def write_ttg(stream: EventStream, path) -> int:
     """Write a stream to a TTG1 file atomically; returns its size in bytes."""
-    n = len(stream)
-    header = HEADER.pack(
-        MAGIC, VERSION, int(stream.station), 0, stream.tick_resolution_ps, n
-    )
-    records = np.empty(n, dtype=RECORD_DTYPE)
-    records["t"] = stream.t
-    records["flags"] = (
-        (stream.sign & _SIGN_BIT)
-        | ((stream.setting_index << _SETTING_SHIFT) & _SETTING_MASK)
-    ).astype(np.uint8)
-    with atomic_write(path, "wb") as fh:
-        fh.write(header)
-        fh.write(records.data)
-    return len(header) + records.nbytes
+    with ttg_writer(path, stream.station, stream.tick_resolution_ps) as writer:
+        writer.append(stream)
+    return HEADER.size + writer.count * RECORD_DTYPE.itemsize
 
 
-def read_ttg(path) -> EventStream:
-    """Read and validate a TTG1 file."""
-    data = Path(path).read_bytes()
-    if len(data) < HEADER.size:
-        raise TtgFormatError(
-            f"file is {len(data)} bytes, header needs {HEADER.size}", 0
-        )
-    magic, version, station, reserved, tick, count = HEADER.unpack_from(data, 0)
-    if magic != MAGIC:
-        raise TtgFormatError(f"expected magic {MAGIC!r}, got {magic!r}", 0)
-    if version != VERSION:
-        raise TtgFormatError(f"unsupported version {version}", 4)
-    if station not in (0, 1):
-        raise TtgFormatError(f"station byte must be 0 or 1, got {station}", 5)
-    if reserved != 0:
-        raise TtgFormatError(f"reserved header field must be 0, got {reserved}", 6)
-    if tick == 0:
-        raise TtgFormatError("tick_resolution_ps must be > 0", 8)
+class TtgReader:
+    """A TTG1 file open for reading, its header and length checked.
 
-    body = len(data) - HEADER.size
-    expected = count * RECORD_DTYPE.itemsize
-    if body < expected:
-        n_complete = body // RECORD_DTYPE.itemsize
-        raise TtgFormatError(
+    ``station``, ``tick_resolution_ps`` and ``len()`` come from the header;
+    :meth:`chunks` reads the records.  Open one with :func:`open_ttg`.
+    """
+
+    def __init__(self, fh, path) -> None:
+        self.path = path
+        self._fh = fh
+        head = fh.read(HEADER.size)
+        if len(head) < HEADER.size:
+            raise self._error(f"file is {len(head)} bytes, header needs {HEADER.size}", 0)
+        magic, version, station, reserved, tick, count = HEADER.unpack(head)
+        if magic != MAGIC:
+            raise self._error(f"expected magic {MAGIC!r}, got {magic!r}", 0)
+        if version != VERSION:
+            raise self._error(f"unsupported version {version}", 4)
+        if station not in (0, 1):
+            raise self._error(f"station byte must be 0 or 1, got {station}", 5)
+        if reserved != 0:
+            raise self._error(f"reserved header field must be 0, got {reserved}", 6)
+        if tick == 0:
+            raise self._error("tick_resolution_ps must be > 0", 8)
+        body = fh.seek(0, 2) - HEADER.size
+        expected = count * RECORD_DTYPE.itemsize
+        if body < expected:
+            raise self._short(count, body // RECORD_DTYPE.itemsize)
+        if body > expected:
+            raise self._error(
+                f"{body - expected} unexpected bytes after {count} records",
+                HEADER.size + expected,
+            )
+        self.station = Station(station)
+        self.tick_resolution_ps = int(tick)
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _error(self, message: str, offset: int) -> TtgFormatError:
+        return TtgFormatError(message, offset, self.path)
+
+    def _short(self, count: int, n_complete: int) -> TtgFormatError:
+        return self._error(
             f"header promises {count} records but only {n_complete} are complete",
             HEADER.size + n_complete * RECORD_DTYPE.itemsize,
         )
-    if body > expected:
-        raise TtgFormatError(
-            f"{body - expected} unexpected bytes after {count} records",
-            HEADER.size + expected,
+
+    def chunks(self) -> Iterator[EventStream]:
+        """The records in order, as EventStreams of about ``BLOCK`` records.
+
+        Each chunk is checked as it is read, and the first record that has
+        reserved flag bits set or a timestamp before its predecessor's
+        raises, wherever it lies in the file.  The run of equal timestamps
+        that ends a chunk is carried into the next one, so that records of
+        one timestamp stored Minus before Plus are put in canonical order
+        even when they straddle two chunks.
+        """
+        fh = self._fh
+        fh.seek(HEADER.size)
+        size = BLOCK
+        carry_t = np.empty(0, dtype=np.uint64)
+        carry_flags = np.empty(0, dtype=np.uint8)
+        for first in range(0, self._count, size):
+            n = min(size, self._count - first)
+            data = fh.read(n * RECORD_DTYPE.itemsize)
+            if len(data) < n * RECORD_DTYPE.itemsize:
+                # The file shrank after it was opened.
+                raise self._short(self._count, first + len(data) // RECORD_DTYPE.itemsize)
+            records = np.frombuffer(data, dtype=RECORD_DTYPE)
+            t = np.concatenate((carry_t, records["t"]))
+            flags = np.concatenate((carry_flags, records["flags"]))
+            del records, data
+            ties = self._check(t, flags, first - carry_t.shape[0])
+            if first + n < self._count:
+                # The last timestamp may go on in the next chunk.
+                keep = int(np.searchsorted(t, t[-1]))
+                carry_t, carry_flags = t[keep:].copy(), flags[keep:].copy()
+                t, flags = t[:keep], flags[:keep]
+                ties = ties[ties < keep - 1]
+            if t.shape[0]:
+                yield self._stream(t, flags, ties)
+
+    def _check(self, t: np.ndarray, flags: np.ndarray, base: int) -> np.ndarray:
+        """Raise for the first faulty record; return the indices p with t[p + 1] <= t[p].
+
+        ``t`` and ``flags`` are records ``base`` on; of a reserved-bits and
+        an out-of-order fault, the one at the smaller byte offset is named.
+        """
+        faults = []
+        if flags.max() & _RESERVED_MASK:
+            i = base + int(np.flatnonzero(flags & _RESERVED_MASK)[0])
+            faults.append((
+                HEADER.size + i * RECORD_DTYPE.itemsize + 8,
+                f"record {i} has non-zero reserved flag bits",
+            ))
+        # One pass finds the records no later than their predecessors: the
+        # ties, and the first out-of-order record if there is one.
+        ties = np.flatnonzero(t[1:] <= t[:-1])
+        drops = ties[t[ties + 1] < t[ties]]
+        if drops.size:
+            p = int(drops[0]) + 1
+            faults.append((
+                HEADER.size + (base + p) * RECORD_DTYPE.itemsize,
+                f"record {base + p} timestamp {int(t[p])} is before its "
+                f"predecessor {int(t[p - 1])}",
+            ))
+        if faults:
+            offset, message = min(faults)
+            raise self._error(message, offset)
+        return ties
+
+    def _stream(self, t: np.ndarray, flags: np.ndarray, ties: np.ndarray) -> EventStream:
+        sign = flags & _SIGN_BIT
+        # With the reserved bits clear, the setting index is all that remains
+        # of flags above the sign bit.
+        setting_index = np.right_shift(flags, _SETTING_SHIFT, out=flags)
+        if np.any(sign[ties] > sign[ties + 1]):
+            # Equal-timestamp records with Minus before Plus: restore the
+            # canonical order.  Files this package writes never need it.
+            return make_stream(self.station, self.tick_resolution_ps, t, sign, setting_index)
+        # Every check EventStream would repeat has been made, or holds by
+        # construction: sign and setting_index are bit fields of flags.
+        return EventStream(
+            self.station, self.tick_resolution_ps, t, sign, setting_index, validate=False
         )
 
-    # One copy of each field out of the 9-byte records: every check below
-    # runs on contiguous arrays, and the file's bytes are not kept.
-    records = np.frombuffer(data, dtype=RECORD_DTYPE, count=count, offset=HEADER.size)
-    t = records["t"].copy()
-    flags = records["flags"].copy()
-    del records, data
-    # A reserved bit is set somewhere exactly when the largest flags byte
-    # has one set.
-    if count and flags.max() & _RESERVED_MASK:
-        i = int(np.flatnonzero(flags & _RESERVED_MASK)[0])
-        raise TtgFormatError(
-            f"record {i} has non-zero reserved flag bits",
-            HEADER.size + i * RECORD_DTYPE.itemsize + 8,
-        )
-    # One pass finds the records no later than their predecessors: the
-    # ties, and the first out-of-order record if there is one.
-    ties = np.flatnonzero(t[1:] <= t[:-1])
-    drops = ties[t[ties + 1] < t[ties]]
-    if drops.size:
-        i = int(drops[0]) + 1
-        raise TtgFormatError(
-            f"record {i} timestamp {int(t[i])} is before its predecessor "
-            f"{int(t[i - 1])}",
-            HEADER.size + i * RECORD_DTYPE.itemsize,
-        )
 
-    sign = flags & _SIGN_BIT
-    # With the reserved bits clear, the setting index is all that remains
-    # of flags above the sign bit.
-    setting_index = np.right_shift(flags, _SETTING_SHIFT, out=flags)
-    if np.any(sign[ties] > sign[ties + 1]):
-        # Equal-timestamp records with Minus before Plus: restore the
-        # canonical order.  Files this package writes never need it.
-        return make_stream(Station(station), int(tick), t, sign, setting_index)
-    # Every check EventStream would repeat has been made above, or holds
-    # by construction: sign and setting_index are bit fields of flags.
-    return EventStream(
-        Station(station), int(tick), t, sign, setting_index, validate=False
-    )
+@contextmanager
+def open_ttg(path) -> Iterator[TtgReader]:
+    """Open a TTG1 file for chunked reading; raises TtgFormatError for a bad header or length."""
+    with open(path, "rb") as fh:
+        yield TtgReader(fh, path)
+
+
+def read_ttg(path) -> EventStream:
+    """Read and validate a whole TTG1 file."""
+    with open_ttg(path) as reader:
+        return _joined(list(reader.chunks()), reader.station, reader.tick_resolution_ps)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from fairsample import coincidence
+from fairsample import coincidence, timetags
 from fairsample.coincidence import (
     CoincidenceWindow,
     count_coincidences,
@@ -24,7 +24,7 @@ from fairsample.detection import (
     simulate_block,
 )
 from fairsample.quantum import SettingsPair, SourceState, Station
-from fairsample.timetags import generate_streams, make_stream
+from fairsample.timetags import generate_streams, make_stream, open_ttg, write_ttg
 
 U64_MAX = 2**64 - 1
 
@@ -221,6 +221,17 @@ def test_count_settings_filter_matches_naive():
         assert fast == naive
 
 
+@pytest.mark.parametrize("flt, bad", [((4, 0), 0), ((-1, 0), 0), ((0, 7), 1)])
+def test_count_rejects_a_settings_filter_index_outside_0_to_3(flt, bad):
+    # Such an index selects no event, which would read as a silent station.
+    a = _stream([10], [0])
+    b = _stream([10], [0], station=Station.BOB)
+    message = rf"settings_filter\[{bad}\] must be a setting index in 0\.\.3, got {flt[bad]}"
+    for count in (count_coincidences, count_coincidences_naive):
+        with pytest.raises(ValueError, match=message):
+            count(a, b, CoincidenceWindow(0), settings_filter=flt)
+
+
 def test_every_count_is_a_python_int():
     # So that counts serialize to JSON as they are; numpy integers do not.
     block = simulate_block(
@@ -272,6 +283,67 @@ def test_count_conserves_events(pair, win):
 
 
 # ---------------------------------------------------------------------------
+# Streamed matching: TTG1 files read and matched chunk by chunk
+# ---------------------------------------------------------------------------
+
+
+def _streamed_matches(reader_a, reader_b, win):
+    """Global (A, B) index pairs of matching two open files chunk by chunk."""
+    def columns(reader):
+        return ((chunk.t, chunk.sign) for chunk in reader.chunks())
+
+    pairs, a0, b0 = [], 0, 0
+    for (t_a, _), (t_b, _), i, j in coincidence._settled_blocks(
+        columns(reader_a), columns(reader_b), np.uint64(win.width_ticks)
+    ):
+        pairs += zip((i + a0).tolist(), (j + b0).tolist())
+        a0 += t_a.shape[0]
+        b0 += t_b.shape[0]
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=stream_pairs(), win=windows, chunk=st.sampled_from([1, 7, 64, 2**10, None]))
+def test_streamed_counter_equals_whole_stream_matching(tmp_path_factory, pair, win, chunk):
+    # chunk None: the production size, where each file is one chunk.
+    a, b = pair
+    whole = match_events(a.t, b.t, win)
+    whole = list(zip(whole[0].tolist(), whole[1].tolist()))
+    naive = match_events_naive(a.t, b.t, win)
+    assert whole == list(zip(naive[0].tolist(), naive[1].tolist()))
+    expected = count_coincidences_naive(a, b, win)
+    assert count_coincidences(a, b, win) == expected
+    run = tmp_path_factory.mktemp("streamed")
+    write_ttg(a, run / "a.ttg")
+    write_ttg(b, run / "b.ttg")
+    with mock.patch.object(timetags, "BLOCK", chunk or timetags.BLOCK), \
+            open_ttg(run / "a.ttg") as reader_a, open_ttg(run / "b.ttg") as reader_b:
+        assert _streamed_matches(reader_a, reader_b, win) == whole
+        assert count_coincidences(reader_a, reader_b, win) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_streamed_counter_reads_both_files_to_the_end(tmp_path, monkeypatch, chunk):
+    # Matching stops when Alice's events run out; Bob's remaining records
+    # still count as singles, and a fault among them is still found.
+    a = _stream([1, 2], [0, 0])
+    b = _stream(list(range(1, 11)), [1] * 10, station=Station.BOB)
+    write_ttg(a, tmp_path / "a.ttg")
+    write_ttg(b, tmp_path / "b.ttg")
+    monkeypatch.setattr(timetags, "BLOCK", chunk)
+    with open_ttg(tmp_path / "a.ttg") as reader_a, open_ttg(tmp_path / "b.ttg") as reader_b:
+        counts = count_coincidences(reader_a, reader_b, CoincidenceWindow(0))
+    assert counts == count_coincidences(a, b, CoincidenceWindow(0))
+    assert counts.s_b_minus == 10
+    raw = bytearray((tmp_path / "b.ttg").read_bytes())
+    raw[24 + 9 * 9] = 0  # Bob's last timestamp, 10, becomes 0
+    (tmp_path / "b.ttg").write_bytes(bytes(raw))
+    with open_ttg(tmp_path / "a.ttg") as reader_a, open_ttg(tmp_path / "b.ttg") as reader_b:
+        with pytest.raises(ValueError, match="record 9 timestamp 0 is before"):
+            count_coincidences(reader_a, reader_b, CoincidenceWindow(0))
+
+
+# ---------------------------------------------------------------------------
 # match_events: dense regime (clusters of more than two events) vs the oracle
 # ---------------------------------------------------------------------------
 
@@ -315,8 +387,9 @@ def test_long_clusters_equal_naive_oracle(block):
 @given(block=bursts(), size=st.sampled_from([1, 2, 3, 8]))
 def test_small_merge_blocks_equal_naive_oracle(block, size):
     # Blocks of a few events put cluster ends and ties at every block
-    # boundary and make single clusters overflow their block.
-    with mock.patch.object(coincidence, "_BLOCK", size):
+    # boundary and make single clusters overflow their block.  A merge
+    # takes BLOCK / 2 events per station.
+    with mock.patch.object(timetags, "BLOCK", 2 * size):
         _assert_same_as_naive(*block)
 
 
@@ -333,7 +406,7 @@ def test_small_merge_blocks_equal_naive_oracle(block, size):
     ],
 )
 def test_match_across_merge_blocks(t_a, t_b, width, pairs):
-    with mock.patch.object(coincidence, "_BLOCK", 2):
+    with mock.patch.object(timetags, "BLOCK", 4):
         ia, ib = _assert_same_as_naive(t_a, t_b, width)
     assert list(zip(ia.tolist(), ib.tolist())) == pairs
 
@@ -361,7 +434,7 @@ def test_dense_generated_stream_equals_naive_oracle():
     ia, _ = _assert_same_as_naive(t_a, t_b, width)
     assert ia.size > 5_000
     # The same stream in many merge blocks and lockstep passes.
-    with mock.patch.object(coincidence, "_BLOCK", 500):
+    with mock.patch.object(timetags, "BLOCK", 1000):
         _assert_same_as_naive(t_a, t_b, width)
 
 
@@ -390,7 +463,7 @@ def narrow_and_wide_bursts(draw):
 @settings(max_examples=200)
 @given(block=narrow_and_wide_bursts(), size=st.sampled_from([1, 2, 3, 8]))
 def test_narrow_and_wide_clusters_equal_naive_oracle(block, size):
-    with mock.patch.object(coincidence, "_BLOCK", size):
+    with mock.patch.object(timetags, "BLOCK", 2 * size):
         _assert_same_as_naive(*block)
 
 

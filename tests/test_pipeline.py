@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from fairsample import cli
+from fairsample import cli, timetags
 from fairsample.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, OUTPUT_DIR_ENV, main
 from fairsample.config import config_from_dict, config_to_dict
 from fairsample.detection import SAMPLER_NAME, SAMPLER_VERSION
@@ -63,7 +63,7 @@ def test_manifest_contents(fair_run):
     assert doc["kind"] == "fairsample-run"
     assert doc["rng"]["algorithm"] == "PCG64"
     assert doc["rng"]["sampler"] == {"name": SAMPLER_NAME, "version": SAMPLER_VERSION}
-    assert SAMPLER_VERSION == 3
+    assert SAMPLER_VERSION == 4
     assert "multinomial" in doc["rng"]["seeding"]
     assert "Gamma(n + 1)" in doc["rng"]["seeding"]
     assert doc["format"] == {"name": "TTG1", "version": 1}
@@ -106,20 +106,20 @@ def test_load_manifest_rejects_other_documents(tmp_path):
 
 
 def test_failed_resimulation_leaves_no_manifest(tmp_path, monkeypatch):
-    import fairsample.pipeline as pipeline
+    from fairsample.timetags import TtgWriter
 
     cfg = config_from_dict(small_doc(pairs_per_point=2_000))
     simulate_run(cfg, tmp_path)
-    real_write = pipeline.write_ttg
+    real_append = TtgWriter.append
     calls = []
 
-    def failing_write(stream, path):
-        calls.append(path)
+    def failing_append(writer, stream):
+        calls.append(stream.station)
         if len(calls) == 5:
             raise OSError("disk full")
-        return real_write(stream, path)
+        return real_append(writer, stream)
 
-    monkeypatch.setattr(pipeline, "write_ttg", failing_write)
+    monkeypatch.setattr(TtgWriter, "append", failing_append)
     with pytest.raises(OSError):
         simulate_run(cfg, tmp_path)
     # The old manifest would vouch for a mix of old and new point files.
@@ -547,6 +547,31 @@ def test_cli_analyze_names_the_point_of_a_corrupt_file(tmp_path, capsys):
     victim.write_bytes(victim.read_bytes()[:30])
     assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
     assert f"point 2: {victim.resolve()}: header promises" in capsys.readouterr().err
+
+
+def test_cli_analyze_names_the_point_of_a_fault_in_a_later_chunk(tmp_path, capsys, monkeypatch):
+    # Read in chunks of 16 records, the file's fault turns up while its
+    # point is being matched, and is still named with the point and file.
+    path, _ = _simulated_manifest(tmp_path)
+    victim = path.parent / "point_002_bob.ttg"
+    raw = bytearray(victim.read_bytes())
+    raw[24 + 9 * 40 : 24 + 9 * 40 + 8] = bytes(8)
+    victim.write_bytes(bytes(raw))
+    monkeypatch.setattr(timetags, "BLOCK", 16)
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"point 2: {victim.resolve()}: record 40 timestamp 0 is before" in err
+
+
+def test_analysis_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # The same files read and matched in chunks of 2**18 or of 64 records.
+    manifest = simulate_run(config_from_dict(small_doc(pairs_per_point=5_000)), tmp_path)
+    whole = analyze_run(manifest, output_dir=tmp_path / "whole")
+    monkeypatch.setattr(timetags, "BLOCK", 64)
+    chunked = analyze_run(manifest, output_dir=tmp_path / "chunked")
+    assert chunked.scan == whole.scan
+    for name, path in whole.files.items():
+        assert chunked.files[name].read_bytes() == path.read_bytes(), name
 
 
 def test_cli_analyze_names_the_point_of_a_tick_mismatch(tmp_path, capsys):

@@ -4,7 +4,9 @@ Block mode (one multinomial draw), the event streams built from its
 counts and their emission clock (uniform times under a Gamma(n + 1)
 horizon) must reproduce the distributions of the per-pair oracle in
 ``pair_oracle``.  Seeds are pinned, so each test is a
-fixed reproduction; the thresholds reject only gross disagreement.
+fixed reproduction; the thresholds reject only gross disagreement.  The
+stream tests run twice: at the production slice size, where each block
+is one time slice, and cut into dozens to hundreds of slices.
 """
 
 import dataclasses
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fairsample import timetags
 from fairsample.coincidence import CoincidenceWindow, count_coincidences
 from fairsample.detection import (
     BlockCounts,
@@ -35,6 +38,8 @@ from pair_oracle import (
 
 N_PAIRS = 300_000
 P_MIN = 1e-3
+# Observed pairs per time slice in the many-slice variants of the tests.
+SLICE = 1 << 10
 
 
 def _malus(d):
@@ -144,8 +149,7 @@ def test_block_matches_oracle(name, oracle_runs):
     assert _homogeneity_p(_partition(block), _partition(oracle)) > P_MIN
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_event_mode_matches_oracle(name, oracle_runs):
+def _event_mode_matches_oracle(name, oracle_runs):
     # Event mode is block mode plus times: the streams, matched back at
     # window 0 without jitter, must hold the oracle's nine classes.  At
     # 1 ps ticks and 1 kHz two unrelated events share a tick with
@@ -159,6 +163,18 @@ def test_event_mode_matches_oracle(name, oracle_runs):
     assert _homogeneity_p(_partition(matched), _partition(oracle)) > P_MIN
 
 
+@pytest.mark.parametrize("name", CASES)
+def test_event_mode_matches_oracle(name, oracle_runs):
+    _event_mode_matches_oracle(name, oracle_runs)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_event_mode_matches_oracle_in_many_slices(name, oracle_runs, monkeypatch):
+    # Slices of at most 2**10 observed pairs: 44 to 293 slices per block.
+    monkeypatch.setattr(timetags, "BLOCK", SLICE)
+    _event_mode_matches_oracle(name, oracle_runs)
+
+
 def test_zero_pairs_match_oracle():
     case = CASES["malus_d0.5"]
     zero = BlockCounts(0, 0, 0, 0, 0, 0, 0, 0, n_pairs_emitted=0)
@@ -169,7 +185,7 @@ def test_zero_pairs_match_oracle():
     assert len(a) == len(b) == 0
 
 
-def test_thinned_emission_gaps_match_oracle():
+def _thinned_emission_gaps_match_oracle():
     # Sparse observation (about 14% of pairs), as in the quick-start run.
     n, rate, tick = 200_000, 250.0, 1000
     block = simulate_block(*CASES["fair"], n, seed=74)
@@ -185,3 +201,13 @@ def test_thinned_emission_gaps_match_oracle():
     clock = np.rint(clock[oracle.detected_a | oracle.detected_b])
     reference = np.diff(clock, prepend=0.0)
     assert stats.ks_2samp(thinned, reference).pvalue > P_MIN
+
+
+def test_thinned_emission_gaps_match_oracle():
+    _thinned_emission_gaps_match_oracle()
+
+
+def test_thinned_emission_gaps_match_oracle_in_many_slices(monkeypatch):
+    # 30 slices; their borders must leave no trace in the gaps.
+    monkeypatch.setattr(timetags, "BLOCK", SLICE)
+    _thinned_emission_gaps_match_oracle()

@@ -1,24 +1,37 @@
 """Event-stream construction, TTG1 serialization, and stream generation."""
 
 import dataclasses
+import hashlib
 import math
 import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
+from scipy import stats
 
+from fairsample import timetags
 from fairsample.coincidence import CoincidenceWindow, count_coincidences
-from fairsample.detection import BlockCounts, EfficiencyConfig, SamplingPolicy, simulate_block
+from fairsample.detection import (
+    BlockCounts,
+    EfficiencyConfig,
+    PolicyKind,
+    SamplingPolicy,
+    simulate_block,
+)
 from fairsample.quantum import SettingsPair, SourceState, Station
 from fairsample.timetags import (
     EventStream,
     TtgFormatError,
+    generate_slices,
     generate_streams,
     make_stream,
+    open_ttg,
     read_ttg,
+    ttg_writer,
     write_ttg,
 )
 from pair_oracle import OracleDetections, count_oracle
@@ -115,6 +128,17 @@ def test_stream_rejects_out_of_range_fields(sign, setting):
 def test_stream_rejects_zero_tick_resolution():
     with pytest.raises(ValueError):
         _stream([1], [0], tick=0)
+
+
+def test_make_stream_rejects_negative_and_fractional_timestamps():
+    # A cast to uint64 would turn -1 into 2**64 - 1 and 1.5 into 1.
+    zeros = np.zeros(2, dtype=np.uint8)
+    with pytest.raises(ValueError, match="timestamps must be >= 0, got -1"):
+        make_stream(Station.ALICE, 1000, np.array([5, -1]), zeros, zeros)
+    with pytest.raises(ValueError, match="timestamps must be integers, got dtype float64"):
+        make_stream(Station.ALICE, 1000, np.array([5.0, 1.5]), zeros, zeros)
+    s = make_stream(Station.ALICE, 1000, np.array([5, 0]), zeros, zeros)
+    assert list(s.t) == [0, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +340,107 @@ def test_read_reorders_minus_first_ties_with_their_settings(tmp_path):
     assert list(back.setting_index) == [1, 2, 0, 0, 2, 3]
 
 
+# A 40-record file, read whole and in chunks of 1, 7 and 16 records: each
+# record-level defect, placed past the first chunk, on a chunk boundary or
+# not, is reported at the same byte offset either way.
+N_LONG = 40
+
+
+def _record_defects(r):
+    """(mutation of the file bytes, message, offset) per defect at record r."""
+    at = HEADER_SIZE + r * RECORD_SIZE
+
+    def set_t(raw, value):
+        raw[at : at + 8] = value.to_bytes(8, "little")
+        return raw
+
+    def set_reserved(raw):
+        raw[at + 8] |= 0x40
+        return raw
+
+    cut = f"header promises {N_LONG} records but only {r} are complete"
+    return {
+        "truncated-mid-record": (lambda raw: raw[: at + 4], cut, at),
+        "missing-records": (lambda raw: raw[:at], cut, at),
+        "reserved-flag-bits": (
+            set_reserved, f"record {r} has non-zero reserved flag bits", at + 8,
+        ),
+        "unsorted": (
+            lambda raw: set_t(raw, 1),
+            f"record {r} timestamp 1 is before its predecessor {9 + r}", at,
+        ),
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16])
+@pytest.mark.parametrize("record", [28, 32, 39])
+@pytest.mark.parametrize("defect", list(_record_defects(0)))
+def test_record_defects_past_the_first_chunk(tmp_path, monkeypatch, defect, record, chunk):
+    mutate, message, offset = _record_defects(record)[defect]
+    path = tmp_path / "long.ttg"
+    t = np.arange(10, 10 + N_LONG, dtype=np.uint64)
+    write_ttg(_stream(t, np.arange(N_LONG) % 2, station=Station.BOB, tick=500), path)
+    path.write_bytes(bytes(mutate(bytearray(path.read_bytes()))))
+    with pytest.raises(TtgFormatError, match=message) as whole:
+        read_ttg(path)
+    monkeypatch.setattr(timetags, "BLOCK", chunk)
+    with pytest.raises(TtgFormatError, match=message) as chunked:
+        read_ttg(path)
+    assert whole.value.offset == chunked.value.offset == offset
+    assert chunked.value.path == path
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 16])
+def test_trailing_data_past_the_first_chunk(tmp_path, monkeypatch, chunk):
+    path = tmp_path / "long.ttg"
+    write_ttg(_stream(np.arange(N_LONG, dtype=np.uint64), np.zeros(N_LONG)), path)
+    path.write_bytes(path.read_bytes() + b"\x00" * 5)
+    monkeypatch.setattr(timetags, "BLOCK", chunk)
+    with pytest.raises(TtgFormatError, match="5 unexpected bytes") as err:
+        read_ttg(path)
+    assert err.value.offset == HEADER_SIZE + N_LONG * RECORD_SIZE
+
+
+def test_reader_names_the_earliest_of_two_defects(tmp_path, monkeypatch):
+    # Reserved bits at record 20 and an out-of-order timestamp at record 5:
+    # the one nearer the start of the file is named, whatever the chunks.
+    path = tmp_path / "two.ttg"
+    write_ttg(_stream(np.arange(10, 10 + N_LONG, dtype=np.uint64), np.zeros(N_LONG)), path)
+    raw = bytearray(path.read_bytes())
+    raw[HEADER_SIZE + 20 * RECORD_SIZE + 8] |= 0x80
+    raw[HEADER_SIZE + 5 * RECORD_SIZE] = 0
+    path.write_bytes(bytes(raw))
+    for chunk in (timetags.BLOCK, 3):
+        monkeypatch.setattr(timetags, "BLOCK", chunk)
+        with pytest.raises(TtgFormatError, match="record 5 timestamp") as err:
+            read_ttg(path)
+        assert err.value.offset == HEADER_SIZE + 5 * RECORD_SIZE
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4])
+def test_read_reorders_a_minus_first_tie_that_straddles_chunks(tmp_path, monkeypatch, chunk):
+    # Records (t, flags) written by hand: the run at t = 9, records 2 to 5,
+    # is stored Minus first and crosses a chunk boundary at every chunk
+    # size.  Its Plus record moves to the front; the Minus records keep
+    # their order, each with its setting index.
+    records = [(5, 0b000), (7, 0b001), (9, 0b101), (9, 0b011), (9, 0b001), (9, 0b100),
+               (12, 0b000)]
+    raw = struct.pack("<4sBBHQQ", b"TTG1", 1, 0, 0, 1000, len(records))
+    raw += b"".join(struct.pack("<QB", t, flags) for t, flags in records)
+    path = tmp_path / "ties.ttg"
+    path.write_bytes(raw)
+    monkeypatch.setattr(timetags, "BLOCK", chunk)
+    back = read_ttg(path)
+    assert list(back.t) == [5, 7, 9, 9, 9, 9, 12]
+    assert list(back.sign) == [0, 1, 0, 1, 1, 1, 0]
+    assert list(back.setting_index) == [0, 0, 2, 2, 1, 0, 0]
+    with open_ttg(path) as reader:
+        assert len(reader) == len(records)
+        chunks = list(reader.chunks())
+    # A run of equal timestamps is never split between chunks.
+    assert all(c.t[-1] < d.t[0] for c, d in zip(chunks, chunks[1:]))
+
+
 def test_read_keeps_canonical_file_order(tmp_path):
     s = _stream([1, 1, 4, 4, 4], [0, 1, 0, 0, 1], setting=[3, 2, 1, 0, 3])
     path = tmp_path / "c.ttg"
@@ -345,6 +470,27 @@ def test_read_returns_contiguous_arrays_that_own_their_memory(tmp_path, sign):
     assert back.t.dtype == np.uint64
     assert back.sign.dtype == back.setting_index.dtype == np.uint8
     assert list(back.sign[:4]) == [0, 1, 0, 1]
+
+
+def test_writer_appends_chunks_into_the_file_write_ttg_writes(tmp_path):
+    s = _stream(np.arange(0, 60, 3), np.arange(20) % 2, setting=np.arange(20) % 4)
+    write_ttg(s, tmp_path / "whole.ttg")
+    with ttg_writer(tmp_path / "parts.ttg", s.station, s.tick_resolution_ps) as writer:
+        for k in range(0, 21, 6):
+            writer.append(dataclasses.replace(
+                s, t=s.t[k : k + 6], sign=s.sign[k : k + 6],
+                setting_index=s.setting_index[k : k + 6],
+            ))
+    assert writer.count == 20
+    assert (tmp_path / "parts.ttg").read_bytes() == (tmp_path / "whole.ttg").read_bytes()
+
+
+def test_writer_leaves_no_file_when_its_block_fails(tmp_path):
+    with pytest.raises(OSError, match="disk full"):
+        with ttg_writer(tmp_path / "x.ttg", Station.ALICE, 1000) as writer:
+            writer.append(_stream([1, 2], [0, 1]))
+            raise OSError("disk full")
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -392,13 +538,16 @@ def test_generate_streams_pass_full_validation():
         seed=11,
     )
     # Coarse ticks, wide jitter and dark counts make many equal timestamps
-    # of opposite signs, where the tie rule matters.
-    streams = generate_streams(
-        counts, 1e6, 10**6, 2.0, seed=12, dark_rate_hz=5e5
-    )
-    for s in streams:
-        assert np.any((s.t[1:] == s.t[:-1]) & (s.sign[1:] != s.sign[:-1]))
-        EventStream(s.station, s.tick_resolution_ps, s.t, s.sign, s.setting_index)
+    # of opposite signs, where the tie rule matters.  In slices of 2**10
+    # observed pairs the ties also fall across slice borders.
+    for block in (timetags.BLOCK, 1 << 10):
+        with mock.patch.object(timetags, "BLOCK", block):
+            streams = generate_streams(
+                counts, 1e6, 10**6, 2.0, seed=12, dark_rate_hz=5e5
+            )
+        for s in streams:
+            assert np.any((s.t[1:] == s.t[:-1]) & (s.sign[1:] != s.sign[:-1]))
+            EventStream(s.station, s.tick_resolution_ps, s.t, s.sign, s.setting_index)
 
 
 def test_generate_streams_mean_emission_gap():
@@ -430,6 +579,20 @@ def test_generate_streams_dark_counts():
     for stream in (a, b):
         assert len(stream) == pytest.approx(lam, abs=4 * math.sqrt(lam))
         assert set(np.unique(stream.sign)) == {0, 1}
+
+
+def test_generate_streams_dark_counts_in_many_slices(monkeypatch):
+    # 10 000 pairs seen at both stations make 10 slices of at most 2**10.
+    # Alice's pair events are all Plus, so her Minus events are the dark
+    # counts of one channel: Poisson with mean 3000 over D = 1 s, and
+    # uniform over [0, D) across the slice borders.
+    monkeypatch.setattr(timetags, "BLOCK", 1 << 10)
+    n = 10_000
+    det = _detections([True] * n, [True] * n)
+    a, _ = generate_streams(det, 1e4, 1000, 0.0, seed=9, dark_rate_hz=3000.0)
+    dark = a.t[a.sign == 1].astype(np.float64)
+    assert dark.shape[0] == pytest.approx(3000.0, abs=4 * math.sqrt(3000.0))
+    assert stats.kstest(dark / 1e9, "uniform").pvalue > 1e-3
 
 
 def test_generate_streams_deterministic():
@@ -509,9 +672,15 @@ def block_counts(draw):
 
 
 @settings(max_examples=100)
-@given(counts=block_counts(), jitter=st.sampled_from([0.0, 40.0]), seed=st.integers(0, 2**32 - 1))
-def test_generate_streams_hold_the_singles(counts, jitter, seed):
-    a, b = generate_streams(counts, 1e4, 1000, jitter, seed=seed)
+@given(
+    counts=block_counts(), jitter=st.sampled_from([0.0, 40.0]),
+    seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 7, 64, timetags.BLOCK]),
+)
+def test_generate_streams_hold_the_singles(counts, jitter, seed, block):
+    with mock.patch.object(timetags, "BLOCK", block):
+        a, b = generate_streams(counts, 1e4, 1000, jitter, seed=seed)
+    for s in (a, b):
+        EventStream(s.station, s.tick_resolution_ps, s.t, s.sign, s.setting_index)
     assert (np.count_nonzero(a.sign == 0), np.count_nonzero(a.sign == 1)) == (
         counts.s_a_plus, counts.s_a_minus,
     )
@@ -530,3 +699,55 @@ def test_generate_streams_reproduce_block_counts():
     a, b = generate_streams(counts, 250.0, 1000, 0.0, seed=42)
     matched = count_coincidences(a, b, CoincidenceWindow(0))
     assert dataclasses.replace(matched, n_pairs_emitted=10**6) == counts
+
+
+def _dense_counts(n_pairs, seed):
+    return simulate_block(
+        SourceState(1.0), EfficiencyConfig(0.6, 0.5, 0.55, 0.65),
+        SamplingPolicy(PolicyKind.UNFAIR_MALUS, 0.5), SettingsPair(0.3, 1.1), n_pairs,
+        seed=seed,
+    )
+
+
+def test_one_slice_draws_as_before_slicing():
+    # 47 174 observed pairs make one slice, which must draw the very numbers
+    # of the generator that came before slices: its streams are pinned.
+    counts = _dense_counts(100_000, seed=21)
+    digest = hashlib.sha256()
+    for s in generate_streams(counts, 1e6, 1000, 50.0, seed=22, dark_rate_hz=2e5):
+        digest.update(s.t.tobytes() + s.sign.tobytes() + s.setting_index.tobytes())
+    assert digest.hexdigest() == (
+        "22acdd09d8f7a2e6e5b7db4565cef63bcab0d9d0d83909eb04c40b7956eccab2"
+    )
+
+
+def test_generate_slices_join_into_the_whole_streams(monkeypatch):
+    # 1 µs ticks at 1 MHz: about one pair per tick, with jitter and dark
+    # counts, so slice borders fall among ties of both signs.
+    monkeypatch.setattr(timetags, "BLOCK", 1000)
+    counts = _dense_counts(20_000, seed=23)
+    observed = counts.total_singles - counts.total_coincidences
+    args = (counts, 1e6, 10**6, 2.0, 24, 3e5)
+    slices = list(generate_slices(*args))
+    assert len(slices) == -(-observed // 1000) > 10
+    whole = generate_streams(*args)
+    for k, station in enumerate((Station.ALICE, Station.BOB)):
+        t = np.concatenate([s[k].t for s in slices])
+        sign = np.concatenate([s[k].sign for s in slices])
+        assert all(s[k].station == station for s in slices)
+        joined = EventStream(station, 10**6, t, sign, np.zeros_like(sign))
+        assert _streams_equal(joined, whole[k])
+
+
+def test_generate_slices_hold_back_keeps_jittered_events_in_order(monkeypatch):
+    # Slices of 100 pairs last about 1000 ticks, and a jitter SD of 10**4
+    # ticks moves events across many of them.  The hold-back keeps the
+    # streams sorted; without it, the first misplaced event raises.
+    det = _detections([True] * 2000, [True] * 2000)
+    monkeypatch.setattr(timetags, "BLOCK", 100)
+    a, b = generate_streams(det, 1e8, 1000, 1e4, seed=25)
+    for s in (a, b):
+        EventStream(s.station, s.tick_resolution_ps, s.t, s.sign, s.setting_index)
+    monkeypatch.setattr(timetags, "_HOLD_BACK_SD", 0.0)
+    with pytest.raises(RuntimeError, match="hold-back"):
+        generate_streams(det, 1e8, 1000, 1e4, seed=25)
