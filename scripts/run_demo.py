@@ -56,7 +56,7 @@ def base_config(seed: int, pairs: int, points: int) -> dict:
     }
 
 
-def run_arm(name: str, doc: dict, out_dir: Path, jobs: int) -> dict:
+def run_arm(name: str, doc: dict, out_dir: Path, jobs: "int | None") -> dict:
     cfg = config_from_dict(doc)
     arm_dir = out_dir / name
     t0 = time.monotonic()
@@ -87,6 +87,13 @@ def describe(name: str, arm: dict) -> None:
     )
 
 
+def _jobs(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output-dir", default="demo_output", help="where to put both runs")
@@ -94,7 +101,10 @@ def main(argv=None) -> int:
     parser.add_argument("--points", type=int, default=21, help="scan points over 0..180 deg")
     parser.add_argument("--bias", type=float, default=0.5, help="modulation depth d of the biased arm")
     parser.add_argument("--seed", type=int, default=20260815)
-    parser.add_argument("--jobs", type=int, default=4)
+    parser.add_argument(
+        "--jobs", type=_jobs, default=None,
+        help="scan points worked on at once (default: the usable CPUs)",
+    )
     args = parser.parse_args(argv)
 
     out_dir = Path(args.output_dir)

@@ -8,6 +8,8 @@
 Exit codes: 0 success, 2 configuration error (a bad config file or option
 value), 3 data error (missing or corrupt files, including a manifest whose
 embedded config is malformed), 4 degenerate statistics.
+``--jobs`` defaults to the number of CPUs the process may use; outputs are
+identical at any value, and ``--jobs 1`` works on one point at a time.
 The default output directory for `simulate` is taken from --output-dir,
 then the config's ``output_dir`` field, then the FAIRSAMPLE_OUTPUT_DIR
 environment variable.
@@ -74,6 +76,7 @@ def _checked(convert, accept, requirement: str):
 _jobs = _checked(int, lambda v: v >= 1, "at least 1")
 _window = _checked(int, lambda v: 0 <= v <= 2**64 - 1, "in 0..2**64 - 1")
 _alpha_level = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_JOBS_HELP = "scan points worked on at once (default: the usable CPUs)"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run directory (default: config output_dir, then "
         f"${OUTPUT_DIR_ENV})",
     )
-    p_sim.add_argument("--jobs", type=_jobs, default=None, help="parallel workers")
+    p_sim.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
 
     p_ana = sub.add_parser("analyze", help="analyze a simulated run")
     p_ana.add_argument("--manifest", required=True, help="run manifest path")
@@ -110,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument(
         "--output-dir", default=None, help="where to write analysis tables"
     )
-    p_ana.add_argument("--jobs", type=_jobs, default=None, help="parallel workers")
+    p_ana.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
 
     p_rep = sub.add_parser("report", help="summarize an analyzed run")
     p_rep.add_argument("--dir", required=True, help="analysis output directory")

@@ -10,8 +10,9 @@ a write that fails part-way leaves the previous file or none.
 Analysis is strictly file-based — it reads the manifest and the TTG1
 files, never in-memory simulation state — so third-party streams can be
 analyzed by writing a manifest by hand.  Per-point work is independent
-and runs in a thread pool; outputs are ordered by point index regardless
-of scheduling.
+and runs in a thread pool, by default one thread per usable CPU; outputs
+are ordered by point index regardless of scheduling, and are identical at
+any number of jobs.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import csv
 import errno
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -83,8 +85,26 @@ def _point_seed(seed: int, index: int, role: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((seed, index, role))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where the
+    platform cannot say (no ``os.sched_getaffinity``)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _check_jobs(jobs) -> None:
+    if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
+        raise ValueError(f"jobs must be an integer >= 1 or None, got {jobs!r}")
+
+
 def _map_points(work, items, jobs: "int | None") -> list:
     """``work`` over ``items`` in order, on ``jobs`` pool threads.
+
+    ``jobs`` None means one per usable CPU; no more threads start than
+    there are items.  Outputs do not depend on the number of threads: each
+    point seeds its own generators from (seed, index, role).
 
     One job runs on a pool thread too.  glibc gives each thread a malloc
     arena, and a pool thread's arena passes to the next stage's pool
@@ -95,7 +115,7 @@ def _map_points(work, items, jobs: "int | None") -> list:
     and one job inline, the dense benchmark's peak memory was 227-242 MB
     at seeds 1-3, against 174-188 MB on a pool thread.
     """
-    workers = jobs if jobs and jobs > 0 else 1
+    workers = max(1, min(jobs or _usable_cpus(), len(items)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(work, items))
 
@@ -141,8 +161,10 @@ def _simulate_point(cfg: RunConfig, index: int, out_dir: Path) -> dict:
 def simulate_run(cfg: RunConfig, output_dir, jobs: "int | None" = None) -> Path:
     """Simulate every scan point to TTG1 files; returns the manifest path.
 
-    The manifest is written only after every point file exists.
+    The manifest is written only after every point file exists.  ``jobs``
+    is the number of worker threads (default: one per usable CPU).
     """
+    _check_jobs(jobs)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / MANIFEST_NAME
@@ -393,7 +415,9 @@ def analyze_run(
     marginals_singles.csv and nosignalling.json next to the manifest (or
     into ``output_dir``).  When fewer than 5 points support fits, the fit
     step is skipped with a note instead of failing the whole analysis.
+    ``jobs`` is the number of worker threads (default: one per usable CPU).
     """
+    _check_jobs(jobs)
     _, cfg, base, points = load_manifest(manifest_path)
     out_dir = Path(output_dir) if output_dir is not None else base
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,8 +2,10 @@
 
 import ctypes
 import dataclasses
+import hashlib
 import json
 import math
+import os
 import platform
 import resource
 import sys
@@ -11,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from fairsample import cli, timetags
+from fairsample import cli, pipeline, timetags
 from fairsample.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, OUTPUT_DIR_ENV, main
 from fairsample.config import config_from_dict, config_to_dict
 from fairsample.detection import SAMPLER_NAME, SAMPLER_VERSION
@@ -212,6 +214,71 @@ def test_analysis_deterministic_across_jobs(fair_run, tmp_path):
     assert again.files["correlation"].read_bytes() == result.files["correlation"].read_bytes()
 
 
+class _PoolRecorder:
+    """Stands in for ThreadPoolExecutor: records each ``max_workers`` asked
+    for and maps serially, so no test starts the threads it asks for."""
+
+    def __init__(self):
+        self.max_workers = []
+
+    def __call__(self, max_workers):
+        self.max_workers.append(max_workers)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    recorder = _PoolRecorder()
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", recorder)
+    return recorder
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2"])
+def test_bad_jobs_are_refused_before_any_file_is_written(fair_run, tmp_path, pool, jobs):
+    run_dir, cfg, _ = fair_run
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        simulate_run(cfg, out, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+        analyze_run(run_dir / "manifest.json", output_dir=out, jobs=jobs)
+    assert not out.exists()
+    assert pool.max_workers == []
+
+
+def test_no_more_threads_than_points(tmp_path, pool):
+    cfg = config_from_dict(small_doc(pairs_per_point=2000, scan={
+        "varied": "alice", "angles_deg": [0.0, 45.0, 90.0], "fixed_angle_deg": 0.0,
+    }))
+    manifest = simulate_run(cfg, tmp_path, jobs=8)
+    analyze_run(manifest, jobs=8)
+    analyze_run(manifest, jobs=2)
+    assert pool.max_workers == [3, 3, 2]
+
+
+def test_default_jobs_are_the_usable_cpus(tmp_path, pool, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 4, 7}, raising=False)
+    manifest = simulate_run(config_from_dict(small_doc(pairs_per_point=2000)), tmp_path)
+    analyze_run(manifest)
+    assert pool.max_workers == [3, 3]
+
+
+@pytest.mark.parametrize("cpu_count, workers", [(5, 5), (None, 1)])
+def test_default_jobs_without_affinity_are_the_cpu_count(pool, monkeypatch, cpu_count, workers):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert pipeline._map_points(lambda i: i * i, range(7), None) == [i * i for i in range(7)]
+    assert pool.max_workers == [workers]
+
+
 def test_window_override_changes_matching(fair_run, tmp_path):
     run_dir, _, result = fair_run
     narrow = analyze_run(run_dir / "manifest.json", window_ticks=1, output_dir=tmp_path)
@@ -390,6 +457,26 @@ def test_cli_simulate_analyze_report(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "Run summary" in stdout
     assert (out / "report.md").exists()
+
+
+def test_cli_default_jobs_give_the_files_of_one_job(tmp_path, capsys, monkeypatch):
+    # Three CPUs whatever the host has, so the default runs three threads.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    cfg_path = _write_cfg(tmp_path, small_doc(pairs_per_point=5000, dark_rate_hz=50.0))
+    digests = []
+    for name, jobs in (("default", []), ("one", ["--jobs", "1"])):
+        out = tmp_path / name
+        simulate = ["simulate", "--config", str(cfg_path), "--output-dir", str(out)]
+        assert main(simulate + jobs) == EXIT_OK
+        assert main(["analyze", "--manifest", str(out / "manifest.json")] + jobs) == EXIT_OK
+        assert main(["report", "--dir", str(out)]) == EXIT_OK
+        digests.append({
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+        })
+    # Two TTG1 files per point, the manifest, four CSVs, nosignalling.json
+    # and report.md.
+    assert len(digests[0]) == 2 * len(ANGLES_DEG) + 7
+    assert digests[0] == digests[1]
 
 
 needs_glibc_mallopt = pytest.mark.skipif(

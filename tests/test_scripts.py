@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -29,3 +31,13 @@ def test_run_demo_runs(tmp_path, capsys):
     out = capsys.readouterr().out
     # One verdict line per arm; which verdict is a statistical matter.
     assert out.count("no-signalling verdict on distant marginals:") == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "x"])
+def test_run_demo_rejects_bad_jobs(tmp_path, capsys, jobs):
+    demo = _load("run_demo")
+    with pytest.raises(SystemExit) as exc:
+        demo.main(["--output-dir", str(tmp_path / "demo"), "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "demo").exists()
