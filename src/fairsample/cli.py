@@ -7,7 +7,7 @@
 
 Exit codes: 0 success, 2 configuration error (a bad config file or option
 value), 3 data error (missing or corrupt files, including a manifest whose
-embedded config is malformed), 4 degenerate statistics.
+embedded config is malformed).
 ``--jobs`` defaults to the number of CPUs the process may use; outputs are
 identical at any value, and ``--jobs 1`` works on one point at a time.
 The default output directory for `simulate` is taken from --output-dir,
@@ -23,7 +23,6 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .fits import DegenerateWeights
 from .pipeline import analyze_run, simulate_run, write_report
 
 OUTPUT_DIR_ENV = "FAIRSAMPLE_OUTPUT_DIR"
@@ -31,15 +30,14 @@ OUTPUT_DIR_ENV = "FAIRSAMPLE_OUTPUT_DIR"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_STATISTICS = 4
 
 # glibc's mallopt parameter for the free memory kept at the top of a heap.
 _M_TOP_PAD = -2
 # Free memory each heap keeps at its top instead of returning it to the
-# kernel.  It exceeds one scan point's working set (the matcher's block
-# temporaries are about 40 MB), so the arrays of each point reuse the pages
-# the previous point freed instead of faulting fresh ones in.  Pages of the
-# pad that are never touched are never resident.
+# kernel.  It exceeds one scan point's working set (a dense benchmark point
+# traces at about 26 MB to analyze and 12 MB to simulate), so the arrays of
+# each point reuse the pages the previous point freed instead of faulting
+# fresh ones in.  Pages of the pad that are never touched are never resident.
 _HEAP_TOP_PAD = 64 * 2**20
 
 
@@ -173,9 +171,6 @@ def main(argv: "list[str] | None" = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DegenerateWeights as exc:
-        print(f"statistics error: {exc}", file=sys.stderr)
-        return EXIT_STATISTICS
     except FileNotFoundError as exc:
         print(f"data error: {exc.strerror}: {exc.filename}", file=sys.stderr)
         return EXIT_DATA

@@ -309,25 +309,11 @@ def _selected(chunk: EventStream, setting: "int | None") -> tuple[np.ndarray, np
     return chunk.t[keep], chunk.sign[keep]
 
 
-def _block_counts(cells: np.ndarray, singles_a, singles_b) -> BlockCounts:
-    """BlockCounts from the coincidence cells' counts and each station's
-    (events, Minus events).
-
-    Signs are 0 (Plus) or 1 (Minus), so the Minus singles are a count of
-    non-zero signs and the rest are Plus.  Every count is a Python int, as
-    simulate_block's are, so the counts serialize to JSON as they are.
-    """
-    (n_a, minus_a), (n_b, minus_b) = singles_a, singles_b
-    return BlockCounts(
-        n_pp=int(cells[0]),
-        n_pm=int(cells[1]),
-        n_mp=int(cells[2]),
-        n_mm=int(cells[3]),
-        s_a_plus=int(n_a - minus_a),
-        s_a_minus=int(minus_a),
-        s_b_plus=int(n_b - minus_b),
-        s_b_minus=int(minus_b),
-    )
+def _sign_counts(sign: np.ndarray) -> tuple[int, int]:
+    """Plus and Minus events among ``sign``: Minus is 1, so it is the
+    count of non-zero signs."""
+    minus = np.count_nonzero(sign)
+    return sign.shape[0] - minus, minus
 
 
 def count_coincidences(
@@ -346,12 +332,14 @@ def count_coincidences(
     event on a channel, matched or not.
     """
     settings = _check_inputs(stream_a, stream_b, settings_filter)
+    # Rows are stations and columns signs, so raveled it is the singles in
+    # BlockCounts order.
     singles = np.zeros((2, 2), dtype=np.int64)
 
     def selected(stream, station: int):
         for chunk in stream.chunks():
             t, sign = _selected(chunk, settings[station])
-            singles[station] += (sign.shape[0], np.count_nonzero(sign))
+            singles[station] += _sign_counts(sign)
             yield t, sign
 
     cells = np.zeros(4, dtype=np.int64)
@@ -359,7 +347,7 @@ def count_coincidences(
         selected(stream_a, 0), selected(stream_b, 1), np.uint64(window.width_ticks)
     ):
         cells += np.bincount((sign_a[i].astype(np.intp) << 1) | sign_b[j], minlength=4)
-    return _block_counts(cells, singles[0], singles[1])
+    return BlockCounts.from_arrays(cells, singles.ravel())
 
 
 def match_events_naive(
@@ -405,8 +393,5 @@ def count_coincidences_naive(
     t_b, sign_b = _selected(stream_b, settings[1])
     idx_a, idx_b = match_events_naive(t_a, t_b, window)
     cells = np.bincount((sign_a[idx_a].astype(np.intp) << 1) | sign_b[idx_b], minlength=4)
-    return _block_counts(
-        cells,
-        (sign_a.shape[0], np.count_nonzero(sign_a)),
-        (sign_b.shape[0], np.count_nonzero(sign_b)),
-    )
+    singles = (*_sign_counts(sign_a), *_sign_counts(sign_b))
+    return BlockCounts.from_arrays(cells, singles)

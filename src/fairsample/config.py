@@ -135,7 +135,7 @@ class RunConfig:
             raise ConfigError("coincidence_window_ticks", "must be in 0..2**64 - 1")
         if not self.dark_rate_hz >= 0:
             raise ConfigError("dark_rate_hz", "must be >= 0")
-        # generate_streams draws this many dark counts per station on average.
+        # generate_slices draws this many dark counts per station on average.
         dark_counts = 2.0 * self.dark_rate_hz * self.pairs_per_point / self.pair_rate_hz
         if not dark_counts <= MAX_DARK_COUNTS:
             raise ConfigError(

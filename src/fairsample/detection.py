@@ -99,13 +99,32 @@ class SamplingPolicy:
             raise ValueError(f"d must be in [0, 1], got {self.d!r}")
 
 
+# The eight counts of a block, in the order of BlockCounts.as_array(): the
+# coincidence cells, indexed (Alice sign << 1) | Bob sign, then the singles
+# of the channels a+, a-, b+, b-, indexed (station << 1) | sign.
+SINGLES_NAMES = ("s_a_plus", "s_a_minus", "s_b_plus", "s_b_minus")
+COUNT_NAMES = ("n_pp", "n_pm", "n_mp", "n_mm") + SINGLES_NAMES
+# The singles channel each cell is seen on, at Alice and at Bob.
+CELL_CHANNEL_A = np.arange(4) >> 1
+CELL_CHANNEL_B = 2 + (np.arange(4) & 1)
+
+
+def _channel_sums(at_a, at_b) -> np.ndarray:
+    """Per-channel totals of per-cell counts seen at Alice and at Bob."""
+    sums = np.zeros(4, dtype=np.int64)
+    np.add.at(sums, CELL_CHANNEL_A, at_a)
+    np.add.at(sums, CELL_CHANNEL_B, at_b)
+    return sums
+
+
 @dataclass(frozen=True)
 class BlockCounts:
     """Counts accumulated at one settings pair (one scan point).
 
     Coincidences are indexed (Alice sign, Bob sign); singles count every
-    detection on a channel whether or not the partner was detected, so
-    n_pp + n_pm <= s_a_plus and the three analogous inequalities hold.
+    detection on a channel whether or not the partner was detected, so no
+    channel sees more coincidences than singles: :meth:`unmatched` is
+    non-negative.
     """
 
     n_pp: int
@@ -119,24 +138,39 @@ class BlockCounts:
     n_pairs_emitted: int = 0
 
     def __post_init__(self) -> None:
-        counts = (
-            self.n_pp, self.n_pm, self.n_mp, self.n_mm,
-            self.s_a_plus, self.s_a_minus, self.s_b_plus, self.s_b_minus,
-        )
-        if any(c < 0 for c in counts):
-            raise ValueError(f"counts must be non-negative, got {counts}")
-        pairs_vs_singles = (
-            (self.n_pp + self.n_pm, self.s_a_plus, "s_a_plus"),
-            (self.n_mp + self.n_mm, self.s_a_minus, "s_a_minus"),
-            (self.n_pp + self.n_mp, self.s_b_plus, "s_b_plus"),
-            (self.n_pm + self.n_mm, self.s_b_minus, "s_b_minus"),
-        )
-        for coinc, singles, name in pairs_vs_singles:
-            if coinc > singles:
+        counts = self.as_array()
+        if np.any(counts < 0):
+            raise ValueError(
+                f"counts must be non-negative, got {tuple(counts.tolist())}"
+            )
+        for name, singles, unmatched in zip(
+            SINGLES_NAMES, counts[4:].tolist(), self.unmatched().tolist()
+        ):
+            if unmatched < 0:
                 raise ValueError(
-                    f"coincidences ({coinc}) exceed {name} ({singles}): "
+                    f"coincidences ({singles - unmatched}) exceed {name} ({singles}): "
                     "a coincidence implies both singles were registered"
                 )
+
+    @classmethod
+    def from_arrays(cls, cells, singles, n_pairs_emitted: int = 0) -> "BlockCounts":
+        """Block counts from the four cell counts and the four singles, in the
+        order of ``COUNT_NAMES``.  Every count becomes a Python int, so the
+        counts serialize to JSON as they are."""
+        counts = (int(v) for v in (*cells, *singles))
+        return cls(*counts, n_pairs_emitted=n_pairs_emitted)
+
+    def as_array(self) -> np.ndarray:
+        """The eight counts, in the order of ``COUNT_NAMES``, as int64."""
+        return np.array([getattr(self, name) for name in COUNT_NAMES], dtype=np.int64)
+
+    def unmatched(self) -> np.ndarray:
+        """Each channel's singles minus the coincidences seen on it, in the
+        order of ``SINGLES_NAMES``.  With the cells these are the block's
+        eight disjoint counts: a coincidence counts in its cell only, any
+        other detection in its channel's unmatched count."""
+        counts = self.as_array()
+        return counts[4:] - _channel_sums(counts[:4], counts[:4])
 
     @property
     def total_coincidences(self) -> int:
@@ -182,19 +216,10 @@ def category_probs(
 
 def _counts_from_categories(cats: np.ndarray, n_pairs: int) -> BlockCounts:
     """Reduce (4, 2, 2) category counts to block counts."""
-    coinc = cats[:, 1, 1]
-    at_a = cats[:, 1, :].sum(axis=1)
-    at_b = cats[:, :, 1].sum(axis=1)
-    return BlockCounts(
-        n_pp=int(coinc[0]),
-        n_pm=int(coinc[1]),
-        n_mp=int(coinc[2]),
-        n_mm=int(coinc[3]),
-        s_a_plus=int(at_a[0] + at_a[1]),
-        s_a_minus=int(at_a[2] + at_a[3]),
-        s_b_plus=int(at_b[0] + at_b[2]),
-        s_b_minus=int(at_b[1] + at_b[3]),
-        n_pairs_emitted=n_pairs,
+    return BlockCounts.from_arrays(
+        cats[:, 1, 1],
+        _channel_sums(cats[:, 1, :].sum(axis=1), cats[:, :, 1].sum(axis=1)),
+        n_pairs,
     )
 
 

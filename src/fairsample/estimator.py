@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import BlockCounts
+from .detection import CELL_CHANNEL_A, CELL_CHANNEL_B, SINGLES_NAMES, BlockCounts
 from .quantum import ProbTable
 
 
@@ -129,12 +129,10 @@ class ScanResult:
     points: tuple[ScanPoint, ...]
 
 
-_SINGLES = ("s_a_plus", "s_a_minus", "s_b_plus", "s_b_minus")
-_COUNTS = ("n_pp", "n_pm", "n_mp", "n_mm") + _SINGLES
 _CELLS = np.arange(4)
 # Count-vector positions of the Alice and Bob singles of each cell.
-_CELL_A = np.array([4, 4, 5, 5])
-_CELL_B = np.array([6, 7, 6, 7])
+_CELL_A = 4 + CELL_CHANNEL_A
+_CELL_B = 4 + CELL_CHANNEL_B
 # Sums over the cells (pp, pm, mp, mm): the marginals a+, a-, b+, b-, and
 # the parity sum, which gives the correlation.
 _MARGINS = np.array(
@@ -143,10 +141,6 @@ _MARGINS = np.array(
 _PARITY = np.array([1, -1, -1, 1], dtype=float)
 # Layout of the estimates returned by _normalize.
 _JOINT, _MARGINALS, _CORRELATION = slice(0, 4), slice(4, 8), 8
-
-
-def _counts_vector(counts: BlockCounts) -> np.ndarray:
-    return np.array([getattr(counts, name) for name in _COUNTS], dtype=float)
 
 
 def _normalize(x: np.ndarray, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -163,7 +157,7 @@ def _normalize(x: np.ndarray, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
     if weighted:
         zero = np.flatnonzero(x[4:] == 0)
         if zero.size:
-            name = _SINGLES[zero[0]]
+            name = SINGLES_NAMES[zero[0]]
             raise ZeroSingles(f"singles count {name} is zero; f-ratios undefined")
         weight = x[_CELL_A] * x[_CELL_B]
     else:
@@ -191,7 +185,7 @@ def _normalize(x: np.ndarray, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
 
 def correlation_standard(counts: BlockCounts) -> float:
     """(n_pp + n_mm - n_pm - n_mp) / total coincidences."""
-    values, _ = _normalize(_counts_vector(counts), weighted=False)
+    values, _ = _normalize(counts.as_array().astype(float), weighted=False)
     return float(values[_CORRELATION])
 
 
@@ -203,7 +197,7 @@ def evenodd_sums_standard(counts: BlockCounts) -> MarginalSet:
     denominator, so they do not cancel (unlike in the singles
     normalization).
     """
-    values, _ = _normalize(_counts_vector(counts), weighted=False)
+    values, _ = _normalize(counts.as_array().astype(float), weighted=False)
     return MarginalSet(*values[_MARGINALS].tolist())
 
 
@@ -228,7 +222,7 @@ def counting_uncertainties(counts: BlockCounts) -> UncertaintySet:
     singles-normalized joint table, both kinds of marginals, and both
     correlations.  Undefined entries come back NaN instead of raising.
     """
-    x = _counts_vector(counts)
+    x = counts.as_array().astype(float)
     sigmas = []
     for weighted in (False, True):
         try:
@@ -240,7 +234,7 @@ def counting_uncertainties(counts: BlockCounts) -> UncertaintySet:
 
 def estimate_block(counts: BlockCounts) -> EstimateSet:
     """All estimates for one block; raises if any piece is undefined."""
-    x = _counts_vector(counts)
+    x = counts.as_array().astype(float)
     singles, sigma_singles = _normalize(x, weighted=True)
     standard, sigma_standard = _normalize(x, weighted=False)
     return EstimateSet(

@@ -37,7 +37,7 @@ from .config import (
     config_to_dict,
     json_field,
 )
-from .detection import SAMPLER_NAME, SAMPLER_VERSION, simulate_block
+from .detection import COUNT_NAMES, SAMPLER_NAME, SAMPLER_VERSION, simulate_block
 from .estimator import (
     AllZeroRatios,
     EstimateSet,
@@ -104,16 +104,8 @@ def _map_points(work, items, jobs: "int | None") -> list:
 
     ``jobs`` None means one per usable CPU; no more threads start than
     there are items.  Outputs do not depend on the number of threads: each
-    point seeds its own generators from (seed, index, role).
-
-    One job runs on a pool thread too.  glibc gives each thread a malloc
-    arena, and a pool thread's arena passes to the next stage's pool
-    threads with the free memory left in it; the main thread's arena keeps
-    it.  A dense analysis run inline left up to 60 MB in the main arena,
-    and the next simulation's peak memory rose by as much.  The CLI's heap
-    pad keeps freed pages resident and so does not help here: with the pad
-    and one job inline, the dense benchmark's peak memory was 227-242 MB
-    at seeds 1-3, against 174-188 MB on a pool thread.
+    point seeds its own generators from (seed, index, role).  One job runs
+    on a single pool thread, which is serial, so there is one code path.
     """
     workers = max(1, min(jobs or _usable_cpus(), len(items)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -330,14 +322,6 @@ def _paired(values, sigmas) -> list:
     return [_fmt(v) for pair in zip(values, sigmas) for v in pair]
 
 
-def _counts_cells(pt: ScanPoint, sigma) -> list:
-    c = pt.counts
-    return [
-        c.n_pp, c.n_pm, c.n_mp, c.n_mm,
-        c.s_a_plus, c.s_a_minus, c.s_b_plus, c.s_b_minus,
-    ]
-
-
 def _correlation_cells(pt: ScanPoint, sigma, cfg: RunConfig) -> list:
     c, est = pt.counts, pt.est
     return [
@@ -451,10 +435,8 @@ def analyze_run(
         for index, pt, _ in results
     ]
     _write_table(
-        files["counts"],
-        ["n_pp", "n_pm", "n_mp", "n_mm",
-         "s_a_plus", "s_a_minus", "s_b_plus", "s_b_minus"],
-        rows, _counts_cells,
+        files["counts"], list(COUNT_NAMES), rows,
+        lambda pt, sigma: pt.counts.as_array().tolist(),
     )
     _write_table(
         files["correlation"],

@@ -239,13 +239,9 @@ def generate_slices(
         raise ValueError(f"jitter_sd_ticks must be >= 0, got {jitter_sd_ticks}")
     if dark_rate_hz < 0.0:
         raise ValueError(f"dark_rate_hz must be >= 0, got {dark_rate_hz}")
-    c = counts
-    classes = np.array([
-        c.s_a_plus - c.n_pp - c.n_pm, c.s_a_minus - c.n_mp - c.n_mm,
-        c.n_pp, c.n_pm, c.n_mp, c.n_mm,
-        c.s_b_plus - c.n_pp - c.n_mp, c.s_b_minus - c.n_pm - c.n_mm,
-    ])
-    n = c.n_pairs_emitted
+    unmatched = counts.unmatched()
+    classes = np.concatenate([unmatched[:2], counts.as_array()[:4], unmatched[2:]])
+    n = counts.n_pairs_emitted
     n_observed = int(classes.sum())
     if n_observed > n:
         raise ValueError(

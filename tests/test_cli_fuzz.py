@@ -2,7 +2,7 @@
 
 Configs, manifests, TTG1 files and analysis results are mutated (truncated, bytes replaced,
 JSON values swapped for other types or deleted) and fed to ``cli.main``.
-Every run must end with a documented exit code (0, 2, 3 or 4) and write
+Every run must end with a documented exit code (0, 2 or 3) and write
 no traceback to stderr; ``analyze`` and ``report`` read data files only and
 never exit 2.  JSON documents get one byte replaced at most, so
 no number in the small base config can grow into a run too large to make.
@@ -38,7 +38,7 @@ BASE_CONFIG = {
     "seed": 7,
 }
 
-EXIT_CODES = {0, 2, 3, 4}
+EXIT_CODES = {0, 2, 3}
 
 # Replacement values: every JSON type, the edges of the numbers, and names
 # that point outside a run directory.

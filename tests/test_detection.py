@@ -1,6 +1,7 @@
 """Detection policies, the closed-form category model, and block-level counting."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -392,6 +393,21 @@ def test_block_counts_internally_consistent(p, a, b, seed):
     assert counts.n_pm + counts.n_mm <= counts.s_b_minus
     assert counts.total_singles <= 4 * 2000
 
+    x = counts.as_array()
+    rebuilt = BlockCounts.from_arrays(x[:4], x[4:], counts.n_pairs_emitted)
+    assert rebuilt == counts
+    for c in (counts, rebuilt):
+        assert all(type(v) is int for v in dataclasses.astuple(c))
+        json.dumps(dataclasses.asdict(c))
+
+    # Rows are Alice's sign, columns Bob's: a channel's coincidences are
+    # its row or column sum.
+    table = np.array([[counts.n_pp, counts.n_pm], [counts.n_mp, counts.n_mm]])
+    singles = np.array([counts.s_a_plus, counts.s_a_minus, counts.s_b_plus, counts.s_b_minus])
+    np.testing.assert_array_equal(
+        counts.unmatched(), singles - np.concatenate([table.sum(axis=1), table.sum(axis=0)])
+    )
+
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -424,6 +440,15 @@ def test_block_counts_reject_negative():
         BlockCounts(-1, 0, 0, 0, 0, 0, 0, 0)
 
 
-def test_block_counts_reject_coincidences_exceeding_singles():
-    with pytest.raises(ValueError):
-        BlockCounts(5, 0, 0, 0, 4, 10, 10, 10)
+@pytest.mark.parametrize(
+    "channel, counts",
+    [
+        ("s_a_plus", (5, 0, 0, 0, 4, 10, 10, 10)),
+        ("s_a_minus", (0, 0, 5, 0, 10, 4, 10, 10)),
+        ("s_b_plus", (0, 0, 5, 0, 10, 10, 4, 10)),
+        ("s_b_minus", (0, 5, 0, 0, 10, 10, 10, 4)),
+    ],
+)
+def test_block_counts_reject_coincidences_exceeding_singles(channel, counts):
+    with pytest.raises(ValueError, match=rf"coincidences \(5\) exceed {channel} \(4\)"):
+        BlockCounts(*counts)
