@@ -27,7 +27,7 @@ import numpy as np
 
 from fairsample.config import config_from_dict
 from fairsample.fits import FitModel
-from fairsample.pipeline import analyze_run, simulate_run, write_report
+from fairsample.pipeline import analyze_run, simulate_run
 
 
 def base_config(seed: int, pairs: int, points: int) -> dict:
@@ -62,7 +62,6 @@ def run_arm(name: str, doc: dict, out_dir: Path, jobs: "int | None") -> dict:
     t0 = time.monotonic()
     manifest = simulate_run(cfg, arm_dir, jobs=jobs)
     result = analyze_run(manifest, jobs=jobs)
-    write_report(arm_dir)
     elapsed = time.monotonic() - t0
     ns = json.loads(result.files["nosignalling"].read_text())
     return {"dir": arm_dir, "elapsed": elapsed, "nosignalling": ns, "result": result}
@@ -120,7 +119,8 @@ def main(argv=None) -> int:
     describe("fair", fair)
     describe(f"biased (d={args.bias:g})", unfair)
     print()
-    print("full reports: ", fair["dir"] / "report.md", "and", unfair["dir"] / "report.md")
+    reports = [arm["result"].files["report"] for arm in (fair, unfair)]
+    print("full reports: ", reports[0], "and", reports[1])
     return 0
 
 

@@ -51,7 +51,7 @@ from .fits import (
     fit_model,
     nosignalling_stats,
 )
-from .pipeline import AnalysisResult, analyze_run, simulate_run, write_report
+from .pipeline import AnalysisResult, analyze_run, simulate_run
 from .quantum import (
     OutcomeSign,
     ProbTable,

@@ -1,10 +1,11 @@
-"""Command-line entry points: simulate a run, analyze it, summarize it.
+"""Command-line entry points: simulate a run, analyze it, print its summary.
 
     fairsample simulate --config run.json [--output-dir DIR] [--jobs N]
     fairsample analyze --manifest DIR/manifest.json [--window TICKS]
                        [--alpha-level 0.01] [--output-dir DIR] [--jobs N]
     fairsample report --dir DIR
 
+`report` prints the report.md that `analyze` wrote into DIR.
 Exit codes: 0 success, 2 configuration error (a bad config file or option
 value), 3 data error (missing or corrupt files, including a manifest whose
 embedded config is malformed).
@@ -19,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import os
 import sys
+from pathlib import Path
 
 from .config import ConfigError, load_config
-from .pipeline import analyze_run, simulate_run, write_report
+from .pipeline import REPORT_NAME, analyze_run, simulate_run
 
 OUTPUT_DIR_ENV = "FAIRSAMPLE_OUTPUT_DIR"
 
@@ -113,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ana.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
 
-    p_rep = sub.add_parser("report", help="summarize an analyzed run")
+    p_rep = sub.add_parser("report", help="print an analyzed run's report.md")
     p_rep.add_argument("--dir", required=True, help="analysis output directory")
     return parser
 
@@ -152,9 +155,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    path = write_report(args.dir)
-    print(path.read_text(encoding="utf-8"), end="")
-    print(f"written: {path}", file=sys.stderr)
+    path = Path(args.dir) / REPORT_NAME
+    try:
+        print(path.read_text(encoding="utf-8"), end="")
+    except FileNotFoundError:
+        found = f"no analysis artifacts found in {path.parent}"
+        raise FileNotFoundError(errno.ENOENT, found, str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return EXIT_OK
 
 

@@ -9,22 +9,26 @@ a write that fails part-way leaves the previous file or none.
 
 Analysis is strictly file-based — it reads the manifest and the TTG1
 files, never in-memory simulation state — so third-party streams can be
-analyzed by writing a manifest by hand.  Per-point work is independent
-and runs in a thread pool, by default one thread per usable CPU; outputs
-are ordered by point index regardless of scheduling, and are identical at
-any number of jobs.
+analyzed by writing a manifest by hand.  Such a manifest must hold a
+complete and valid ``config`` block: analysis uses only its coincidence
+window, ``scan.varied``, ``source.p`` and the sampling policy, and
+validates and echoes the rest.  ``report.md`` is rendered from the
+no-signalling document in the call that writes it, never read back.
+Per-point work is independent and runs in a thread pool, by default one
+thread per usable CPU; outputs are ordered by point index regardless of
+scheduling, and are identical at any number of jobs.
 """
 
 from __future__ import annotations
 
 import csv
-import errno
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +48,7 @@ from .estimator import (
     NoCoincidences,
     ScanPoint,
     ScanResult,
+    UncertaintySet,
     ZeroSingles,
     correlation_standard,
     counting_uncertainties,
@@ -61,6 +66,7 @@ from .quantum import SettingsPair, SourceState, Station, chsh_value, correlation
 from .timetags import TtgFormatError, generate_slices, open_ttg, ttg_writer
 
 MANIFEST_NAME = "manifest.json"
+REPORT_NAME = "report.md"
 MANIFEST_SCHEMA_VERSION = 1
 NOSIGNALLING_SCHEMA_VERSION = 3
 
@@ -250,11 +256,20 @@ def load_manifest(
         except ConfigError as exc:
             raise ValueError(f"config.{exc}") from None
         points = [_parse_point(i, pd, base) for i, pd in enumerate(doc["points"])]
+        # The fits need one non-varied angle: checked before any matching.
+        key = "beta_deg" if cfg.varied == Station.ALICE else "alpha_deg"
+        fixed = [pt.beta if key == "beta_deg" else pt.alpha for pt in points]
         seen = set()
         for i, pt in enumerate(points):
             if pt.index in seen:
                 raise ValueError(f"points[{i}].index: duplicate index {pt.index}")
             seen.add(pt.index)
+            if abs(fixed[i] - fixed[0]) > 1e-12:
+                first, got = (doc["points"][j][key] for j in (0, i))
+                raise ValueError(
+                    f"points[{i}].{key}: the non-varied angle must equal "
+                    f"points[0]'s {first!r}, got {got!r}"
+                )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return doc, cfg, base, points
@@ -304,47 +319,53 @@ _CHANNEL_COLUMNS = [
 ]
 
 
-def _write_table(path: Path, header: list, rows: list, cells) -> None:
-    """Write one CSV: per row the point's key columns, then ``cells``.
+class _Row(NamedTuple):
+    """One analyzed point as the tables and the report see it."""
 
-    ``rows`` holds (manifest index, scan point, its uncertainties);
-    ``cells(point, uncertainties)`` gives the remaining columns.
-    """
+    index: int  # in the manifest
+    pt: ScanPoint
+    sigma: UncertaintySet
+    corr_standard: float  # nan without coincidences
+    corr_model: float
+
+
+def _write_table(path: Path, header: list, rows: list, cells) -> None:
+    """Write one CSV: per row the point's key columns, then ``cells(row)``."""
     with atomic_write(path, newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["point", "alpha_deg", "beta_deg"] + header)
-        for index, pt, sigma in rows:
-            key = [index, _fmt(math.degrees(pt.alpha)), _fmt(math.degrees(pt.beta))]
-            writer.writerow(key + cells(pt, sigma))
+        for row in rows:
+            alpha, beta = (_fmt(math.degrees(a)) for a in (row.pt.alpha, row.pt.beta))
+            writer.writerow([row.index, alpha, beta] + cells(row))
 
 
 def _paired(values, sigmas) -> list:
     return [_fmt(v) for pair in zip(values, sigmas) for v in pair]
 
 
-def _correlation_cells(pt: ScanPoint, sigma, cfg: RunConfig) -> list:
-    c, est = pt.counts, pt.est
+def _correlation_cells(row: _Row) -> list:
+    est, sigma = row.pt.est, row.sigma
     return [
-        _fmt(correlation_standard(c)) if c.total_coincidences else "nan",
+        _fmt(row.corr_standard),
         _fmt(sigma.correlation_standard),
         _fmt(est.correlation_singles) if est is not None else "nan",
         _fmt(sigma.correlation_singles),
-        _fmt(correlation_qt(cfg.source, SettingsPair(pt.alpha, pt.beta))),
+        _fmt(row.corr_model),
     ]
 
 
-def _evenodd_cells(pt: ScanPoint, sigma) -> list:
-    if not pt.counts.total_coincidences:
+def _evenodd_cells(row: _Row) -> list:
+    if not row.pt.counts.total_coincidences:
         return ["nan"] * 8
-    sums = evenodd_sums_standard(pt.counts).as_tuple()
-    return _paired(sums, sigma.marginals_standard)
+    sums = evenodd_sums_standard(row.pt.counts).as_tuple()
+    return _paired(sums, row.sigma.marginals_standard)
 
 
-def _marginals_cells(pt: ScanPoint, sigma) -> list:
-    if pt.est is None:
+def _marginals_cells(row: _Row) -> list:
+    if row.pt.est is None:
         return ["nan"] * 8 + [1]
-    return _paired(pt.est.marginals.as_tuple(), sigma.marginals) + [
-        int(sigma.low_statistics)
+    return _paired(row.pt.est.marginals.as_tuple(), row.sigma.marginals) + [
+        int(row.sigma.low_statistics)
     ]
 
 
@@ -386,6 +407,76 @@ def _report_to_dict(report: NoSignallingReport) -> dict:
     }
 
 
+def _render_report(ns: dict, deviations: list) -> str:
+    """The report.md text for the no-signalling document ``ns``.
+
+    ``deviations`` holds, per point, the measured minus the model standard
+    correlation; nan where the point has no measurement.
+    """
+    deviations = [d for d in deviations if math.isfinite(d)]
+    run = ns["run"]
+    chsh = chsh_value(SourceState(run["p"]), *map(math.radians, CANONICAL_CHSH_DEG))
+    lines = [
+        "# Run summary",
+        "",
+        f"- source p = {run['p']}, policy = {run['policy']} (d = {run['d']})",
+        f"- varied station: {run['varied']}; scan points: {run['n_points']}; "
+        f"coincidence window: {run['window_ticks']} ticks",
+        "",
+        "## Correlation",
+        "",
+    ]
+    if deviations:
+        rms = math.sqrt(sum(d * d for d in deviations) / len(deviations))
+        worst = max(abs(d) for d in deviations)
+        lines += [
+            f"- RMS deviation of standard correlation from the model curve: {rms:.5f}",
+            f"- max |deviation|: {worst:.5f}",
+        ]
+    else:
+        lines.append("- no correlation points available")
+    lines += [
+        "",
+        f"- model CHSH at canonical settings "
+        f"({', '.join(f'{v:g}°' for v in CANONICAL_CHSH_DEG)}): {chsh:.4f} "
+        "(settings not covered by a single-scan run; value is the model "
+        "prediction for this source)",
+        "",
+        "## No-signalling test (singles-normalized marginals)",
+        "",
+    ]
+    report = ns["report"]
+    if report is None:
+        lines.append(f"- {ns['fit_note'] or 'fits unavailable'}")
+    else:
+        for name, mf in report["marginals"].items():
+            fit = mf["fits"]["cosine"]
+            amp, amp_s, p_val = fit["amplitude"], fit["amplitude_sigma"], fit["p_value"]
+            desc = (
+                f"cosine amplitude {amp:.5f} ± {amp_s:.5f}, p = {p_val:.3g}"
+                if None not in (amp, amp_s, p_val) else "cosine fit unavailable"
+            )
+            verdict = f" → {mf['verdict']}" if mf["verdict"] else ""
+            lines.append(f"- {name} ({mf['n_points']} points): {desc}{verdict}")
+        level = report["alpha_level"]
+        verdict = (
+            f"consistent** — distant-station marginals show no setting "
+            f"dependence at p < {level:g}."
+            if report["consistent"] else
+            f"REJECTED at p<{level:g}** — distant-station marginals depend on "
+            "the remote setting."
+        )
+        lines += ["", f"**Verdict: fair sampling {verdict}"]
+    low, skipped = ns["low_statistics_points"], ns["skipped_points"]
+    if low or skipped:
+        lines += ["", "## Warnings", ""]
+        if low:
+            lines.append(f"- low-statistics points (some count < 10): {low}")
+        for item in skipped:
+            lines.append(f"- point {item['index']} skipped in fits: {item['reason']}")
+    return "\n".join(lines) + "\n"
+
+
 def analyze_run(
     manifest_path,
     window_ticks: "int | None" = None,
@@ -396,9 +487,10 @@ def analyze_run(
     """Run matching + estimation + fits over a simulated run on disk.
 
     Writes counts.csv, correlation.csv, evenodd_standard.csv,
-    marginals_singles.csv and nosignalling.json next to the manifest (or
-    into ``output_dir``).  When fewer than 5 points support fits, the fit
-    step is skipped with a note instead of failing the whole analysis.
+    marginals_singles.csv, nosignalling.json and report.md, rendered from
+    that document, next to the manifest (or into ``output_dir``).  When
+    fewer than 5 points support fits, the fit step is skipped with a note
+    instead of failing the whole analysis.
     ``jobs`` is the number of worker threads (default: one per usable CPU).
     """
     _check_jobs(jobs)
@@ -427,22 +519,26 @@ def analyze_run(
         "evenodd_standard": out_dir / "evenodd_standard.csv",
         "marginals_singles": out_dir / "marginals_singles.csv",
         "nosignalling": out_dir / "nosignalling.json",
+        "report": out_dir / REPORT_NAME,
     }
-    # One set of uncertainties per point: the estimate's own, or one call
-    # for a point whose singles normalization is undefined.
+    # Per point: one set of uncertainties (the estimate's own, or one call
+    # for a point whose singles normalization is undefined) and the
+    # correlations that correlation.csv and the report share.
     rows = [
-        (index, pt, pt.est.sigma if pt.est else counting_uncertainties(pt.counts))
+        _Row(index, pt, pt.est.sigma if pt.est else counting_uncertainties(pt.counts),
+             correlation_standard(pt.counts) if pt.counts.total_coincidences else math.nan,
+             correlation_qt(cfg.source, SettingsPair(pt.alpha, pt.beta)))
         for index, pt, _ in results
     ]
     _write_table(
         files["counts"], list(COUNT_NAMES), rows,
-        lambda pt, sigma: pt.counts.as_array().tolist(),
+        lambda row: row.pt.counts.as_array().tolist(),
     )
     _write_table(
         files["correlation"],
         ["corr_standard", "sigma_standard",
          "corr_singles", "sigma_singles", "corr_model"],
-        rows, lambda pt, sigma: _correlation_cells(pt, sigma, cfg),
+        rows, _correlation_cells,
     )
     _write_table(files["evenodd_standard"], _CHANNEL_COLUMNS, rows, _evenodd_cells)
     _write_table(
@@ -451,9 +547,7 @@ def analyze_run(
     )
 
     low_stat_points = [
-        index
-        for index, pt, sigma in rows
-        if pt.est is not None and sigma.low_statistics
+        row.index for row in rows if row.pt.est is not None and row.sigma.low_statistics
     ]
     ns_doc = {
         "schema_version": NOSIGNALLING_SCHEMA_VERSION,
@@ -474,160 +568,11 @@ def analyze_run(
     }
     with atomic_write(files["nosignalling"], encoding="utf-8") as fh:
         json.dump(ns_doc, fh, indent=2)
+    deviations = [row.corr_standard - row.corr_model for row in rows]
+    with atomic_write(files["report"], encoding="utf-8") as fh:
+        fh.write(_render_report(ns_doc, deviations))
     return AnalysisResult(
         scan=scan, nosignalling=report, fit_note=fit_note, skipped=skipped,
         files=files,
     )
 
-
-_COSINE_FIELDS = ("amplitude", "amplitude_sigma", "p_value")
-
-
-def _check_nosignalling(ns) -> None:
-    """Check the kind, version and every field of ``ns`` that write_report reads."""
-    if not isinstance(ns, dict) or ns.get("kind") != "fairsample-nosignalling":
-        raise ValueError("not a no-signalling document")
-    version = json_field(ns, "schema_version", (int,))
-    if version != NOSIGNALLING_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema version {version!r}, "
-            f"expected {NOSIGNALLING_SCHEMA_VERSION}"
-        )
-    run = json_field(ns, "run", (dict,))
-    for key, kinds in (
-        ("p", NUMBER), ("policy", (str,)), ("d", NUMBER),
-        ("varied", (str,)), ("n_points", (int,)), ("window_ticks", (int,)),
-    ):
-        json_field(run, key, kinds, "run")
-    # write_report builds the model from run.p; NaN fails the comparison.
-    if not 0.0 <= run["p"] <= 1.0:
-        raise ValueError(f"run.p: must be a number in [0, 1], got {run['p']!r}")
-    json_field(ns, "fit_note", (str, type(None)))
-    json_field(ns, "low_statistics_points", (list,))
-    for i, item in enumerate(json_field(ns, "skipped_points", (list,))):
-        where = f"skipped_points[{i}]"
-        json_field(item, "index", (int,), where)
-        json_field(item, "reason", (str,), where)
-    report = json_field(ns, "report", (dict, type(None)))
-    if report is None:
-        return
-    json_field(report, "consistent", (bool,), "report")
-    json_field(report, "alpha_level", NUMBER, "report")
-    for name, mf in json_field(report, "marginals", (dict,), "report").items():
-        where = f"report.marginals.{name}"
-        json_field(mf, "n_points", (int,), where)
-        json_field(mf, "verdict", (str, type(None)), where)
-        fits = json_field(mf, "fits", (dict,), where)
-        cosine = json_field(fits, "cosine", (dict,), f"{where}.fits")
-        for key in _COSINE_FIELDS:
-            json_field(cosine, key, (int, float, type(None)), f"{where}.fits.cosine")
-
-
-def write_report(analysis_dir) -> Path:
-    """Render a human-readable summary of an analyzed run to report.md."""
-    base = Path(analysis_dir)
-    ns_path = base / "nosignalling.json"
-    corr_path = base / "correlation.csv"
-    for path in (ns_path, corr_path):
-        if not path.exists():
-            raise FileNotFoundError(
-                errno.ENOENT, f"no analysis artifacts found in {base}", str(path)
-            )
-    try:
-        ns = json.loads(ns_path.read_text(encoding="utf-8"))
-        _check_nosignalling(ns)
-    except ValueError as exc:
-        raise ValueError(f"{ns_path}: {exc}") from None
-
-    deviations = []
-    with open(corr_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if not {"corr_standard", "corr_model"} <= set(reader.fieldnames or ()):
-            raise ValueError(
-                f"{corr_path}: needs corr_standard and corr_model columns"
-            )
-        for row in reader:
-            try:
-                measured = float(row["corr_standard"])
-                model = float(row["corr_model"])
-            except (TypeError, ValueError):
-                # A short row reads None for its missing cells.
-                continue
-            if math.isfinite(measured) and math.isfinite(model):
-                deviations.append(measured - model)
-
-    run = ns["run"]
-    state = SourceState(run["p"])
-    a1, a2, b1, b2 = (math.radians(v) for v in CANONICAL_CHSH_DEG)
-    chsh = chsh_value(state, a1, a2, b1, b2)
-
-    lines = [
-        "# Run summary",
-        "",
-        f"- source p = {run['p']}, policy = {run['policy']} (d = {run['d']})",
-        f"- varied station: {run['varied']}; scan points: {run['n_points']}; "
-        f"coincidence window: {run['window_ticks']} ticks",
-        "",
-        "## Correlation",
-        "",
-    ]
-    if deviations:
-        rms = math.sqrt(sum(d * d for d in deviations) / len(deviations))
-        worst = max(abs(d) for d in deviations)
-        lines += [
-            f"- RMS deviation of standard correlation from the model curve: "
-            f"{rms:.5f}",
-            f"- max |deviation|: {worst:.5f}",
-        ]
-    else:
-        lines.append("- no correlation points available")
-    lines += [
-        "",
-        f"- model CHSH at canonical settings "
-        f"({', '.join(f'{v:g}°' for v in CANONICAL_CHSH_DEG)}): {chsh:.4f} "
-        "(settings not covered by a single-scan run; value is the model "
-        "prediction for this source)",
-        "",
-        "## No-signalling test (singles-normalized marginals)",
-        "",
-    ]
-    report = ns["report"]
-    if report is None:
-        lines.append(f"- {ns['fit_note'] or 'fits unavailable'}")
-    else:
-        for name, mf in report["marginals"].items():
-            amp, amp_s, p_val = (mf["fits"]["cosine"][k] for k in _COSINE_FIELDS)
-            desc = (
-                f"cosine amplitude {amp:.5f} ± {amp_s:.5f}, p = {p_val:.3g}"
-                if amp is not None and amp_s is not None and p_val is not None
-                else "cosine fit unavailable"
-            )
-            verdict = f" → {mf['verdict']}" if mf["verdict"] else ""
-            lines.append(f"- {name} ({mf['n_points']} points): {desc}{verdict}")
-        lines.append("")
-        if report["consistent"]:
-            lines.append(
-                f"**Verdict: fair sampling consistent** — distant-station "
-                f"marginals show no setting dependence at "
-                f"p < {report['alpha_level']:g}."
-            )
-        else:
-            lines.append(
-                f"**Verdict: fair sampling REJECTED at "
-                f"p<{report['alpha_level']:g}** — distant-station marginals "
-                "depend on the remote setting."
-            )
-    low = ns["low_statistics_points"]
-    skipped = ns["skipped_points"]
-    if low or skipped:
-        lines += ["", "## Warnings", ""]
-        if low:
-            lines.append(f"- low-statistics points (some count < 10): {low}")
-        for item in skipped:
-            lines.append(
-                f"- point {item['index']} skipped in fits: {item['reason']}"
-            )
-    out = base / "report.md"
-    with atomic_write(out, encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return out

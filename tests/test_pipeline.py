@@ -17,7 +17,7 @@ from fairsample import cli, pipeline, timetags
 from fairsample.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, OUTPUT_DIR_ENV, main
 from fairsample.config import config_from_dict, config_to_dict
 from fairsample.detection import SAMPLER_NAME, SAMPLER_VERSION
-from fairsample.pipeline import analyze_run, load_manifest, simulate_run, write_report
+from fairsample.pipeline import _render_report, analyze_run, load_manifest, simulate_run
 from fairsample.quantum import Station
 from fairsample.timetags import make_stream, read_ttg, write_ttg
 
@@ -135,22 +135,24 @@ def test_failed_analysis_keeps_previous_tables(tmp_path, monkeypatch):
     manifest = simulate_run(config_from_dict(small_doc(pairs_per_point=5_000)), tmp_path)
     analyze_run(manifest)
     before = {p.name: p.read_bytes() for p in tmp_path.glob("*.*")}
-    real_model = pipeline.correlation_qt
+    real_sums = pipeline.evenodd_sums_standard
     calls = []
 
-    def failing_model(state, s):
-        calls.append(s)
+    def failing_sums(counts):
+        calls.append(counts)
         if len(calls) == 3:
             raise RuntimeError("interrupted mid-table")
-        return real_model(state, s)
+        return real_sums(counts)
 
-    monkeypatch.setattr(pipeline, "correlation_qt", failing_model)
+    monkeypatch.setattr(pipeline, "evenodd_sums_standard", failing_sums)
     with pytest.raises(RuntimeError):
         analyze_run(manifest, window_ticks=10)
-    # counts.csv was complete before the failure and is replaced; the
-    # table that failed part-way, and those after it, keep their content.
+    # counts.csv and correlation.csv were complete before the failure and
+    # are replaced; the table that failed part-way (evenodd_standard.csv),
+    # and those after it, keep their content.
     after = {p.name: p.read_bytes() for p in tmp_path.glob("*.*")}
-    assert after.pop("counts.csv") != before.pop("counts.csv")
+    for name in ("counts.csv", "correlation.csv"):
+        assert after.pop(name) != before.pop(name)
     assert after == before
     assert not list(tmp_path.glob(".*"))
 
@@ -291,8 +293,9 @@ def test_window_override_changes_matching(fair_run, tmp_path):
 
 
 def test_report_fair_run(fair_run):
-    run_dir, _, _ = fair_run
-    path = write_report(run_dir)
+    run_dir, _, result = fair_run
+    path = result.files["report"]
+    assert path == run_dir / "report.md"
     text = path.read_text()
     assert "fair sampling consistent" in text
     assert "RMS deviation" in text
@@ -393,7 +396,7 @@ def test_outputs_carry_manifest_point_indices(tmp_path):
         assert [row.split(",")[0] for row in rows] == ["2", "4", "9"]
     doc = json.loads(result.files["nosignalling"].read_text())
     assert [p["index"] for p in doc["skipped_points"]] == [2, 4, 9]
-    report = write_report(tmp_path).read_text()
+    report = result.files["report"].read_text()
     assert "point 9 skipped" in report
 
 
@@ -415,7 +418,7 @@ def test_right_angle_scan_skips_fits(tmp_path, n_points):
     assert "insufficient points" in result.fit_note
     assert "rank 2 < 3" in result.fit_note
     assert json.loads(result.files["nosignalling"].read_text())["report"] is None
-    assert "insufficient points" in write_report(tmp_path).read_text()
+    assert "insufficient points" in result.files["report"].read_text()
 
 
 def test_zero_pair_run_analyzes_cleanly(tmp_path):
@@ -430,7 +433,7 @@ def test_zero_pair_run_analyzes_cleanly(tmp_path):
     assert "insufficient points" in result.fit_note
     doc = json.loads(result.files["nosignalling"].read_text())
     assert doc["report"] is None
-    report_text = write_report(tmp_path).read_text()
+    report_text = result.files["report"].read_text()
     assert "insufficient points" in report_text
 
 
@@ -747,6 +750,23 @@ def test_scan_points_counted_from_the_point_list(tmp_path, capsys):
     assert f"scan points: {len(ANGLES_DEG)};" in (path.parent / "report.md").read_text()
 
 
+def test_cli_analyze_names_a_point_off_the_fixed_angle_before_matching(
+    tmp_path, capsys, monkeypatch
+):
+    path, doc = _simulated_manifest(tmp_path)
+    doc["points"][3]["beta_deg"] = 10.0
+    path.write_text(json.dumps(doc))
+    matched = []
+    analyze_point = pipeline._analyze_point
+    monkeypatch.setattr(
+        pipeline, "_analyze_point", lambda pt, w: matched.append(pt) or analyze_point(pt, w)
+    )
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {path}: points[3].beta_deg: the non-varied angle" in err
+    assert "Traceback" not in err
+    assert matched == []
+
 def test_cli_analyze_window_and_alpha_flags(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, small_doc(pairs_per_point=5000))
     out = tmp_path / "out"
@@ -765,12 +785,39 @@ def test_cli_report_empty_dir(tmp_path, capsys):
     assert "no analysis artifacts found" in capsys.readouterr().err
 
 
+def test_analyze_writes_the_report_that_report_prints(fair_run, tmp_path, capsys):
+    run_dir, _, _ = fair_run
+    result = analyze_run(run_dir / "manifest.json", output_dir=tmp_path)
+    assert result.files["report"] == tmp_path / "report.md"
+    assert main(["report", "--dir", str(tmp_path)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("# Run summary\n")
+    assert out.encode("utf-8") == (tmp_path / "report.md").read_bytes()
+
+
+def test_cli_report_needs_report_md(tmp_path, capsys):
+    # The no-signalling document alone is not a report: report never renders one.
+    (tmp_path / "nosignalling.json").write_text(json.dumps(_violated_nosignalling_doc()))
+    assert main(["report", "--dir", str(tmp_path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"no analysis artifacts found in {tmp_path}: {tmp_path / 'report.md'}" in err
+
+
+def test_cli_report_rejects_a_report_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "report.md").write_bytes(b"# Run summary\n\xff\xfe\n")
+    assert main(["report", "--dir", str(tmp_path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert f"data error: {tmp_path / 'report.md'}: 'utf-8' codec" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_cli_missing_files_are_named_once(tmp_path, capsys):
     missing_dir = tmp_path / "nodir"
     assert main(["report", "--dir", str(missing_dir)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.count("no analysis artifacts found") == 1
-    assert str(missing_dir / "nosignalling.json") in err
+    assert str(missing_dir / "report.md") in err
 
     manifest = tmp_path / "missing" / "manifest.json"
     assert main(["analyze", "--manifest", str(manifest)]) == EXIT_DATA
@@ -837,65 +884,9 @@ def _violated_nosignalling_doc() -> dict:
     }
 
 
-_CORRELATION_HEADER = (
-    "point,alpha_deg,beta_deg,corr_standard,sigma_standard,corr_singles,sigma_singles,corr_model\n"
-)
-
-
-def test_report_rejected_phrasing(tmp_path):
-    # A doctored analysis directory with a violated verdict drives the
-    # headline phrasing; the report renderer needs no other context.
-    (tmp_path / "nosignalling.json").write_text(json.dumps(_violated_nosignalling_doc()))
-    (tmp_path / "correlation.csv").write_text(_CORRELATION_HEADER)
-    text = write_report(tmp_path).read_text()
+def test_report_rejected_phrasing():
+    # A hand-written document with a violated verdict drives the headline
+    # phrasing; the renderer needs no other context.
+    text = _render_report(_violated_nosignalling_doc(), [])
     assert "fair sampling REJECTED at p<0.01" in text
     assert "b_plus" in text
-
-
-def _without_cosine(doc):
-    del doc["report"]["marginals"]["b_plus"]["fits"]["cosine"]
-
-
-@pytest.mark.parametrize(
-    "mutate, message",
-    [
-        (lambda doc: {}, "not a no-signalling document"),
-        (lambda doc: [1], "not a no-signalling document"),
-        (lambda doc: doc.update(schema_version=1), "schema version 1"),
-        (lambda doc: doc.update(schema_version=2.0), "schema_version: must be an integer"),
-        (_without_cosine, "report.marginals.b_plus.fits.cosine: missing"),
-        (
-            lambda doc: doc["report"]["marginals"]["b_plus"].update(n_points=21.0),
-            "report.marginals.b_plus.n_points: must be an integer",
-        ),
-        (lambda doc: doc["report"].update(consistent=1), "report.consistent: must be a boolean"),
-        (lambda doc: doc["run"].update(p="1"), "run.p: must be an integer or a number"),
-        (lambda doc: doc["run"].update(p=5), "run.p: must be a number in [0, 1], got 5"),
-        (lambda doc: doc["run"].update(p=math.nan), "run.p: must be a number in [0, 1], got nan"),
-        (lambda doc: doc.update(skipped_points=[3]), "skipped_points[0]: must be an object"),
-    ],
-    ids=[
-        "empty", "array", "schema-1", "schema-2.0", "no-cosine", "n_points-float",
-        "consistent-int",
-        "p-string", "p-5", "p-nan", "skipped-int",
-    ],
-)
-def test_cli_report_rejects_malformed_nosignalling(tmp_path, capsys, mutate, message):
-    # A mutation edits the document in place or returns a replacement.
-    doc = _violated_nosignalling_doc()
-    replacement = mutate(doc)
-    doc = doc if replacement is None else replacement
-    (tmp_path / "nosignalling.json").write_text(json.dumps(doc))
-    (tmp_path / "correlation.csv").write_text(_CORRELATION_HEADER)
-    assert main(["report", "--dir", str(tmp_path)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert message in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "report.md").exists()
-
-
-def test_cli_report_rejects_correlation_table_without_columns(tmp_path, capsys):
-    (tmp_path / "nosignalling.json").write_text(json.dumps(_violated_nosignalling_doc()))
-    (tmp_path / "correlation.csv").write_text("point,alpha_deg\n0,0.0\n")
-    assert main(["report", "--dir", str(tmp_path)]) == EXIT_DATA
-    assert "corr_standard and corr_model" in capsys.readouterr().err
