@@ -34,21 +34,27 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 
-# glibc's mallopt parameter for the free memory kept at the top of a heap.
+# glibc's mallopt parameters for the free memory kept at the top of a heap
+# and for the most malloc arenas the process may have.
 _M_TOP_PAD = -2
-# Free memory each heap keeps at its top instead of returning it to the
+_M_ARENA_MAX = -8
+# Free memory the heap keeps at its top instead of returning it to the
 # kernel.  It exceeds one scan point's working set (a dense benchmark point
-# traces at about 26 MB to analyze and 12 MB to simulate), so the arrays of
+# traces at about 18 MB to analyze and 10 MB to simulate), so the arrays of
 # each point reuse the pages the previous point freed instead of faulting
 # fresh ones in.  Pages of the pad that are never touched are never resident.
+# With one arena, every pool thread allocates from the main heap and shares
+# this one pad; an arena per thread would keep each thread's last working
+# set resident under a pad of its own.
 _HEAP_TOP_PAD = 64 * 2**20
 
 
 def _keep_heap_resident() -> None:
-    """Ask the C library to keep ``_HEAP_TOP_PAD`` free at each heap's top.
+    """Ask the C library for one malloc arena that keeps ``_HEAP_TOP_PAD`` free.
 
-    The CLI owns its process, so it tunes the allocator; the library does
-    not.  A C library without ``mallopt`` is left as it is.
+    Called before any pool thread starts, so that no thread has an arena
+    of its own yet.  The CLI owns its process, so it tunes the allocator;
+    the library does not.  A C library without ``mallopt`` is left as it is.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -57,6 +63,7 @@ def _keep_heap_resident() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 def _checked(convert, accept, requirement: str):

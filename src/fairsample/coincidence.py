@@ -113,16 +113,17 @@ def _block_clusters(
     # the smaller of the two: for an A event, order[p] < na <= p + na -
     # order[p]; for a B event, p + na - order[p] <= na <= order[p].
     o_first, o_last = order[first], order[last]
-    a_lo = np.minimum(o_first, first + na - o_first)
-    a_hi = np.minimum(o_last + 1, last + na - o_last)
-    b_lo, b_hi = first - a_lo, last + 1 - a_hi
-    pairs = np.minimum(a_hi - a_lo, b_hi - b_lo)
     narrow = t[o_last] - t[o_first] <= width
     if stop == n:
         a_done = na
     else:
         o_stop = int(order[stop])
         a_done = min(o_stop, stop + na - o_stop)
+    del t, order  # spent: the block's largest arrays go before the next ones
+    a_lo = np.minimum(o_first, first + na - o_first)
+    a_hi = np.minimum(o_last + 1, last + na - o_last)
+    b_lo, b_hi = first - a_lo, last + 1 - a_hi
+    pairs = np.minimum(a_hi - a_lo, b_hi - b_lo)
 
     # Narrow clusters: the k-th A event takes the k-th B event.  Most hold
     # one pair, so each round k leaves fewer of them.
@@ -337,10 +338,13 @@ def count_coincidences(
     singles = np.zeros((2, 2), dtype=np.int64)
 
     def selected(stream, station: int):
-        for chunk in stream.chunks():
+        # A map holds no chunk between calls, so each is freed once matched.
+        def select(chunk):
             t, sign = _selected(chunk, settings[station])
             singles[station] += _sign_counts(sign)
-            yield t, sign
+            return t, sign
+
+        return map(select, stream.chunks())
 
     cells = np.zeros(4, dtype=np.int64)
     for (_, sign_a), (_, sign_b), i, j in _settled_blocks(

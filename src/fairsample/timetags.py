@@ -168,15 +168,15 @@ def _joined(chunks: list, station: Station, tick_resolution_ps: int) -> EventStr
     return EventStream(station, tick_resolution_ps, t, sign, setting_index, validate=False)
 
 
-def _to_ticks(t: np.ndarray) -> np.ndarray:
-    """Float tick times as uint64, refused before the cast at 2**63 or beyond.
+def _check_ticks(t: np.ndarray) -> None:
+    """Refuse float tick times at 2**63 or beyond, before they are cast to uint64.
 
     RunConfig keeps the emission clock below 2**53 ticks; direct callers
-    can pass rates and resolutions whose times no uint64 holds.
+    can pass rates and resolutions whose times no uint64 holds.  Below
+    2**63 the key 2t + sign fits in a uint64 too.
     """
     if t.shape[0] and not t.max() < 2.0**63:
         raise ValueError("event times reach 2**63 ticks")
-    return t.astype(np.uint64)
 
 
 # Signs of the observed pairs, class by class, in the layout generate_slices
@@ -274,12 +274,13 @@ def generate_slices(
             (emission[: split + int(sizes[2:6].sum())], _SIGNS_A, sizes[:6]),
             (emission[split:], _SIGNS_B, sizes[2:]),
         ):
-            t = rng.normal(0.0, jitter_sd_ticks, times.shape[0])
-            t += times
-            np.rint(t, out=t)
-            np.maximum(t, 0.0, out=t)
-            hits.append((_to_ticks(t), np.repeat(signs, classes_k)))
-        del emission
+            jittered = rng.normal(0.0, jitter_sd_ticks, times.shape[0])
+            jittered += times
+            np.rint(jittered, out=jittered)
+            np.maximum(jittered, 0.0, out=jittered)
+            _check_ticks(jittered)
+            hits.append((jittered, signs, classes_k))
+        del emission, times, jittered
 
         end = (k + 1) * slice_ticks
         dark_lo = min(k * slice_ticks, duration_ticks)
@@ -287,21 +288,32 @@ def generate_slices(
         share = (dark_hi - dark_lo) / duration_ticks if duration_ticks > 0 else 0.0
         streams = []
         for s, station in enumerate((Station.ALICE, Station.BOB)):
-            t, sign = hits.pop(0)
-            if dark_rate_hz > 0.0:
-                n_dark = rng.poisson(dark_mean * share)
-                t_dark = _to_ticks(rng.uniform(dark_lo, dark_hi, n_dark))
-                sign_dark = rng.integers(0, 2, n_dark).astype(np.uint8)
-                t = np.concatenate([t, t_dark])
-                sign = np.concatenate([sign, sign_dark])
-            # One in-place sort of the key 2t + sign orders the events by
-            # (t, sign) as make_stream does, without its index and gathered
-            # arrays; _to_ticks keeps t below 2**63, so 2t + sign fits.
-            np.left_shift(t, np.uint64(1), out=t)
-            t |= sign
-            del sign
-            if held[s].shape[0]:
-                t = np.concatenate((held[s], t))
+            jittered, signs, classes_k = hits.pop(0)
+            n_dark = rng.poisson(dark_mean * share) if dark_rate_hz > 0.0 else 0
+            # One buffer t of keys 2t + sign: the events held back, the
+            # photons, then the dark counts.  One in-place sort of it orders
+            # the events by (t, sign) as make_stream does, without its index
+            # and gathered arrays; _check_ticks keeps t below 2**63, so the
+            # keys fit.
+            n_held, n_hits = held[s].shape[0], jittered.shape[0]
+            t = np.empty(n_held + n_hits + n_dark, dtype=np.uint64)
+            t[:n_held] = held[s]
+            photons, dark = t[n_held : n_held + n_hits], t[n_held + n_hits :]
+            photons[...] = jittered
+            del jittered
+            photons <<= np.uint64(1)
+            class_end = np.cumsum(classes_k)
+            for lo, hi, sign in zip(class_end - classes_k, class_end, signs):
+                if sign:
+                    photons[lo:hi] |= np.uint64(1)
+            if n_dark:
+                uniform = rng.uniform(dark_lo, dark_hi, n_dark)
+                _check_ticks(uniform)
+                dark[...] = uniform
+                del uniform
+                dark <<= np.uint64(1)
+                dark |= rng.integers(0, 2, n_dark, dtype=np.uint64)
+            del photons, dark
             t.sort()
             if not final:
                 # Later slices' events are at least end - 40 SD - 1/2 after
@@ -321,7 +333,10 @@ def generate_slices(
                         "given out, past the jitter hold-back"
                     )
                 last_key[s] = int(t[-1])
-            sign = (t & np.uint64(1)).astype(np.uint8)
+            sign = np.bitwise_and(
+                t, np.uint64(1), out=np.empty(t.shape[0], dtype=np.uint8),
+                casting="unsafe",
+            )
             t >>= np.uint64(1)
             idx = np.zeros(t.shape[0], dtype=np.uint8)
             # The sort gives the (t, sign) order, sign is one bit and every
@@ -481,7 +496,11 @@ class TtgReader:
                 t, flags = t[:keep], flags[:keep]
                 ties = ties[ties < keep - 1]
             if t.shape[0]:
-                yield self._stream(t, flags, ties)
+                # Keep no reference to the chunk given out, so that its
+                # arrays are freed once the caller is done with them.
+                chunk = [self._stream(t, flags, ties)]
+                del t, flags, ties
+                yield chunk.pop()
 
     def _check(self, t: np.ndarray, flags: np.ndarray, base: int) -> np.ndarray:
         """Raise for the first faulty record; return the indices p with t[p + 1] <= t[p].

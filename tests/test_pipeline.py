@@ -9,6 +9,7 @@ import os
 import platform
 import resource
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -127,6 +128,21 @@ def test_failed_resimulation_leaves_no_manifest(tmp_path, monkeypatch):
     # The old manifest would vouch for a mix of old and new point files.
     assert not (tmp_path / "manifest.json").exists()
     assert not list(tmp_path.glob(".*"))
+
+
+def test_resimulation_into_a_used_directory_equals_a_fresh_one(tmp_path):
+    # The point files of the earlier run are removed before the new ones are
+    # written, so each new file is renamed onto a free name.
+    doc = small_doc(pairs_per_point=2_000)
+    used, fresh = tmp_path / "used", tmp_path / "fresh"
+    simulate_run(config_from_dict(doc), used)
+    cfg = config_from_dict({**doc, "seed": doc["seed"] + 1})
+    simulate_run(cfg, used)
+    simulate_run(cfg, fresh)
+    names = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in used.iterdir()) == names
+    for name in names:
+        assert (used / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_failed_analysis_keeps_previous_tables(tmp_path, monkeypatch):
@@ -515,6 +531,23 @@ def test_cli_reanalysis_faults_in_no_fresh_memory(tmp_path, capsys):
     assert main(analyze) == EXIT_OK
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 10 * 21
+
+
+def test_cli_sets_the_allocator_before_any_work(tmp_path, capsys, monkeypatch):
+    # One arena with the heap pad, asked for before the handler starts any
+    # pool thread, which would otherwise get an arena of its own.
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_report", lambda args: seen.append(list(calls)) or 0)
+    assert main(["report", "--dir", str(tmp_path)]) == EXIT_OK
+    # glibc's M_TOP_PAD is -2 and M_ARENA_MAX is -8.
+    assert seen == [[(-2, cli._HEAP_TOP_PAD), (-8, 1)]]
 
 
 def _no_c_library(name):
