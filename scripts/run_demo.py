@@ -18,7 +18,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -63,25 +62,24 @@ def run_arm(name: str, doc: dict, out_dir: Path, jobs: "int | None") -> dict:
     manifest = simulate_run(cfg, arm_dir, jobs=jobs)
     result = analyze_run(manifest, jobs=jobs)
     elapsed = time.monotonic() - t0
-    ns = json.loads(result.files["nosignalling"].read_text())
-    return {"dir": arm_dir, "elapsed": elapsed, "nosignalling": ns, "result": result}
+    return {"dir": arm_dir, "elapsed": elapsed, "result": result}
 
 
 def describe(name: str, arm: dict) -> None:
-    ns = arm["nosignalling"]
-    report = ns["report"]
+    result = arm["result"]
+    report = result.nosignalling
     print(f"--- {name} run ({arm['dir']}) [{arm['elapsed']:.1f}s]")
     if report is None:
-        print("    no verdict:", ns["fit_note"])
+        print("    no verdict:", result.fit_note)
         return
-    verdict = "consistent" if report["consistent"] else "REJECTED"
+    verdict = "consistent" if report.consistent else "REJECTED"
     print(f"    no-signalling verdict on distant marginals: {verdict}")
-    fit = report["marginals"]["b_plus"]["fits"][FitModel.COSINE.value]
-    amp = fit["amplitude"]
-    sig = fit["amplitude_sigma"]
+    fit = report.marginals["b_plus"].fits[FitModel.COSINE]
+    amp = fit.amplitude
+    sig = fit.amplitude_sigma
     z = amp / sig if sig else float("nan")
     print(
-        f"    b_plus: cosine-vs-constant p = {fit['p_value']:.3g}, "
+        f"    b_plus: cosine-vs-constant p = {fit.p_value:.3g}, "
         f"modulation amplitude = {amp:.5f} ± {sig:.5f} ({z:.1f}σ)"
     )
 

@@ -59,7 +59,8 @@ def json_field(doc, key, kinds: "tuple | None" = None, where: str = "",
     None); a boolean counts only where ``kinds`` names bool.  A missing
     key gives ``default`` when one is passed.  Anything else raises
     ConfigError named by the JSON path: ``where.key``, or ``where[key]``
-    for an index (``where`` is empty at the root).
+    for an index (``where`` is empty at the root), and so does an integer
+    of magnitude 2**1024 or more, which no float can hold.
     """
     container = list if isinstance(key, int) else dict
     if not isinstance(doc, container):
@@ -79,6 +80,8 @@ def json_field(doc, key, kinds: "tuple | None" = None, where: str = "",
     ):
         expected = " or ".join(_JSON_TYPE_NAMES[k] for k in kinds)
         raise ConfigError(name, f"must be {expected}, got {value!r}")
+    if isinstance(value, int) and abs(value) >= 2**1024:
+        raise ConfigError(name, "must be below 2**1024 in magnitude")
     return value
 
 
@@ -259,6 +262,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError("<file>", f"cannot read {path}: {exc}") from None
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError("<file>", f"invalid JSON: {exc}") from None
     return config_from_dict(doc)

@@ -80,18 +80,22 @@ class MarginalFits:
     """Both model fits for one marginal curve."""
 
     n_points: int
-    fits: dict[FitModel, FitReport]
     verdict: "str | None"
+    fits: dict[FitModel, FitReport]
 
 
 @dataclass(frozen=True)
 class NoSignallingReport:
-    """Fits of each station's Plus marginal and the distant station's verdict."""
+    """Fits of each station's Plus marginal and the distant station's verdict.
+
+    This dataclass and those it holds are the layout of ``nosignalling.json``'s
+    ``report``: their fields, in declared order, are its keys.
+    """
 
     distant: Station
     alpha_level: float
-    marginals: dict[str, MarginalFits]
     consistent: bool
+    marginals: dict[str, MarginalFits]
 
 
 def _design_matrix(x: np.ndarray, model: FitModel) -> np.ndarray:
@@ -260,11 +264,11 @@ def nosignalling_stats(
         if station == distant:
             p_cos = fits[FitModel.COSINE].p_value
             verdict = "consistent" if p_cos >= alpha_level else "violated"
-        marginals[name] = MarginalFits(n_points=n_valid, fits=fits, verdict=verdict)
+        marginals[name] = MarginalFits(n_points=n_valid, verdict=verdict, fits=fits)
 
     return NoSignallingReport(
         distant=distant,
         alpha_level=alpha_level,
-        marginals=marginals,
         consistent=marginals[_PLUS[distant][0]].verdict == "consistent",
+        marginals=marginals,
     )

@@ -13,20 +13,22 @@ analyzed by writing a manifest by hand.  Such a manifest must hold a
 complete and valid ``config`` block: analysis uses only its coincidence
 window, ``scan.varied``, ``source.p`` and the sampling policy, and
 validates and echoes the rest.  ``report.md`` is rendered from the
-no-signalling document in the call that writes it, never read back.
-Per-point work is independent and runs in a thread pool, by default one
-thread per usable CPU; outputs are ordered by point index regardless of
+no-signalling document in the call that writes it, never read back; the
+document's ``report`` is serialized from the ``fits`` dataclasses.  Each
+point is analyzed into one record on a thread pool, by default one thread
+per usable CPU; outputs are ordered by point index regardless of
 scheduling, and are identical at any number of jobs.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -44,7 +46,6 @@ from .config import (
 from .detection import COUNT_NAMES, SAMPLER_NAME, SAMPLER_VERSION, simulate_block
 from .estimator import (
     AllZeroRatios,
-    EstimateSet,
     NoCoincidences,
     ScanPoint,
     ScanResult,
@@ -56,12 +57,7 @@ from .estimator import (
     evenodd_sums_standard,
 )
 from .fileio import atomic_write
-from .fits import (
-    FitModel,
-    InsufficientPoints,
-    NoSignallingReport,
-    nosignalling_stats,
-)
+from .fits import InsufficientPoints, NoSignallingReport, nosignalling_stats
 from .quantum import SettingsPair, SourceState, Station, chsh_value, correlation_qt
 from .timetags import TtgFormatError, generate_slices, open_ttg, ttg_writer
 
@@ -279,14 +275,25 @@ def load_manifest(
                     f"points[{i}].{key}: the non-varied angle must equal "
                     f"points[0]'s {first!r}, got {got!r}"
                 )
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # too deeply nested to parse
         raise ValueError(f"{path}: {exc}") from None
     return doc, cfg, base, points
 
 
+class _Row(NamedTuple):
+    """One analyzed point: what the tables, the fits and the report see."""
+
+    index: int  # in the manifest
+    pt: ScanPoint
+    note: "str | None"  # why the point has no estimates
+    sigma: UncertaintySet
+    corr_standard: float  # nan without coincidences
+    corr_model: float
+
+
 def _analyze_point(
-    point: ManifestPoint, window: CoincidenceWindow
-) -> tuple[int, ScanPoint, "str | None"]:
+    point: ManifestPoint, window: CoincidenceWindow, source: SourceState
+) -> _Row:
     index, alpha, beta = point.index, point.alpha, point.beta
     try:
         with open_ttg(point.alice_file) as alice, open_ttg(point.bob_file) as bob:
@@ -306,14 +313,17 @@ def _analyze_point(
         raise ValueError(f"point {index}: {exc.path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"point {index}: {exc}") from None
-    est: "EstimateSet | None"
-    note: "str | None" = None
+    est, note = None, None
     try:
         est = estimate_block(counts)
     except (ZeroSingles, AllZeroRatios, NoCoincidences) as exc:
-        est = None
         note = f"{type(exc).__name__}: {exc}"
-    return index, ScanPoint(alpha=alpha, beta=beta, counts=counts, est=est), note
+    pt = ScanPoint(alpha=alpha, beta=beta, counts=counts, est=est)
+    # The estimate's own uncertainties, or counting ones where it has none.
+    sigma = est.sigma if est is not None else counting_uncertainties(counts)
+    corr = correlation_standard(counts) if counts.total_coincidences else math.nan
+    model = correlation_qt(source, SettingsPair(alpha, beta))
+    return _Row(index, pt, note, sigma, corr, model)
 
 
 def _fmt(value: float) -> str:
@@ -326,16 +336,6 @@ _CHANNEL_COLUMNS = [
     h for name in ("a_plus", "a_minus", "b_plus", "b_minus")
     for h in (name, f"sigma_{name}")
 ]
-
-
-class _Row(NamedTuple):
-    """One analyzed point as the tables and the report see it."""
-
-    index: int  # in the manifest
-    pt: ScanPoint
-    sigma: UncertaintySet
-    corr_standard: float  # nan without coincidences
-    corr_model: float
 
 
 def _write_table(path: Path, header: list, rows: list, cells) -> None:
@@ -378,42 +378,24 @@ def _marginals_cells(row: _Row) -> list:
     ]
 
 
-def _json_safe(value):
+def _jsonable(value):
+    """``value`` as JSON data, so the fit dataclasses alone define the report.
+
+    A dataclass becomes an object of its fields in declared order, a dict an
+    object and a tuple an array; an enum becomes its lower-case name and a
+    non-finite float null.
+    """
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {_jsonable(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, enum.Enum):
+        return value.name.lower()
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
-
-
-def _fit_to_dict(fit) -> dict:
-    return {
-        "model": fit.model.value,
-        "params": [_json_safe(v) for v in fit.params],
-        "cov": [[_json_safe(v) for v in row] for row in fit.cov],
-        "chi2": _json_safe(fit.chi2),
-        "dof": fit.dof,
-        "f_stat": _json_safe(fit.f_stat),
-        "p_value": _json_safe(fit.p_value),
-        "amplitude": _json_safe(fit.amplitude),
-        "amplitude_sigma": _json_safe(fit.amplitude_sigma),
-    }
-
-
-def _report_to_dict(report: NoSignallingReport) -> dict:
-    return {
-        "distant": "alice" if report.distant == Station.ALICE else "bob",
-        "alpha_level": report.alpha_level,
-        "consistent": report.consistent,
-        "marginals": {
-            name: {
-                "n_points": mf.n_points,
-                "verdict": mf.verdict,
-                "fits": {
-                    model.value: _fit_to_dict(mf.fits[model]) for model in FitModel
-                },
-            }
-            for name, mf in report.marginals.items()
-        },
-    }
 
 
 def _render_report(ns: dict, deviations: list) -> str:
@@ -510,10 +492,12 @@ def analyze_run(
         window_ticks if window_ticks is not None else cfg.coincidence_window_ticks
     )
 
-    results = _map_points(lambda pt: _analyze_point(pt, window), points, jobs)
-    results.sort(key=lambda r: r[0])
-    scan = ScanResult(points=tuple(r[1] for r in results))
-    skipped = tuple((r[0], r[2]) for r in results if r[2] is not None)
+    rows = sorted(
+        _map_points(lambda pt: _analyze_point(pt, window, cfg.source), points, jobs),
+        key=lambda row: row.index,
+    )
+    scan = ScanResult(points=tuple(row.pt for row in rows))
+    skipped = tuple((row.index, row.note) for row in rows if row.note is not None)
 
     report: "NoSignallingReport | None" = None
     fit_note: "str | None" = None
@@ -530,15 +514,6 @@ def analyze_run(
         "nosignalling": out_dir / "nosignalling.json",
         "report": out_dir / REPORT_NAME,
     }
-    # Per point: one set of uncertainties (the estimate's own, or one call
-    # for a point whose singles normalization is undefined) and the
-    # correlations that correlation.csv and the report share.
-    rows = [
-        _Row(index, pt, pt.est.sigma if pt.est else counting_uncertainties(pt.counts),
-             correlation_standard(pt.counts) if pt.counts.total_coincidences else math.nan,
-             correlation_qt(cfg.source, SettingsPair(pt.alpha, pt.beta)))
-        for index, pt, _ in results
-    ]
     _write_table(
         files["counts"], list(COUNT_NAMES), rows,
         lambda row: row.pt.counts.as_array().tolist(),
@@ -570,7 +545,7 @@ def analyze_run(
             "n_points": len(points),
         },
         "alpha_level": alpha_level,
-        "report": None if report is None else _report_to_dict(report),
+        "report": _jsonable(report),
         "fit_note": fit_note,
         "skipped_points": [{"index": i, "reason": r} for i, r in skipped],
         "low_statistics_points": low_stat_points,

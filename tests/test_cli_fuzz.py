@@ -44,7 +44,7 @@ EXIT_CODES = {0, 2, 3}
 # that point outside a run directory.
 JSON_VALUES = st.sampled_from(
     [
-        None, True, False, 0, 1, -1, 3, 0.5, -0.0, 1e-300, 2**63, 2**64,
+        None, True, False, 0, 1, -1, 3, 0.5, -0.0, 1e-300, 2**63, 2**64, 10**400, -10**400,
         math.nan, math.inf, -math.inf, "", "x", "alice", "fair", "../escape.ttg",
         [], [0.0], [90.0, 0.0], {}, {"p": 1.0},
     ]

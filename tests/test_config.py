@@ -209,6 +209,16 @@ def test_load_config_not_utf8(tmp_path):
         (lambda d: d["scan"]["angles_deg"].__setitem__(4, math.inf), "scan.angles_deg[4]"),
         (lambda d: d["scan"].update(fixed_angle_deg=math.nan), "scan.fixed_angle_deg"),
         (lambda d: d["scan"].update(fixed_angle_deg=math.inf), "scan.fixed_angle_deg"),
+        # JSON integers beyond float range overflow the first float operation.
+        (lambda d: d.update(pairs_per_point=10**400), "pairs_per_point"),
+        (lambda d: d.update(pair_rate_hz=10**400), "pair_rate_hz"),
+        (lambda d: d.update(dark_rate_hz=10**400), "dark_rate_hz"),
+        (lambda d: d.update(jitter_sd_ticks=10**400), "jitter_sd_ticks"),
+        (lambda d: d["scan"]["angles_deg"].__setitem__(2, 10**400), "scan.angles_deg[2]"),
+        (lambda d: d["scan"].update(fixed_angle_deg=10**400), "scan.fixed_angle_deg"),
+        (lambda d: d["scan"].update(fixed_angle_deg=-10**400), "scan.fixed_angle_deg"),
+        # A seed is refused at the same bound as every other JSON integer.
+        (lambda d: d.update(seed=2**1024), "seed"),
     ],
     ids=[
         "varied-list",
@@ -225,6 +235,14 @@ def test_load_config_not_utf8(tmp_path):
         "angle-inf",
         "fixed-angle-nan",
         "fixed-angle-inf",
+        "pairs-10**400",
+        "pair-rate-10**400",
+        "dark-rate-10**400",
+        "jitter-10**400",
+        "angle-10**400",
+        "fixed-angle-10**400",
+        "fixed-angle-minus-10**400",
+        "seed-2**1024",
     ],
 )
 def test_values_the_pipeline_cannot_take_are_config_errors(mutate, field):

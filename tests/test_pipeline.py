@@ -221,6 +221,20 @@ def test_nosignalling_json_fair_run(fair_run):
     assert report["consistent"] is True
     assert report["marginals"]["b_plus"]["verdict"] == "consistent"
     assert report["marginals"]["a_plus"]["verdict"] is None
+    # The fit dataclasses' field order is the layout the benchmark reads.
+    assert list(report) == ["distant", "alpha_level", "consistent", "marginals"]
+    assert report["distant"] == "bob"
+    b_plus = report["marginals"]["b_plus"]
+    assert list(b_plus) == ["n_points", "verdict", "fits"]
+    assert list(b_plus["fits"]) == ["constant", "cosine"]
+    fit_keys = ["model", "params", "cov", "chi2", "dof", "f_stat", "p_value",
+                "amplitude", "amplitude_sigma"]
+    for model, fit in b_plus["fits"].items():
+        assert list(fit) == fit_keys
+        assert fit["model"] == model
+    constant = b_plus["fits"]["constant"]
+    for key in ("f_stat", "p_value", "amplitude", "amplitude_sigma"):
+        assert constant[key] is None
     assert result.nosignalling is not None
     assert result.nosignalling.consistent
 
@@ -771,6 +785,38 @@ def test_cli_analyze_bad_manifest_config_is_a_data_error(tmp_path, capsys, mutat
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda doc: doc["points"][1].update(alpha_deg=10**400), "points[1].alpha_deg"),
+        (lambda doc: doc["config"].update(pairs_per_point=10**400), "config.pairs_per_point"),
+    ],
+    ids=["alpha-10**400", "config-pairs-10**400"],
+)
+def test_cli_analyze_names_an_integer_beyond_float_range(tmp_path, capsys, mutate, field):
+    path, doc = _simulated_manifest(tmp_path)
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {path}: {field}: must be below 2**1024" in err
+
+
+def test_cli_simulate_refuses_too_deeply_nested_json(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text("[" * 3000 + "]" * 3000)
+    code = main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "config error: <file>: invalid JSON" in capsys.readouterr().err
+
+
+def test_cli_analyze_refuses_too_deeply_nested_json(tmp_path, capsys):
+    path, _ = _simulated_manifest(tmp_path)
+    path.write_text("[" * 3000 + "]" * 3000)
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
+    assert f"data error: {path}: " in capsys.readouterr().err
+
+
 def test_scan_points_counted_from_the_point_list(tmp_path, capsys):
     # A hand-written manifest may echo a config of fewer angles than it has points.
     path, doc = _simulated_manifest(tmp_path)
@@ -792,7 +838,8 @@ def test_cli_analyze_names_a_point_off_the_fixed_angle_before_matching(
     matched = []
     analyze_point = pipeline._analyze_point
     monkeypatch.setattr(
-        pipeline, "_analyze_point", lambda pt, w: matched.append(pt) or analyze_point(pt, w)
+        pipeline, "_analyze_point",
+        lambda *args: matched.append(args) or analyze_point(*args),
     )
     assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
     err = capsys.readouterr().err
