@@ -59,7 +59,7 @@ from .quantum import OutcomeSign, SettingsPair, SourceState, joint_prob_table
 
 # Recorded in run manifests; bump the version whenever a seed's draws change.
 SAMPLER_NAME = "closed-form-categories"
-SAMPLER_VERSION = 4
+SAMPLER_VERSION = 5
 
 
 class PolicyKind(enum.Enum):

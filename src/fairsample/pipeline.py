@@ -187,7 +187,11 @@ def simulate_run(cfg: RunConfig, output_dir, jobs: "int | None" = None) -> Path:
             "seeding": "SeedSequence((seed, point_index, role)); "
                        "role 0 = the block's multinomial category counts, "
                        "role 1 = the Gamma(n + 1) emission horizon, one uniform "
-                       "emission time per observed pair, jitter and dark counts",
+                       "emission time per observed pair, one N(0, 2 sd^2) offset "
+                       "per coincidence pair for Bob's photon, per-photon jitter "
+                       "for the pairs redrawn in the end zones, within "
+                       "min(40 sd, tau / 2) of either end of [0, tau), and "
+                       "dark counts",
         },
         "format": {"name": "TTG1", "version": 1},
         "points": points,

@@ -5,11 +5,11 @@ per-station streams of (timestamp, sign, setting) records.  Pair emission
 is a Poisson process: one Gamma(n + 1) horizon for the block's n emitted
 pairs, and one uniform time under it per observed pair, which is exactly
 the process seen at the observed pairs (see :func:`generate_slices`).
-Each detected photon gets independent Gaussian timing jitter, and
-optional dark counts are superimposed as a uniform Poisson background
-with random signs.  A block is one settings pair, so every generated
-event carries setting index 0; the point's angles are recorded in the
-run manifest, not in the events.
+Each detected photon's time has the law of its pair's time plus its own
+Gaussian timing jitter, and optional dark counts are superimposed as a
+uniform Poisson background with random signs.  A block is one settings
+pair, so every generated event carries setting index 0; the point's
+angles are recorded in the run manifest, not in the events.
 
 A point's streams are generated, written, read and matched in pieces of
 at most ``BLOCK`` observed pairs or records, so that its working set does
@@ -186,11 +186,64 @@ def _check_ticks(t: np.ndarray) -> None:
 _SIGNS_A = np.array([0, 1, 0, 0, 1, 1], dtype=np.uint8)
 _SIGNS_B = np.array([0, 1, 0, 1, 0, 1], dtype=np.uint8)
 
+# A Gaussian draw below -40 SD or above 40 SD has probability under 1e-300;
+# generation treats every jitter as lying within this many SDs.
+_TAIL_SD = 40.0
 # Events within this many jitter standard deviations, plus one tick, of a
-# time slice's end are held back for the next slice.  A later slice's event
-# can land before them only with a Gaussian draw below -40 SD, whose
-# probability is under 1e-300.
-_HOLD_BACK_SD = 40.0
+# time slice's end are held back for the next slice.  A later slice's photon
+# lies at most 120 SD before its pair's uniform time: Bob's offset moves a
+# photon at most 57 SD, and an end-zone pair's redrawn time lies less than
+# 80 SD before it, and a photon at most 40 SD before that.
+_HOLD_BACK_SD = 3 * _TAIL_SD
+
+
+def _literal_pairs(rng, n: int, lo: float, hi: float, accept, sd: float):
+    """Photon times of ``n`` pairs drawn as the per-photon model draws them.
+
+    Each pair's emission time is uniform on [lo, hi) and each station's
+    photon gets its own N(0, sd**2) jitter; a pair is drawn again until
+    ``accept`` holds for its anchor photon.  Each round draws the pending
+    pairs' uniforms, then their anchor jitters, then their partner jitters.
+    Returns the (anchor, partner) times.
+    """
+    anchor, partner = np.empty(n), np.empty(n)
+    pending = np.arange(n)
+    while pending.shape[0]:
+        u = rng.uniform(lo, hi, pending.shape[0])
+        a = rng.normal(u, sd)
+        b = rng.normal(u, sd)
+        ok = accept(a)
+        anchor[pending[ok]] = a[ok]
+        partner[pending[ok]] = b[ok]
+        pending = pending[~ok]
+    return anchor, partner
+
+
+def _redraw_end_zones(rng, anchor, tau: float, sd: float, partner=None, first=0) -> None:
+    """Give the pairs whose uniform time lies in an end zone their literal photon times.
+
+    ``anchor`` holds pairs' uniform times; the pair of ``anchor[first + j]``
+    also has a photon ``partner[j]`` at the other station.  A pair in the
+    zone [0, w) or [tau - w, tau), w = min(40 sd, tau / 2), is drawn again
+    from the per-photon model, with its emission time uniform within
+    w + 40 sd of that end, until its anchor photon lies in the same zone.
+    Both arrays are updated in place, ``anchor`` clamped at zero: the lower
+    zone's pairs first, then the upper zone's.
+    """
+    w = min(_TAIL_SD * sd, tau / 2.0)
+    reach = w + _TAIL_SD * sd
+    zones = (
+        (anchor < w, 0.0, min(reach, tau), lambda t: t < w),
+        (anchor >= tau - w, max(tau - reach, 0.0), tau, lambda t: t >= tau - w),
+    )
+    for in_zone, lo, hi, accept in zones:
+        idx = np.flatnonzero(in_zone)
+        if idx.shape[0]:
+            near, far = _literal_pairs(rng, idx.shape[0], lo, hi, accept, sd)
+            anchor[idx] = np.maximum(near, 0.0)
+            if partner is not None:
+                pair = idx >= first
+                partner[idx[pair] - first] = far[pair]
 
 
 def generate_slices(
@@ -221,16 +274,38 @@ def generate_slices(
     per channel: a Poisson count per slice over the slice's part of
     [0, D), the last slice reaching to max(tau, D).
 
-    A pair seen at both stations has one emission time; each detected
-    photon's timestamp is that time plus its own Gaussian jitter (rounded,
-    clamped at zero).  Each slice's events are sorted by (t, sign), and
-    those within 40 jitter SDs plus one tick of its end are held back into
-    the next slice, so that the yielded (Alice, Bob) pairs of streams join
-    into each station's sorted stream.  Draws go slice by slice: the first
-    slice's uniforms, then tau, then jitter for Alice and Bob, then dark
-    counts for Alice and Bob.  A one-slice block draws no numbers for its
-    split, so it draws as generation did before there were slices.
+    In the per-photon model each detected photon's timestamp is its pair's
+    emission time plus its own N(0, sd**2) jitter, rounded and clamped at
+    zero.  The generator draws the same law with fewer numbers.  Let
+    w = min(40 sd, tau / 2).  A pair whose uniform time U lies in
+    [w, tau - w] gives Alice's photon, or the photon of a pair seen at Bob
+    only, the time U itself, and Bob's photon of a coincidence pair
+    U + N(0, 2 sd**2): one normal draw per coincidence pair.  Where the
+    jittered time is at least 40 SD from both ends of [0, tau), its density
+    is flat, it lands in [w, tau - w] as often as U does, and the partner's
+    offset from it is N(0, 2 sd**2), independent of it; this holds to
+    Phi(-40) < 1e-300.  A pair whose U lies in an end zone, [0, w) or
+    [tau - w, tau), is drawn again from the per-photon model, its emission
+    time uniform within w + 40 SD of that end, until its anchor photon
+    (Alice's, or Bob's for a pair seen at Bob only) lies in the same zone.
+    Both models put an anchor in an end zone with probability w / tau.
+
+    Each slice's events are sorted by (t, sign), and those within 120
+    jitter SDs plus one tick of its end are held back into the next slice,
+    so that the yielded (Alice, Bob) pairs of streams join into each
+    station's sorted stream: a later slice's photon lies at most 120 SD
+    before its pair's uniform time.  Draws go slice by slice: the uniform
+    times of Alice's pairs and then of the pairs seen at Bob only (after
+    the first slice's, tau), then Bob's offsets, then the redrawn end-zone
+    pairs of Alice and of Bob, then dark counts for Alice and Bob.  A
+    one-slice block draws no numbers for its split.
     """
+    for name, value in (
+        ("pair_rate_hz", pair_rate_hz), ("jitter_sd_ticks", jitter_sd_ticks),
+        ("dark_rate_hz", dark_rate_hz),
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if pair_rate_hz <= 0.0:
         raise ValueError(f"pair_rate_hz must be > 0, got {pair_rate_hz}")
     if tick_resolution_ps <= 0:
@@ -255,52 +330,71 @@ def generate_slices(
     mean_gap_ticks = ticks_per_second / pair_rate_hz
     duration_ticks = n / pair_rate_hz * ticks_per_second
     dark_mean = 2.0 * dark_rate_hz * n / pair_rate_hz
+    end_zone = _TAIL_SD * jitter_sd_ticks
     hold_back = _HOLD_BACK_SD * jitter_sd_ticks + 1.0
     held = [np.empty(0, dtype=np.uint64)] * 2
     last_key = [0, 0]
-    slice_ticks = 0.0
+    slice_ticks = tau = 0.0
     for k, sizes in enumerate(per_slice):
         final = k == n_slices - 1
         # Arrays are updated in place and dropped as soon as they are spent,
         # so a slice holds few of its full-size arrays at once.
-        emission = rng.random(int(sizes.sum()))
+        n_a, n_ab = int(sizes[:2].sum()), int(sizes[2:6].sum())
+        # The uniform times of Alice's pairs (seen at Alice only, then at
+        # both stations) and of the pairs seen at Bob only.
+        alice = rng.random(n_a + n_ab)
+        bob_only = rng.random(int(sizes[6:].sum()))
         if k == 0:
             slice_ticks = rng.gamma(n + 1, mean_gap_ticks) / n_slices
-        emission += k
-        emission *= slice_ticks
-        split = int(sizes[:2].sum())
-        hits = []
-        for times, signs, classes_k in (
-            (emission[: split + int(sizes[2:6].sum())], _SIGNS_A, sizes[:6]),
-            (emission[split:], _SIGNS_B, sizes[2:]),
+            tau = slice_ticks * n_slices
+        for times in (alice, bob_only):
+            if k:
+                times += k
+            times *= slice_ticks
+        # Bob's photon of a coincidence pair: Alice's time plus N(0, 2 sd**2).
+        bob = rng.normal(0.0, math.sqrt(2.0) * jitter_sd_ticks, n_ab)
+        bob += alice[n_a:]
+        if jitter_sd_ticks > 0.0 and (
+            k * slice_ticks < end_zone or (k + 1) * slice_ticks >= tau - end_zone
         ):
-            jittered = rng.normal(0.0, jitter_sd_ticks, times.shape[0])
-            jittered += times
-            np.rint(jittered, out=jittered)
-            np.maximum(jittered, 0.0, out=jittered)
-            _check_ticks(jittered)
-            hits.append((jittered, signs, classes_k))
-        del emission, times, jittered
+            _redraw_end_zones(rng, alice, tau, jitter_sd_ticks, bob, n_a)
+            _redraw_end_zones(rng, bob_only, tau, jitter_sd_ticks)
+        # Times are rounded to ticks and clamped at zero; only Bob's photons
+        # of the coincidence pairs can be negative here.
+        np.maximum(bob, 0.0, out=bob)
+        for times in (alice, bob, bob_only):
+            np.rint(times, out=times)
+            _check_ticks(times)
+        # Each station's photons in class order, dropped once copied.
+        hits = [
+            (Station.ALICE, [alice], _SIGNS_A, sizes[:6]),
+            (Station.BOB, [bob, bob_only], _SIGNS_B, sizes[2:]),
+        ]
+        del times, alice, bob, bob_only
 
         end = (k + 1) * slice_ticks
         dark_lo = min(k * slice_ticks, duration_ticks)
         dark_hi = duration_ticks if final else min(end, duration_ticks)
         share = (dark_hi - dark_lo) / duration_ticks if duration_ticks > 0 else 0.0
         streams = []
-        for s, station in enumerate((Station.ALICE, Station.BOB)):
-            jittered, signs, classes_k = hits.pop(0)
+        for s in range(2):
+            station, parts, signs, classes_k = hits.pop(0)
             n_dark = rng.poisson(dark_mean * share) if dark_rate_hz > 0.0 else 0
             # One buffer t of keys 2t + sign: the events held back, the
             # photons, then the dark counts.  One in-place sort of it orders
             # the events by (t, sign) as make_stream does, without its index
             # and gathered arrays; _check_ticks keeps t below 2**63, so the
             # keys fit.
-            n_held, n_hits = held[s].shape[0], jittered.shape[0]
+            n_held, n_hits = held[s].shape[0], sum(p.shape[0] for p in parts)
             t = np.empty(n_held + n_hits + n_dark, dtype=np.uint64)
             t[:n_held] = held[s]
             photons, dark = t[n_held : n_held + n_hits], t[n_held + n_hits :]
-            photons[...] = jittered
-            del jittered
+            lo = 0
+            while parts:
+                part = parts.pop(0)
+                photons[lo : lo + part.shape[0]] = part
+                lo += part.shape[0]
+                del part
             photons <<= np.uint64(1)
             class_end = np.cumsum(classes_k)
             for lo, hi, sign in zip(class_end - classes_k, class_end, signs):
@@ -316,7 +410,7 @@ def generate_slices(
             del photons, dark
             t.sort()
             if not final:
-                # Later slices' events are at least end - 40 SD - 1/2 after
+                # Later slices' events are at least end - 120 SD - 1/2 after
                 # rounding, so every event below the cut is final.
                 cut = end - hold_back
                 below = math.ceil(cut) if cut > 0.0 else 0
@@ -374,12 +468,26 @@ def generate_streams(
 class TtgWriter:
     """Appends one station's records to a TTG1 file opened by :func:`ttg_writer`."""
 
-    def __init__(self, fh) -> None:
+    def __init__(self, fh, station: Station, tick_resolution_ps: int) -> None:
         self._fh = fh
+        self.station = station
+        self.tick_resolution_ps = tick_resolution_ps
         self.count = 0
 
     def append(self, stream: EventStream) -> None:
-        """Write the records of ``stream``, which continue those written."""
+        """Write the records of ``stream``, which continue those written.
+
+        The stream's station and tick resolution must be the file header's:
+        the records carry neither.
+        """
+        if (stream.station, stream.tick_resolution_ps) != (
+            self.station, self.tick_resolution_ps
+        ):
+            raise ValueError(
+                f"stream of {stream.station.name} at {stream.tick_resolution_ps} ps "
+                f"does not fit a file of {self.station.name} at "
+                f"{self.tick_resolution_ps} ps"
+            )
         records = np.empty(len(stream), dtype=RECORD_DTYPE)
         records["t"] = stream.t
         records["flags"] = (
@@ -399,7 +507,7 @@ def ttg_writer(path, station: Station, tick_resolution_ps: int) -> Iterator[TtgW
     """
     with atomic_write(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, VERSION, int(station), 0, tick_resolution_ps, 0))
-        writer = TtgWriter(fh)
+        writer = TtgWriter(fh, Station(station), tick_resolution_ps)
         yield writer
         fh.seek(0)
         fh.write(

@@ -137,3 +137,24 @@ def emission_times(n_pairs: int, mean_gap_ticks: float, seed) -> np.ndarray:
     """Emission time of every pair: the cumulative sum of exponential gaps."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return np.cumsum(rng.exponential(mean_gap_ticks, n_pairs))
+
+
+def photon_ticks(
+    det: OracleDetections, mean_gap_ticks: float, jitter_sd_ticks: float, seed: tuple
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Each detected photon's tick: its pair's emission time plus its own jitter.
+
+    The clock runs one pair further than ``det``: the arrival after its
+    last pair is the horizon tau, which the package's sampler draws as one
+    Gamma(n + 1) number.  Each photon's time gets an independent
+    N(0, jitter_sd_ticks**2) draw and is rounded to a tick, clamped at zero.
+    Returns tau and Alice's and Bob's ticks, in pair order.
+    """
+    clock = emission_times(det.n_pairs + 1, mean_gap_ticks, seed=(*seed, 0))
+    rng = np.random.default_rng(np.random.SeedSequence((*seed, 1)))
+    ticks = []
+    for detected in (det.detected_a, det.detected_b):
+        t = clock[:-1][detected]
+        t += rng.normal(0.0, jitter_sd_ticks, t.shape[0])
+        ticks.append(np.maximum(np.rint(t), 0.0))
+    return float(clock[-1]), ticks[0], ticks[1]

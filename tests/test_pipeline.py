@@ -66,7 +66,7 @@ def test_manifest_contents(fair_run):
     assert doc["kind"] == "fairsample-run"
     assert doc["rng"]["algorithm"] == "PCG64"
     assert doc["rng"]["sampler"] == {"name": SAMPLER_NAME, "version": SAMPLER_VERSION}
-    assert SAMPLER_VERSION == 4
+    assert SAMPLER_VERSION == 5
     assert "multinomial" in doc["rng"]["seeding"]
     assert "Gamma(n + 1)" in doc["rng"]["seeding"]
     assert doc["format"] == {"name": "TTG1", "version": 1}

@@ -6,7 +6,9 @@ horizon) must reproduce the distributions of the per-pair oracle in
 ``pair_oracle``.  Seeds are pinned, so each test is a
 fixed reproduction; the thresholds reject only gross disagreement.  The
 stream tests run twice: at the production slice size, where each block
-is one time slice, and cut into dozens to hundreds of slices.
+is one time slice, and cut into dozens to hundreds of slices.  The
+jittered streams are checked against a per-photon oracle: the oracle's
+clock plus one Gaussian per photon.
 """
 
 import dataclasses
@@ -34,6 +36,7 @@ from pair_oracle import (
     detection_probability,
     emission_times,
     per_pair_detections,
+    photon_ticks,
 )
 
 N_PAIRS = 300_000
@@ -211,3 +214,87 @@ def test_thinned_emission_gaps_match_oracle_in_many_slices(monkeypatch):
     # 30 slices; their borders must leave no trace in the gaps.
     monkeypatch.setattr(timetags, "BLOCK", SLICE)
     _thinned_emission_gaps_match_oracle()
+
+
+# Sampler 5 against the per-photon model.  Blocks of 200 emitted pairs of
+# the "unequal_eta" case, about 140 of them observed, with a 50-tick jitter
+# SD.  Per case: the mean gap in ticks, so that tau is about 200 gaps, and
+# the observed pairs per slice (None: the production size, one slice).
+JITTER_SD = 50.0
+JITTER_BLOCKS = 400
+JITTER_CASES = {
+    # tau about 400 SD: the end zones are 40 SD at either end.
+    "long": (100.0, None),
+    # tau about 3 SD, under 80 SD: every pair lies in an end zone, and
+    # most photons land outside [0, tau).
+    "short": (0.75, None),
+    # tau about 200 SD in about 9 slices of 22 SD: the end zones and the
+    # 120 SD hold-back span several slices.
+    "many_slices": (50.0, 16),
+}
+
+
+def _horizon(counts: BlockCounts, mean_gap_ticks: float, seed) -> float:
+    """The tau that generate_slices draws: after the split and the first slice's uniforms."""
+    unmatched = counts.unmatched()
+    classes = np.concatenate([unmatched[:2], counts.as_array()[:4], unmatched[2:]])
+    n_slices = max(1, -(-int(classes.sum()) // timetags.BLOCK))
+    rng = np.random.default_rng(seed)
+    first = rng.multinomial(classes, [1.0 / n_slices] * n_slices).T[0]
+    rng.random(int(first.sum()))
+    return rng.gamma(counts.n_pairs_emitted + 1, mean_gap_ticks) / n_slices * n_slices
+
+
+def _nearest_offsets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Signed offset from each time in ``a`` to the nearest one in sorted ``b``."""
+    if not (a.shape[0] and b.shape[0]):
+        return np.empty(0)
+    j = np.searchsorted(b, a)
+    before = b[np.maximum(j - 1, 0)] - a
+    after = b[np.minimum(j, b.shape[0] - 1)] - a
+    return np.where(np.abs(before) <= np.abs(after), before, after)
+
+
+def _jitter_statistics(times, tau):
+    """Samples of one block: each station's times, partner offsets and the end events.
+
+    ``offset`` is each Alice event's offset to the nearest Bob event, which
+    for most pairs seen at both stations is the partner's.  ``near_0``
+    holds the times within 120 SD of 0 and ``near_tau`` the distances
+    tau - t of those within 120 SD of tau, station by station.
+    """
+    a, b = (np.sort(t) for t in times)
+    reach = 120 * JITTER_SD
+    return {
+        "alice": a, "bob": b, "offset": _nearest_offsets(a, b),
+        **{f"near_0_{k}": t[t < reach] for k, t in enumerate((a, b))},
+        **{f"near_tau_{k}": tau - t[t > tau - reach] for k, t in enumerate((a, b))},
+    }
+
+
+@pytest.mark.parametrize("name", JITTER_CASES)
+def test_jittered_streams_match_per_photon_oracle(name, monkeypatch):
+    # The sampler gives a pair's anchor photon its uniform time and Bob's
+    # partner photon one N(0, 2 SD**2) offset, redrawing end-zone pairs from
+    # the per-photon model.  Its streams must have the law of the oracle's:
+    # its clock, one Gaussian per photon.  Both see the same categories.
+    mean_gap, block = JITTER_CASES[name]
+    if block is not None:
+        monkeypatch.setattr(timetags, "BLOCK", block)
+    rate = 1e9 / mean_gap
+    k = list(JITTER_CASES).index(name)
+    samples = {"sampler": [], "oracle": []}
+    for i in range(JITTER_BLOCKS):
+        det = per_pair_detections(*CASES["unequal_eta"], 200, seed=(81, k, i))
+        counts = count_oracle(det)
+        seed = (82, k, i)
+        streams = generate_streams(counts, rate, 1000, JITTER_SD, seed)
+        samples["sampler"].append(_jitter_statistics(
+            [s.t.astype(np.float64) for s in streams], _horizon(counts, mean_gap, seed)
+        ))
+        tau, t_a, t_b = photon_ticks(det, mean_gap, JITTER_SD, seed=(83, k, i))
+        samples["oracle"].append(_jitter_statistics((t_a, t_b), tau))
+    for stat in samples["sampler"][0]:
+        x, y = (np.concatenate([s[stat] for s in samples[m]]) for m in ("sampler", "oracle"))
+        assert x.shape[0] > 1000, stat
+        assert stats.ks_2samp(x, y).pvalue > P_MIN, stat

@@ -487,6 +487,19 @@ def test_writer_appends_chunks_into_the_file_write_ttg_writes(tmp_path):
     assert (tmp_path / "parts.ttg").read_bytes() == (tmp_path / "whole.ttg").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "station, tick", [(Station.BOB, 500), (Station.BOB, 1000), (Station.ALICE, 500)]
+)
+def test_writer_refuses_a_stream_that_does_not_fit_its_header(tmp_path, station, tick):
+    # The records carry neither station nor tick resolution: such a stream
+    # would read back as Alice's at 1000 ps.
+    s = _stream([1, 2], [0, 1], station=station, tick=tick)
+    with pytest.raises(ValueError, match="does not fit a file of ALICE at 1000 ps"):
+        with ttg_writer(tmp_path / "x.ttg", Station.ALICE, 1000) as writer:
+            writer.append(s)
+    assert not list(tmp_path.iterdir())
+
+
 def test_writer_leaves_no_file_when_its_block_fails(tmp_path):
     with pytest.raises(OSError, match="disk full"):
         with ttg_writer(tmp_path / "x.ttg", Station.ALICE, 1000) as writer:
@@ -643,6 +656,20 @@ def test_generate_streams_rejects_times_beyond_2_63_ticks():
                 generate_streams(det, 0.5e-6, 1, 0.0, seed=seed)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("pair_rate_hz", math.nan), ("pair_rate_hz", math.inf),
+    ("jitter_sd_ticks", math.nan), ("jitter_sd_ticks", math.inf),
+    ("dark_rate_hz", math.nan), ("dark_rate_hz", math.inf),
+])
+def test_generate_streams_rejects_non_finite_parameters(name, value):
+    # Each once gave a wrong stream or a misleading error: no dark counts
+    # for a NaN dark rate, every event at tick 0 for an infinite pair rate.
+    args = {"pair_rate_hz": 1e4, "jitter_sd_ticks": 50.0, "dark_rate_hz": 10.0, name: value}
+    det = _detections([True] * 20, [True] * 20)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        generate_streams(det, tick_resolution_ps=1000, seed=1, **args)
+
+
 def test_generate_streams_rejects_more_observed_pairs_than_emitted():
     # A hand-built block left at the default n_pairs_emitted = 0.
     counts = BlockCounts(1, 0, 0, 0, 1, 0, 1, 0)
@@ -711,15 +738,15 @@ def _dense_counts(n_pairs, seed):
     )
 
 
-def test_one_slice_draws_as_before_slicing():
-    # 47 174 observed pairs make one slice, which must draw the very numbers
-    # of the generator that came before slices: its streams are pinned.
+def test_one_slice_draws_as_sampler_5():
+    # 47 174 observed pairs make one slice: its streams are pinned as the
+    # generator of sampler 5 first drew them.
     counts = _dense_counts(100_000, seed=21)
     digest = hashlib.sha256()
     for s in generate_streams(counts, 1e6, 1000, 50.0, seed=22, dark_rate_hz=2e5):
         digest.update(s.t.tobytes() + s.sign.tobytes() + s.setting_index.tobytes())
     assert digest.hexdigest() == (
-        "22acdd09d8f7a2e6e5b7db4565cef63bcab0d9d0d83909eb04c40b7956eccab2"
+        "c36bc722bc87a73186ebb6b41a4e3954c1449141fb4ea1a59ca1ae13eb9493ce"
     )
 
 
@@ -727,14 +754,14 @@ def test_one_slice_draws_as_before_slicing():
 _MULTI_SLICE = (_dense_counts(2_000_000, seed=31), 1e6, 1000, 50.0, 32, 2e5)
 
 
-def test_many_slices_draw_as_before():
+def test_many_slices_draw_as_sampler_5():
     # Six slices, each with held-back events and dark counts: the streams
-    # are pinned as the generator of sampler 4 first drew them.
+    # are pinned as the generator of sampler 5 first drew them.
     digest = hashlib.sha256()
     for s in generate_streams(*_MULTI_SLICE):
         digest.update(s.t.tobytes() + s.sign.tobytes() + s.setting_index.tobytes())
     assert digest.hexdigest() == (
-        "2c451b5623d91820cdf3af44944de04bc929a52990055082bb87f8d13c3526bd"
+        "3be9a752d8c27fde2b6d1bf6fcbfe5f1a5531efb68b21c674e81e878932a430f"
     )
 
 
