@@ -19,16 +19,9 @@ from pathlib import Path
 
 from .detection import EfficiencyConfig, PolicyKind, SamplingPolicy
 from .quantum import SettingsPair, SourceState, Station
+from .timetags import TimingError, check_timing
 
 SCHEMA_VERSION = 1
-
-# Emission times are float64 sums; past 2**53 ticks they lose whole ticks.
-MAX_EMISSION_CLOCK_TICKS = 2.0**53
-# Tick resolutions and window widths are stored and compared as uint64.
-_U64_MAX = 2**64 - 1
-# Expected dark counts per station per point; far more than any scan of
-# this project needs, and well below what one array of event times holds.
-MAX_DARK_COUNTS = 2.0**32
 
 _STATION_NAMES = {"alice": Station.ALICE, "bob": Station.BOB}
 
@@ -117,35 +110,18 @@ class RunConfig:
         ]
         if any(d <= 0 for d in diffs):
             raise ConfigError("scan.angles_deg", "must be strictly increasing")
-        if self.pairs_per_point < 0:
-            raise ConfigError("pairs_per_point", "must be >= 0")
-        if not 0 < self.pair_rate_hz < math.inf:
-            raise ConfigError("pair_rate_hz", "must be finite and > 0")
-        if not 0 < self.tick_resolution_ps <= _U64_MAX:
-            raise ConfigError("tick_resolution_ps", "must be in 1..2**64 - 1")
-        clock_ticks = (
-            self.pairs_per_point / self.pair_rate_hz * (1e12 / self.tick_resolution_ps)
-        )
-        if clock_ticks > MAX_EMISSION_CLOCK_TICKS:
-            raise ConfigError(
-                "pairs_per_point",
-                f"a point lasts {clock_ticks:.6g} ticks at this pair rate and "
-                "tick resolution; emission times stay exact only up to 2**53 ticks",
+        # The sampler's own check, its parameters named by their config fields.
+        try:
+            check_timing(
+                self.pairs_per_point, self.pair_rate_hz, self.tick_resolution_ps,
+                self.jitter_sd_ticks, self.dark_rate_hz,
             )
-        if not 0 <= self.jitter_sd_ticks < math.inf:
-            raise ConfigError("jitter_sd_ticks", "must be finite and >= 0")
-        if not 0 <= self.coincidence_window_ticks <= _U64_MAX:
+        except TimingError as exc:
+            field = "pairs_per_point" if exc.name == "n_pairs_emitted" else exc.name
+            raise ConfigError(field, exc.problem) from None
+        # Window widths are stored and compared as uint64.
+        if not 0 <= self.coincidence_window_ticks <= 2**64 - 1:
             raise ConfigError("coincidence_window_ticks", "must be in 0..2**64 - 1")
-        if not self.dark_rate_hz >= 0:
-            raise ConfigError("dark_rate_hz", "must be >= 0")
-        # generate_slices draws this many dark counts per station on average.
-        dark_counts = 2.0 * self.dark_rate_hz * self.pairs_per_point / self.pair_rate_hz
-        if not dark_counts <= MAX_DARK_COUNTS:
-            raise ConfigError(
-                "dark_rate_hz",
-                f"a point expects {dark_counts:.6g} dark counts per station; "
-                "at most 2**32 are allowed",
-            )
         if self.seed < 0:
             raise ConfigError("seed", "must be >= 0")
 

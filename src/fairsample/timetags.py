@@ -168,17 +168,6 @@ def _joined(chunks: list, station: Station, tick_resolution_ps: int) -> EventStr
     return EventStream(station, tick_resolution_ps, t, sign, setting_index, validate=False)
 
 
-def _check_ticks(t: np.ndarray) -> None:
-    """Refuse float tick times at 2**63 or beyond, before they are cast to uint64.
-
-    RunConfig keeps the emission clock below 2**53 ticks; direct callers
-    can pass rates and resolutions whose times no uint64 holds.  Below
-    2**63 the key 2t + sign fits in a uint64 too.
-    """
-    if t.shape[0] and not t.max() < 2.0**63:
-        raise ValueError("event times reach 2**63 ticks")
-
-
 # Signs of the observed pairs, class by class, in the layout generate_slices
 # gives them: A-only Plus, A-only Minus, the coincidence cells ++, +-, -+, --,
 # then B-only Plus, B-only Minus.  Alice's pairs are the first six classes and
@@ -195,6 +184,51 @@ _TAIL_SD = 40.0
 # photon at most 57 SD, and an end-zone pair's redrawn time lies less than
 # 80 SD before it, and a photon at most 40 SD before that.
 _HOLD_BACK_SD = 3 * _TAIL_SD
+
+
+class TimingError(ValueError):
+    """A timing parameter :func:`generate_slices` refuses, named by ``name``."""
+
+    def __init__(self, name: str, problem: str) -> None:
+        super().__init__(f"{name} {problem}")
+        self.name, self.problem = name, problem
+
+
+def check_timing(
+    n_pairs_emitted: int, pair_rate_hz: float, tick_resolution_ps: int,
+    jitter_sd_ticks: float, dark_rate_hz: float = 0.0,
+) -> None:
+    """Raise TimingError for the first parameter whose times cannot be formed.
+
+    Float64 emission times are exact to the tick only up to 2**53 ticks, so
+    the clock, ``n_pairs_emitted / pair_rate_hz`` in ticks, plus the
+    hold-back reach of 120 jitter SDs and one tick, must stay within 2**53.
+    A time then reaches 2**63 ticks, where its key 2t + sign overflows, only
+    if the Gamma(n + 1) horizon is about 1000 times the nominal duration:
+    probability below e**-1000 for n >= 1, and n = 0 draws no times.  A
+    point may expect at most 2**32 dark counts per station.
+    """
+    if not n_pairs_emitted >= 0:
+        raise TimingError("n_pairs_emitted", f"must be >= 0, got {n_pairs_emitted}")
+    if not 0.0 < pair_rate_hz < math.inf:
+        raise TimingError("pair_rate_hz", f"must be finite and > 0, got {pair_rate_hz}")
+    if not 0 < tick_resolution_ps <= 2**64 - 1:
+        raise TimingError(
+            "tick_resolution_ps", f"must be in 1..2**64 - 1, got {tick_resolution_ps}"
+        )
+    for name, value in (("jitter_sd_ticks", jitter_sd_ticks), ("dark_rate_hz", dark_rate_hz)):
+        if not 0.0 <= value < math.inf:
+            raise TimingError(name, f"must be finite and >= 0, got {value}")
+    clock = n_pairs_emitted / pair_rate_hz * (1e12 / tick_resolution_ps)
+    for name, value, bits, what in (
+        ("n_pairs_emitted", clock, 53, "the emission clock in ticks"),
+        ("jitter_sd_ticks", clock + _HOLD_BACK_SD * jitter_sd_ticks + 1.0, 53,
+         "the clock plus the hold-back reach of 120 SD + 1 tick"),
+        ("dark_rate_hz", 2.0 * dark_rate_hz * n_pairs_emitted / pair_rate_hz, 32,
+         "the expected dark counts per station"),
+    ):
+        if value > 2**bits:
+            raise TimingError(name, f"must keep {what} within 2**{bits}, got {value:.6g}")
 
 
 def _literal_pairs(rng, n: int, lo: float, hi: float, accept, sd: float):
@@ -266,13 +300,19 @@ def generate_slices(
     U(0, tau) time per observed pair give the observed pairs exactly the
     emission times of the full process; the unobserved pairs need no time.
 
-    [0, tau) is cut into K = ceil(observed pairs / BLOCK) equal slices.
-    Each class's i.i.d. uniform times fall into the slices multinomially
-    and are uniform within their slice, which is the same law.  Dark
-    counts, if enabled, arrive uniformly over the nominal duration
-    D = n / pair_rate_hz on each channel independently at ``dark_rate_hz``
-    per channel: a Poisson count per slice over the slice's part of
-    [0, D), the last slice reaching to max(tau, D).
+    Before any draw, :func:`check_timing` refuses parameters whose times
+    float64 cannot hold to the tick, and a ``counts`` that holds more
+    observed pairs than ``n_pairs_emitted`` is refused too.
+
+    [0, tau) is cut into K equal slices, K = max(1, ceil(observed pairs /
+    BLOCK), ceil(expected dark counts per station / BLOCK)), so that
+    neither the pairs nor the dark counts crowd one slice.  Each class's
+    i.i.d. uniform times fall into the slices multinomially and are uniform
+    within their slice, which is the same law.  Dark counts, if enabled,
+    arrive uniformly over the nominal duration D = n / pair_rate_hz on each
+    channel independently at ``dark_rate_hz`` per channel: a Poisson count
+    per slice over the slice's part of [0, D), the last slice reaching to
+    max(tau, D).
 
     In the per-photon model each detected photon's timestamp is its pair's
     emission time plus its own N(0, sd**2) jitter, rounded and clamped at
@@ -300,36 +340,23 @@ def generate_slices(
     pairs of Alice and of Bob, then dark counts for Alice and Bob.  A
     one-slice block draws no numbers for its split.
     """
-    for name, value in (
-        ("pair_rate_hz", pair_rate_hz), ("jitter_sd_ticks", jitter_sd_ticks),
-        ("dark_rate_hz", dark_rate_hz),
-    ):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    if pair_rate_hz <= 0.0:
-        raise ValueError(f"pair_rate_hz must be > 0, got {pair_rate_hz}")
-    if tick_resolution_ps <= 0:
-        raise ValueError(f"tick_resolution_ps must be > 0, got {tick_resolution_ps}")
-    if jitter_sd_ticks < 0.0:
-        raise ValueError(f"jitter_sd_ticks must be >= 0, got {jitter_sd_ticks}")
-    if dark_rate_hz < 0.0:
-        raise ValueError(f"dark_rate_hz must be >= 0, got {dark_rate_hz}")
+    n = counts.n_pairs_emitted
+    check_timing(n, pair_rate_hz, tick_resolution_ps, jitter_sd_ticks, dark_rate_hz)
     unmatched = counts.unmatched()
     classes = np.concatenate([unmatched[:2], counts.as_array()[:4], unmatched[2:]])
-    n = counts.n_pairs_emitted
     n_observed = int(classes.sum())
     if n_observed > n:
         raise ValueError(
             f"counts hold {n_observed} observed pairs but n_pairs_emitted is {n}"
         )
+    dark_mean = 2.0 * dark_rate_hz * n / pair_rate_hz
     rng = np.random.default_rng(seed)
-    n_slices = max(1, -(-n_observed // BLOCK))
+    n_slices = max(1, -(-n_observed // BLOCK), math.ceil(dark_mean / BLOCK))
     per_slice = rng.multinomial(classes, [1.0 / n_slices] * n_slices).T
 
     ticks_per_second = 1e12 / tick_resolution_ps
     mean_gap_ticks = ticks_per_second / pair_rate_hz
     duration_ticks = n / pair_rate_hz * ticks_per_second
-    dark_mean = 2.0 * dark_rate_hz * n / pair_rate_hz
     end_zone = _TAIL_SD * jitter_sd_ticks
     hold_back = _HOLD_BACK_SD * jitter_sd_ticks + 1.0
     held = [np.empty(0, dtype=np.uint64)] * 2
@@ -352,7 +379,8 @@ def generate_slices(
                 times += k
             times *= slice_ticks
         # Bob's photon of a coincidence pair: Alice's time plus N(0, 2 sd**2).
-        bob = rng.normal(0.0, math.sqrt(2.0) * jitter_sd_ticks, n_ab)
+        # abs() takes a jitter of -0.0, which numpy refuses as a scale, as 0.
+        bob = rng.normal(0.0, math.sqrt(2.0) * abs(jitter_sd_ticks), n_ab)
         bob += alice[n_a:]
         if jitter_sd_ticks > 0.0 and (
             k * slice_ticks < end_zone or (k + 1) * slice_ticks >= tau - end_zone
@@ -364,7 +392,6 @@ def generate_slices(
         np.maximum(bob, 0.0, out=bob)
         for times in (alice, bob, bob_only):
             np.rint(times, out=times)
-            _check_ticks(times)
         # Each station's photons in class order, dropped once copied.
         hits = [
             (Station.ALICE, [alice], _SIGNS_A, sizes[:6]),
@@ -383,8 +410,8 @@ def generate_slices(
             # One buffer t of keys 2t + sign: the events held back, the
             # photons, then the dark counts.  One in-place sort of it orders
             # the events by (t, sign) as make_stream does, without its index
-            # and gathered arrays; _check_ticks keeps t below 2**63, so the
-            # keys fit.
+            # and gathered arrays.  Under check_timing's bound t stays below
+            # 2**63 (see there), so the keys fit.
             n_held, n_hits = held[s].shape[0], sum(p.shape[0] for p in parts)
             t = np.empty(n_held + n_hits + n_dark, dtype=np.uint64)
             t[:n_held] = held[s]
@@ -401,10 +428,7 @@ def generate_slices(
                 if sign:
                     photons[lo:hi] |= np.uint64(1)
             if n_dark:
-                uniform = rng.uniform(dark_lo, dark_hi, n_dark)
-                _check_ticks(uniform)
-                dark[...] = uniform
-                del uniform
+                dark[...] = rng.uniform(dark_lo, dark_hi, n_dark)
                 dark <<= np.uint64(1)
                 dark |= rng.integers(0, 2, n_dark, dtype=np.uint64)
             del photons, dark
@@ -414,10 +438,7 @@ def generate_slices(
                 # rounding, so every event below the cut is final.
                 cut = end - hold_back
                 below = math.ceil(cut) if cut > 0.0 else 0
-                keep = (
-                    t.shape[0] if below >= 2**63
-                    else int(np.searchsorted(t, np.uint64(2 * below)))
-                )
+                keep = int(np.searchsorted(t, np.uint64(2 * below)))
                 held[s] = t[keep:].copy()
                 t = t[:keep]
             if t.shape[0]:

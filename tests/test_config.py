@@ -204,6 +204,9 @@ def test_load_config_not_utf8(tmp_path):
         # Jitter that is not finite makes every event time NaN or infinite.
         (lambda d: d.update(jitter_sd_ticks=math.nan), "jitter_sd_ticks"),
         (lambda d: d.update(jitter_sd_ticks=math.inf), "jitter_sd_ticks"),
+        # A jitter whose hold-back reach passes 2**53 ticks: float64 event
+        # times would lose whole ticks.
+        (lambda d: d.update(jitter_sd_ticks=2**63), "jitter_sd_ticks"),
         # Angles that are not finite make the model probabilities NaN.
         (lambda d: d["scan"]["angles_deg"].__setitem__(1, math.nan), "scan.angles_deg[1]"),
         (lambda d: d["scan"]["angles_deg"].__setitem__(4, math.inf), "scan.angles_deg[4]"),
@@ -231,6 +234,7 @@ def test_load_config_not_utf8(tmp_path):
         "pair-rate-inf",
         "jitter-nan",
         "jitter-inf",
+        "jitter-2**63",
         "angle-nan",
         "angle-inf",
         "fixed-angle-nan",

@@ -596,6 +596,17 @@ def test_cli_emission_clock_beyond_float_precision(tmp_path, capsys):
     assert "pairs_per_point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jitter", [2**63, 2**64, 1e300])
+def test_cli_jitter_beyond_float_precision(tmp_path, capsys, jitter):
+    # Its hold-back reach of 120 SD passes 2**53 ticks: a config error, not
+    # a data error met while the events are generated.
+    cfg_path = _write_cfg(tmp_path, small_doc(jitter_sd_ticks=jitter))
+    code = main(["simulate", "--config", str(cfg_path), "--output-dir", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert "jitter_sd_ticks" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "none.json"), "--output-dir", str(tmp_path)])
     assert code == EXIT_CONFIG

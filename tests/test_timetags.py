@@ -652,7 +652,7 @@ def test_generate_streams_rejects_times_beyond_2_63_ticks():
     for seed in (0, 3):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="2\\*\\*63"):
+            with pytest.raises(ValueError, match="^n_pairs_emitted must keep the emission clock"):
                 generate_streams(det, 0.5e-6, 1, 0.0, seed=seed)
 
 
@@ -668,6 +668,29 @@ def test_generate_streams_rejects_non_finite_parameters(name, value):
     det = _detections([True] * 20, [True] * 20)
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         generate_streams(det, tick_resolution_ps=1000, seed=1, **args)
+
+
+@pytest.mark.parametrize("n, rate, jitter, dark_rate, name", [
+    # 10**6 pairs at 10 Hz last 10**5 s, 10**17 ticks of 1 ps: past 2**53,
+    # where float64 times fall on a lattice of 16 ticks.
+    (10**6, 10.0, 50.0, 0.0, "n_pairs_emitted"),
+    # A clock of 10**12 ticks, and a hold-back reach of 120 SD + 1 past 2**53.
+    (1000, 1e3, 2**53 / 120, 0.0, "jitter_sd_ticks"),
+    # 2 * rate * 1 s, just over 2**32 dark counts per station.
+    (1000, 1e3, 50.0, 2.0**31 + 1, "dark_rate_hz"),
+])
+def test_generate_streams_rejects_times_float64_cannot_hold(
+    monkeypatch, n, rate, jitter, dark_rate, name
+):
+    # Refused from the parameters alone: no generator is made, so nothing is
+    # drawn or allocated.
+    def no_rng(seed):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    counts = BlockCounts(1, 0, 0, 0, 1, 0, 1, 0, n_pairs_emitted=n)
+    with pytest.raises(ValueError, match=f"^{name} must keep"):
+        generate_streams(counts, rate, 1, jitter, seed=1, dark_rate_hz=dark_rate)
 
 
 def test_generate_streams_rejects_more_observed_pairs_than_emitted():
@@ -788,6 +811,20 @@ def test_generate_slices_working_set_is_bounded():
     with _traced_peak() as peak:
         for a, b in generate_slices(*_MULTI_SLICE):
             del a, b
+    assert peak[0] < 8e6
+
+
+def test_generate_slices_spread_the_dark_counts_over_slices():
+    # 10**6 emitted pairs, none observed, and 4 * 10**6 expected dark counts
+    # per station: the dark counts set 16 slices, about 2**18 a slice.  In
+    # the one slice the observed pairs alone set, they traced 104 MB.
+    counts = BlockCounts(0, 0, 0, 0, 0, 0, 0, 0, n_pairs_emitted=10**6)
+    n_slices = 0
+    with _traced_peak() as peak:
+        for a, b in generate_slices(counts, 1e6, 1000, 50.0, 7, dark_rate_hz=2e6):
+            n_slices += 1
+            del a, b
+    assert n_slices == 16
     assert peak[0] < 8e6
 
 
