@@ -54,13 +54,20 @@ from .timetags import EventStream, TtgReader
 
 @dataclass(frozen=True)
 class CoincidenceWindow:
-    """Half-width of the matching window, in ticks (inclusive)."""
+    """Half-width of the matching window, in ticks (inclusive).  It is
+    compared as a uint64: a Python or numpy integer in 0..2**64 - 1."""
 
     width_ticks: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.width_ticks <= 2**64 - 1:
-            raise ValueError(f"width_ticks must be in 0..2**64 - 1, got {self.width_ticks}")
+        w = self.width_ticks
+        if not (_is_int(w) and 0 <= w <= 2**64 - 1):
+            raise ValueError(f"window width must be an integer in 0..2**64 - 1, got {w!r}")
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _block_clusters(
@@ -285,8 +292,8 @@ def match_events(
 def _check_inputs(
     stream_a, stream_b, settings_filter: "tuple[int, int] | None"
 ) -> tuple:
-    """Refuse streams of different tick resolutions and a filter index out
-    of 0..3; return the setting index each station keeps, or None."""
+    """Refuse streams of different tick resolutions and a filter entry not
+    an integer in 0..3; return the setting index each station keeps, or None."""
     if stream_a.tick_resolution_ps != stream_b.tick_resolution_ps:
         raise ValueError(
             f"stream A has {stream_a.tick_resolution_ps} ps/tick, "
@@ -295,7 +302,7 @@ def _check_inputs(
     if settings_filter is None:
         return None, None
     for k, setting in enumerate(settings_filter):
-        if setting not in range(4):
+        if not _is_int(setting) or setting not in range(4):
             raise ValueError(
                 f"settings_filter[{k}] must be a setting index in 0..3, got {setting!r}"
             )

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .coincidence import CoincidenceWindow
 from .detection import EfficiencyConfig, PolicyKind, SamplingPolicy
 from .quantum import SettingsPair, SourceState, Station
 from .timetags import TimingError, check_timing
@@ -119,9 +120,10 @@ class RunConfig:
         except TimingError as exc:
             field = "pairs_per_point" if exc.name == "n_pairs_emitted" else exc.name
             raise ConfigError(field, exc.problem) from None
-        # Window widths are stored and compared as uint64.
-        if not 0 <= self.coincidence_window_ticks <= 2**64 - 1:
-            raise ConfigError("coincidence_window_ticks", "must be in 0..2**64 - 1")
+        try:
+            CoincidenceWindow(self.coincidence_window_ticks)
+        except ValueError as exc:
+            raise ConfigError("coincidence_window_ticks", str(exc)) from None
         if self.seed < 0:
             raise ConfigError("seed", "must be >= 0")
 

@@ -218,6 +218,12 @@ def fit_marginal_curve(
     }
 
 
+def check_alpha_level(alpha_level) -> None:
+    """Raise ValueError unless ``alpha_level`` lies in (0, 1); NaN does not."""
+    if not (0.0 < alpha_level < 1.0):
+        raise ValueError(f"alpha_level must be in (0, 1), got {alpha_level!r}")
+
+
 def nosignalling_stats(
     scan: ScanResult, varied: Station, alpha_level: float = 0.01
 ) -> NoSignallingReport:
@@ -230,8 +236,7 @@ def nosignalling_stats(
     marginal only — the varied station's own marginal legitimately
     depends on its own angle for a non-maximally-entangled source.
     """
-    if not (0.0 < alpha_level < 1.0):
-        raise ValueError(f"alpha_level must be in (0, 1), got {alpha_level!r}")
+    check_alpha_level(alpha_level)
     distant = Station.BOB if varied == Station.ALICE else Station.ALICE
 
     fixed_angles = [

@@ -57,7 +57,9 @@ from .estimator import (
     evenodd_sums_standard,
 )
 from .fileio import atomic_write
-from .fits import InsufficientPoints, NoSignallingReport, nosignalling_stats
+from .fits import (
+    InsufficientPoints, NoSignallingReport, check_alpha_level, nosignalling_stats,
+)
 from .quantum import SettingsPair, SourceState, Station, chsh_value, correlation_qt
 from .timetags import TtgFormatError, generate_slices, open_ttg, ttg_writer
 
@@ -97,7 +99,8 @@ def _usable_cpus() -> int:
 
 
 def _check_jobs(jobs) -> None:
-    if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
+    # type(), not isinstance(): a bool is an int to Python, but no count.
+    if jobs is not None and (type(jobs) is not int or jobs < 1):
         raise ValueError(f"jobs must be an integer >= 1 or None, got {jobs!r}")
 
 
@@ -488,13 +491,15 @@ def analyze_run(
     instead of failing the whole analysis.
     ``jobs`` is the number of worker threads (default: one per usable CPU).
     """
+    # Bad arguments are refused before any file is read or made.
     _check_jobs(jobs)
+    check_alpha_level(alpha_level)
+    window = CoincidenceWindow(window_ticks) if window_ticks is not None else None
     _, cfg, base, points = load_manifest(manifest_path)
+    if window is None:
+        window = CoincidenceWindow(cfg.coincidence_window_ticks)
     out_dir = Path(output_dir) if output_dir is not None else base
     out_dir.mkdir(parents=True, exist_ok=True)
-    window = CoincidenceWindow(
-        window_ticks if window_ticks is not None else cfg.coincidence_window_ticks
-    )
 
     rows = sorted(
         _map_points(lambda pt: _analyze_point(pt, window, cfg.source), points, jobs),

@@ -231,53 +231,35 @@ def check_timing(
             raise TimingError(name, f"must keep {what} within 2**{bits}, got {value:.6g}")
 
 
-def _literal_pairs(rng, n: int, lo: float, hi: float, accept, sd: float):
-    """Photon times of ``n`` pairs drawn as the per-photon model draws them.
-
-    Each pair's emission time is uniform on [lo, hi) and each station's
-    photon gets its own N(0, sd**2) jitter; a pair is drawn again until
-    ``accept`` holds for its anchor photon.  Each round draws the pending
-    pairs' uniforms, then their anchor jitters, then their partner jitters.
-    Returns the (anchor, partner) times.
-    """
-    anchor, partner = np.empty(n), np.empty(n)
-    pending = np.arange(n)
-    while pending.shape[0]:
-        u = rng.uniform(lo, hi, pending.shape[0])
-        a = rng.normal(u, sd)
-        b = rng.normal(u, sd)
-        ok = accept(a)
-        anchor[pending[ok]] = a[ok]
-        partner[pending[ok]] = b[ok]
-        pending = pending[~ok]
-    return anchor, partner
-
-
 def _redraw_end_zones(rng, anchor, tau: float, sd: float, partner=None, first=0) -> None:
     """Give the pairs whose uniform time lies in an end zone their literal photon times.
 
     ``anchor`` holds pairs' uniform times; the pair of ``anchor[first + j]``
-    also has a photon ``partner[j]`` at the other station.  A pair in the
-    zone [0, w) or [tau - w, tau), w = min(40 sd, tau / 2), is drawn again
-    from the per-photon model, with its emission time uniform within
-    w + 40 sd of that end, until its anchor photon lies in the same zone.
-    Both arrays are updated in place, ``anchor`` clamped at zero: the lower
-    zone's pairs first, then the upper zone's.
+    also has a photon ``partner[j]`` at the other station.  The pairs in
+    the zones [0, w) and [tau - w, tau), w = min(40 sd, tau / 2), are found
+    first.  Then, lower zone first, a zone's pending pairs are drawn again
+    from the per-photon model until each anchor photon lies in the zone: a
+    round draws their emission times, uniform within w + 40 sd of the
+    zone's end, then the anchor photons' N(0, sd**2) jitters, then the
+    partners'.  Both arrays are updated in place, ``anchor`` clamped at zero.
     """
     w = min(_TAIL_SD * sd, tau / 2.0)
     reach = w + _TAIL_SD * sd
-    zones = (
-        (anchor < w, 0.0, min(reach, tau), lambda t: t < w),
-        (anchor >= tau - w, max(tau - reach, 0.0), tau, lambda t: t >= tau - w),
-    )
-    for in_zone, lo, hi, accept in zones:
-        idx = np.flatnonzero(in_zone)
-        if idx.shape[0]:
-            near, far = _literal_pairs(rng, idx.shape[0], lo, hi, accept, sd)
-            anchor[idx] = np.maximum(near, 0.0)
+    # Per zone: whether its photons lie below its inner edge, that edge, and
+    # the range of its redrawn emission times.
+    zones = ((True, w, 0.0, min(reach, tau)), (False, tau - w, max(tau - reach, 0.0), tau))
+    pending = [np.flatnonzero((anchor < edge) == below) for below, edge, _, _ in zones]
+    for (below, edge, lo, hi), idx in zip(zones, pending):
+        while idx.shape[0]:
+            u = rng.uniform(lo, hi, idx.shape[0])
+            near = rng.normal(u, sd)
+            far = rng.normal(u, sd)
+            ok = (near < edge) == below
+            anchor[idx[ok]] = np.maximum(near[ok], 0.0)
             if partner is not None:
-                pair = idx >= first
+                pair = ok & (idx >= first)
                 partner[idx[pair] - first] = far[pair]
+            idx = idx[~ok]
 
 
 def generate_slices(
@@ -305,14 +287,15 @@ def generate_slices(
     observed pairs than ``n_pairs_emitted`` is refused too.
 
     [0, tau) is cut into K equal slices, K = max(1, ceil(observed pairs /
-    BLOCK), ceil(expected dark counts per station / BLOCK)), so that
-    neither the pairs nor the dark counts crowd one slice.  Each class's
-    i.i.d. uniform times fall into the slices multinomially and are uniform
-    within their slice, which is the same law.  Dark counts, if enabled,
-    arrive uniformly over the nominal duration D = n / pair_rate_hz on each
-    channel independently at ``dark_rate_hz`` per channel: a Poisson count
-    per slice over the slice's part of [0, D), the last slice reaching to
-    max(tau, D).
+    BLOCK), ceil(expected dark counts per station / BLOCK)), so that the
+    pairs do not crowd one slice.  Each class's i.i.d. uniform times fall
+    into the slices multinomially and are uniform within their slice,
+    which is the same law.  Dark counts arrive uniformly over the nominal
+    duration D = n / pair_rate_hz on each channel independently at
+    ``dark_rate_hz`` per channel: a Poisson count per slice over the
+    slice's part of [0, D), the last slice reaching to max(tau, D).  So the
+    dark counts crowd no slice either, except when tau < D: the last slice
+    then also takes every dark count of [tau, D).
 
     In the per-photon model each detected photon's timestamp is its pair's
     emission time plus its own N(0, sd**2) jitter, rounded and clamped at
@@ -327,8 +310,9 @@ def generate_slices(
     Phi(-40) < 1e-300.  A pair whose U lies in an end zone, [0, w) or
     [tau - w, tau), is drawn again from the per-photon model, its emission
     time uniform within w + 40 SD of that end, until its anchor photon
-    (Alice's, or Bob's for a pair seen at Bob only) lies in the same zone.
-    Both models put an anchor in an end zone with probability w / tau.
+    (Alice's, or Bob's for a pair seen at Bob only) lies in the same zone
+    (:func:`_redraw_end_zones`).  Both models put an anchor in an end zone
+    with probability w / tau.
 
     Each slice's events are sorted by (t, sign), and those within 120
     jitter SDs plus one tick of its end are held back into the next slice,
@@ -337,8 +321,9 @@ def generate_slices(
     before its pair's uniform time.  Draws go slice by slice: the uniform
     times of Alice's pairs and then of the pairs seen at Bob only (after
     the first slice's, tau), then Bob's offsets, then the redrawn end-zone
-    pairs of Alice and of Bob, then dark counts for Alice and Bob.  A
-    one-slice block draws no numbers for its split.
+    pairs of Alice and of Bob, then Alice's and Bob's dark counts: number,
+    times, signs.  A one-slice block draws no numbers for its split, nor
+    does a slice without dark counts for them.
     """
     n = counts.n_pairs_emitted
     check_timing(n, pair_rate_hz, tick_resolution_ps, jitter_sd_ticks, dark_rate_hz)
@@ -363,74 +348,69 @@ def generate_slices(
     last_key = [0, 0]
     slice_ticks = tau = 0.0
     for k, sizes in enumerate(per_slice):
+        # A slice's streams are dropped here when the caller asks for the
+        # next one, before anything of it is drawn.
+        streams = []
         final = k == n_slices - 1
         # Arrays are updated in place and dropped as soon as they are spent,
         # so a slice holds few of its full-size arrays at once.
         n_a, n_ab = int(sizes[:2].sum()), int(sizes[2:6].sum())
         # The uniform times of Alice's pairs (seen at Alice only, then at
-        # both stations) and of the pairs seen at Bob only.
+        # both stations), and of the pairs seen at Bob only, which follow
+        # Bob's photons of the coincidence pairs in his array.
         alice = rng.random(n_a + n_ab)
-        bob_only = rng.random(int(sizes[6:].sum()))
+        bob = np.empty(n_ab + int(sizes[6:].sum()))
+        bob_only = rng.random(out=bob[n_ab:])
         if k == 0:
             slice_ticks = rng.gamma(n + 1, mean_gap_ticks) / n_slices
             tau = slice_ticks * n_slices
+        end = (k + 1) * slice_ticks
         for times in (alice, bob_only):
             if k:
                 times += k
             times *= slice_ticks
         # Bob's photon of a coincidence pair: Alice's time plus N(0, 2 sd**2).
         # abs() takes a jitter of -0.0, which numpy refuses as a scale, as 0.
-        bob = rng.normal(0.0, math.sqrt(2.0) * abs(jitter_sd_ticks), n_ab)
-        bob += alice[n_a:]
-        if jitter_sd_ticks > 0.0 and (
-            k * slice_ticks < end_zone or (k + 1) * slice_ticks >= tau - end_zone
-        ):
+        bob[:n_ab] = rng.normal(0.0, math.sqrt(2.0) * abs(jitter_sd_ticks), n_ab)
+        bob[:n_ab] += alice[n_a:]
+        if jitter_sd_ticks > 0.0 and (k * slice_ticks < end_zone or end >= tau - end_zone):
             _redraw_end_zones(rng, alice, tau, jitter_sd_ticks, bob, n_a)
             _redraw_end_zones(rng, bob_only, tau, jitter_sd_ticks)
         # Times are rounded to ticks and clamped at zero; only Bob's photons
         # of the coincidence pairs can be negative here.
         np.maximum(bob, 0.0, out=bob)
-        for times in (alice, bob, bob_only):
+        for times in (alice, bob):
             np.rint(times, out=times)
-        # Each station's photons in class order, dropped once copied.
-        hits = [
-            (Station.ALICE, [alice], _SIGNS_A, sizes[:6]),
-            (Station.BOB, [bob, bob_only], _SIGNS_B, sizes[2:]),
-        ]
+        floats = [alice, bob]
         del times, alice, bob, bob_only
 
-        end = (k + 1) * slice_ticks
         dark_lo = min(k * slice_ticks, duration_ticks)
         dark_hi = duration_ticks if final else min(end, duration_ticks)
         share = (dark_hi - dark_lo) / duration_ticks if duration_ticks > 0 else 0.0
-        streams = []
-        for s in range(2):
-            station, parts, signs, classes_k = hits.pop(0)
-            n_dark = rng.poisson(dark_mean * share) if dark_rate_hz > 0.0 else 0
+        for s, (station, signs, classes_k) in enumerate(
+            zip((Station.ALICE, Station.BOB), (_SIGNS_A, _SIGNS_B), (sizes[:6], sizes[2:]))
+        ):
+            n_dark = rng.poisson(dark_mean * share)
             # One buffer t of keys 2t + sign: the events held back, the
-            # photons, then the dark counts.  One in-place sort of it orders
-            # the events by (t, sign) as make_stream does, without its index
-            # and gathered arrays.  Under check_timing's bound t stays below
-            # 2**63 (see there), so the keys fit.
-            n_held, n_hits = held[s].shape[0], sum(p.shape[0] for p in parts)
+            # photons in class order, then the dark counts.  One in-place
+            # sort of it orders the events by (t, sign) as make_stream does,
+            # without its index and gathered arrays.  Under check_timing's
+            # bound t stays below 2**63 (see there), so the keys fit.
+            n_held, n_hits = held[s].shape[0], floats[s].shape[0]
             t = np.empty(n_held + n_hits + n_dark, dtype=np.uint64)
             t[:n_held] = held[s]
             photons, dark = t[n_held : n_held + n_hits], t[n_held + n_hits :]
-            lo = 0
-            while parts:
-                part = parts.pop(0)
-                photons[lo : lo + part.shape[0]] = part
-                lo += part.shape[0]
-                del part
+            photons[...] = floats[s]
+            # The station's floats go before the next station's buffer is made.
+            floats[s] = None
             photons <<= np.uint64(1)
             class_end = np.cumsum(classes_k)
             for lo, hi, sign in zip(class_end - classes_k, class_end, signs):
                 if sign:
                     photons[lo:hi] |= np.uint64(1)
-            if n_dark:
-                dark[...] = rng.uniform(dark_lo, dark_hi, n_dark)
-                dark <<= np.uint64(1)
-                dark |= rng.integers(0, 2, n_dark, dtype=np.uint64)
+            dark[...] = rng.uniform(dark_lo, dark_hi, n_dark)
+            dark <<= np.uint64(1)
+            dark |= rng.integers(0, 2, n_dark, dtype=np.uint64)
             del photons, dark
             t.sort()
             if not final:
@@ -459,10 +439,9 @@ def generate_slices(
             streams.append(
                 EventStream(station, tick_resolution_ps, t, sign, idx, validate=False)
             )
-        # Keep no reference to the slice given out, so that its arrays are
-        # freed once the caller is done with them.
+        # Leave streams as the one holder of the slice's arrays.
         del t, sign, idx
-        yield streams.pop(0), streams.pop(0)
+        yield tuple(streams)
 
 
 def generate_streams(

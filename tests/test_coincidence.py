@@ -106,6 +106,17 @@ def test_window_rejects_negative_width():
         CoincidenceWindow(-1)
 
 
+@pytest.mark.parametrize("width", [1.5, 2.0, True, "3"])
+def test_window_rejects_a_width_that_is_no_integer(width):
+    # np.uint64 would truncate 1.5 to 1 and take True as 1.
+    with pytest.raises(ValueError, match="window width must be an integer"):
+        CoincidenceWindow(width)
+
+
+def test_window_takes_numpy_integers():
+    assert CoincidenceWindow(np.uint64(2**64 - 1)).width_ticks == 2**64 - 1
+
+
 # ---------------------------------------------------------------------------
 # match_events: properties against the exhaustive oracle
 # ---------------------------------------------------------------------------
@@ -221,7 +232,9 @@ def test_count_settings_filter_matches_naive():
         assert fast == naive
 
 
-@pytest.mark.parametrize("flt, bad", [((4, 0), 0), ((-1, 0), 0), ((0, 7), 1)])
+@pytest.mark.parametrize(
+    "flt, bad", [((4, 0), 0), ((-1, 0), 0), ((0, 7), 1), ((True, 0), 0), ((0, 1.0), 1)]
+)
 def test_count_rejects_a_settings_filter_index_outside_0_to_3(flt, bad):
     # Such an index selects no event, which would read as a silent station.
     a = _stream([10], [0])

@@ -1,5 +1,6 @@
 """Config document validation, path-tagged errors, and round-tripping."""
 
+import dataclasses
 import json
 import math
 import re
@@ -275,6 +276,15 @@ def test_direct_construction_validates_too():
             dark_rate_hz=0.0,
             seed=1,
         )
+
+
+@pytest.mark.parametrize("width", [-1, 1.5, True, 2**64])
+def test_direct_construction_refuses_the_windows_the_matcher_refuses(width):
+    cfg = config_from_dict(good_doc())
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(cfg, coincidence_window_ticks=width)
+    assert err.value.field == "coincidence_window_ticks"
+    assert "window width must be an integer in 0..2**64 - 1" in str(err.value)
 
 
 def test_emission_clock_bound():

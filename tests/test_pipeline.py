@@ -274,7 +274,7 @@ def pool(monkeypatch):
     return recorder
 
 
-@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2"])
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", True])
 def test_bad_jobs_are_refused_before_any_file_is_written(fair_run, tmp_path, pool, jobs):
     run_dir, cfg, _ = fair_run
     out = tmp_path / "run"
@@ -284,6 +284,25 @@ def test_bad_jobs_are_refused_before_any_file_is_written(fair_run, tmp_path, poo
         analyze_run(run_dir / "manifest.json", output_dir=out, jobs=jobs)
     assert not out.exists()
     assert pool.max_workers == []
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"window_ticks": -1}, {"window_ticks": 1.5}, {"window_ticks": True},
+    {"window_ticks": 2**64},
+    {"alpha_level": 0.0}, {"alpha_level": 1.0}, {"alpha_level": math.nan},
+])
+def test_bad_analysis_arguments_are_refused_before_any_file_is_written(
+    fair_run, tmp_path, pool, kwargs
+):
+    run_dir, _, _ = fair_run
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="window width|alpha_level"):
+        analyze_run(run_dir / "manifest.json", output_dir=out, **kwargs)
+    assert not out.exists()
+    assert pool.max_workers == []
+    # Refused before the manifest is read: a missing one is not reported.
+    with pytest.raises(ValueError, match="window width|alpha_level"):
+        analyze_run(tmp_path / "absent" / "manifest.json", **kwargs)
 
 
 def test_no_more_threads_than_points(tmp_path, pool):

@@ -788,6 +788,21 @@ def test_many_slices_draw_as_sampler_5():
     )
 
 
+@pytest.mark.parametrize("jitter, want", [
+    (50.0, "48b17cafbbafb2df691dbb3e80536035876387192fff3be985986413628afff6"),
+    (0.0, "731e8c982120520d0300fcaec4425f34f3d195886934a3f5fd0c5bd7a91fd3f4"),
+], ids=["jitter-50", "jitter-0"])
+def test_many_slices_without_dark_counts_draw_as_sampler_5(jitter, want):
+    # The six slices of _MULTI_SLICE at dark rate 0, so that a draw taken
+    # between slices of a dark-free run shows.  Pinned as sampler 5 drew
+    # them before its dark-count draws lost their guards.
+    counts, rate, tick, _, seed, _ = _MULTI_SLICE
+    digest = hashlib.sha256()
+    for s in generate_streams(counts, rate, tick, jitter, seed, 0.0):
+        digest.update(s.t.tobytes() + s.sign.tobytes() + s.setting_index.tobytes())
+    assert digest.hexdigest() == want
+
+
 @contextlib.contextmanager
 def _traced_peak():
     """Trace allocations in the block; the yielded list gets the peak in bytes."""
