@@ -25,8 +25,10 @@ import os
 import sys
 from pathlib import Path
 
+from .coincidence import CoincidenceWindow
 from .config import ConfigError, load_config
-from .pipeline import REPORT_NAME, analyze_run, simulate_run
+from .fits import check_alpha_level
+from .pipeline import REPORT_NAME, _check_jobs, analyze_run, simulate_run
 
 OUTPUT_DIR_ENV = "FAIRSAMPLE_OUTPUT_DIR"
 
@@ -40,7 +42,7 @@ _M_TOP_PAD = -2
 _M_ARENA_MAX = -8
 # Free memory the heap keeps at its top instead of returning it to the
 # kernel.  It exceeds one scan point's working set (a dense benchmark point
-# traces at about 18 MB to analyze and 10 MB to simulate), so the arrays of
+# traces at about 13 MB to analyze and 10 MB to simulate), so the arrays of
 # each point reuse the pages the previous point freed instead of faulting
 # fresh ones in.  Pages of the pad that are never touched are never resident.
 # With one arena, every pool thread allocates from the main heap and shares
@@ -66,24 +68,24 @@ def _keep_heap_resident() -> None:
     mallopt(_M_ARENA_MAX, 1)
 
 
-def _checked(convert, accept, requirement: str):
-    """An argparse ``type`` that converts, then rejects values not ``accept``ed."""
+def _checked(convert, check):
+    """An argparse ``type`` that converts its text, then runs the library's
+    own ``check`` on the value; a ValueError of either is a usage error."""
 
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid value: {text!r}") from None
-        if not accept(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+            check(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
         return value
 
     return parse
 
 
-_jobs = _checked(int, lambda v: v >= 1, "at least 1")
-_window = _checked(int, lambda v: 0 <= v <= 2**64 - 1, "in 0..2**64 - 1")
-_alpha_level = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_jobs = _checked(int, _check_jobs)
+_window = _checked(int, CoincidenceWindow)
+_alpha_level = _checked(float, check_alpha_level)
 _JOBS_HELP = "scan points worked on at once (default: the usable CPUs)"
 
 

@@ -21,20 +21,26 @@ Most clusters need no sweep.  In a *narrow* cluster, whose last event is
 within the window of its first, every A event is within the window of
 every B event, so each sweep step matches and advances both pointers:
 the k-th A event pairs with the k-th B event for k < min(n_A, n_B).
-That is exact, not an approximation, and these pairs are written
+That is exact, not an approximation, and these pairs are taken
 directly.  Only the *wide* clusters are swept, in lockstep: each
 iteration is one vectorized sweep step in every live wide cluster of a
 block, so the number of iterations is set by the block's longest
 cluster, not by the number of events.  Both stages work through the
-streams one block at a time, and a block's matches are counted before the
-next block is read, so memory stays bounded whatever the input size; a
-stream can come in chunks, as a TTG1 file is read.
+streams one block at a time.  Each narrow-cluster round k and each
+lockstep iteration adds the pairs it matched to the end of the block's
+two index arrays (A events, B events), so a block's matches come out in
+the order found, not in sweep order.  ``count_coincidences`` counts the
+four sign cells straight from those arrays, before the next block is
+read, so memory stays bounded whatever the input size, and a stream can
+come in chunks, as a TTG1 file is read.  ``match_events`` scatters each
+block's pairs into an array of partners to give them in sweep order.
 
 ``match_events_naive`` re-implements the matching policy by explicit
 per-event enumeration and exists as an independent oracle for tests and
 verification; ``count_coincidences_naive`` runs it through the same
-event selection and counting as ``count_coincidences``, where singles
-count every event on a channel whether or not it was matched.
+event selection as ``count_coincidences`` and counts the cells of its
+pairs with a ``bincount`` of its own.  In both, singles count every event
+on a channel whether or not it was matched.
 
 Both engines raise ``ValueError`` for unsorted timestamp arrays and for
 streams of different tick resolutions.  The counts they return hold no
@@ -70,10 +76,30 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+class _Matches:
+    """The (i, j) index pairs matched in one block, in the order found.
+
+    Each round of the narrow-cluster pairing and each lockstep step adds
+    its pairs at the end of two arrays sized for the most matches the
+    block's clusters can hold, so a long cluster's thousands of one-pair
+    steps leave no array each.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.i = np.empty(size, dtype=np.intp)
+        self.j = np.empty(size, dtype=np.intp)
+        self.n = 0
+
+    def add(self, i: np.ndarray, j: np.ndarray) -> None:
+        m = self.n + i.shape[0]
+        self.i[self.n:m] = i
+        self.j[self.n:m] = j
+        self.n = m
+
+
 def _block_clusters(
     t_a: np.ndarray, t_b: np.ndarray, width: np.uint64, final: bool,
-    partner: np.ndarray,
-) -> tuple[np.ndarray, int, int]:
+) -> tuple[_Matches, np.ndarray, int, int]:
     """Match the narrow clusters of one block; return its wide ones.
 
     A cluster is a run of the merged timeline that no gap wider than the
@@ -83,12 +109,14 @@ def _block_clusters(
 
     A cluster is narrow when its last event is within ``width`` of its
     first.  Every comparison inside it then matches, so the sweep pairs
-    its k-th A event with its k-th B event for k < min(n_A, n_B); these
-    pairs are written straight into ``partner``.  Returns a (4, k) array
-    of the ranges a_lo, a_hi, b_lo, b_hi of the wide clusters that hold
-    events of both stations, indexed within the block, then the numbers
-    of A and B events settled.  Unless the block is ``final``, its last cluster may
-    go on past the block, so that cluster is left to the next block.
+    its k-th A event with its k-th B event for k < min(n_A, n_B).  Returns
+    the block's match list, holding these pairs and with room for those of
+    the wide clusters; a (4, k) array of the ranges a_lo, a_hi, b_lo, b_hi
+    of the wide clusters that hold events of both stations, indexed within
+    the block; then the numbers of A and B events settled.  Unless the
+    block is ``final``, its last cluster may go on past the block, so that
+    cluster is left to the next block, and none of its events is in the
+    match list or the ranges.
     """
     na = t_a.shape[0]
     n = na + t_b.shape[0]
@@ -132,12 +160,14 @@ def _block_clusters(
     b_lo, b_hi = first - a_lo, last + 1 - a_hi
     pairs = np.minimum(a_hi - a_lo, b_hi - b_lo)
 
+    # A cluster matches min(n_A, n_B) times at most, a narrow one exactly.
+    matched = _Matches(int(pairs.sum()))
     # Narrow clusters: the k-th A event takes the k-th B event.  Most hold
     # one pair, so each round k leaves fewer of them.
     sel = np.flatnonzero(narrow & (pairs > 0))
     i, j, left = a_lo[sel], b_lo[sel], pairs[sel]
     while True:
-        partner[i] = j
+        matched.add(i, j)
         more = np.flatnonzero(left > 1)
         if not more.size:
             break
@@ -145,7 +175,7 @@ def _block_clusters(
 
     wide = np.flatnonzero(~narrow & (pairs > 0))
     ranges = np.stack((a_lo[wide], a_hi[wide], b_lo[wide], b_hi[wide]))
-    return ranges, a_done, stop - a_done
+    return matched, ranges, a_done, stop - a_done
 
 
 class _Pending:
@@ -196,11 +226,12 @@ def _settled_blocks(chunks_a, chunks_b, width: np.uint64):
     Each chunk is a tuple of parallel arrays whose first is the sorted
     uint64 timestamps; the chunks of a station continue one another.  Per
     block, yields the columns of the A and B events it settles, in stream
-    order, and the local indices (i, j) of its matches.  A block holds up
-    to ``BLOCK`` events, half from each station, besides a cluster carried
-    over; its own last cluster may go on past it, so that cluster's events
-    stay pending for the next block, as does every event once one station
-    has none left.  Both chunk sequences are read to their end.
+    order, and the local indices (i, j) of its matches in the order found,
+    not in sweep order.  A block holds up to ``BLOCK`` events, half from
+    each station, besides a cluster carried over; its own last cluster may
+    go on past it, so that cluster's events are in no match and stay
+    pending for the next block, as does every event once one station has
+    none left.  Both chunk sequences are read to their end.
     """
     a, b = _Pending(chunks_a), _Pending(chunks_b)
     size = max(1, timetags.BLOCK // 2)
@@ -218,37 +249,51 @@ def _settled_blocks(chunks_a, chunks_b, width: np.uint64):
             cut = min(ends)
             a1 = int(np.searchsorted(t_a, cut, side="right"))
             b1 = int(np.searchsorted(t_b, cut, side="right"))
-        partner = np.full(a1, -1, dtype=np.int64)
-        ranges, a_done, b_done = _block_clusters(
-            t_a[:a1], t_b[:b1], width, not ends, partner
+        matched, ranges, a_done, b_done = _block_clusters(
+            t_a[:a1], t_b[:b1], width, not ends
         )
         if a_done + b_done == 0:
             size *= 2  # one cluster fills the block
             continue
-        _lockstep(t_a[:a1], t_b[:b1], width, ranges, partner)
-        i = np.flatnonzero(partner[:a_done] >= 0)
-        yield a.take(a_done), b.take(b_done), i, partner[i]
+        _lockstep(t_a[:a1], t_b[:b1], width, ranges, matched)
+        n = matched.n
+        yield a.take(a_done), b.take(b_done), matched.i[:n], matched.j[:n]
+        del matched  # freed before the next block is read
     a.drain()
     b.drain()
 
 
 def _lockstep(
-    t_a: np.ndarray, t_b: np.ndarray, width: np.uint64,
-    ranges: np.ndarray, partner: np.ndarray,
+    t_a: np.ndarray, t_b: np.ndarray, width: np.uint64, ranges: np.ndarray,
+    matched: _Matches,
 ) -> None:
-    """Sweep every cluster of ``ranges`` at once; partner[i] = j per match."""
+    """Sweep every cluster of ``ranges`` at once, one step per iteration.
+
+    Each iteration adds to ``matched`` the pairs it matched, one at most
+    per live cluster, and retires the clusters that either pointer has
+    left.
+    """
     i, a_end, j, b_end = ranges
     while i.shape[0]:
         ta = t_a[i]
         tb = t_b[j]
         a_first = ta < tb
-        # Larger minus smaller keeps the uint64 difference overflow-free.
-        match = np.maximum(ta, tb) - np.minimum(ta, tb) <= width
-        partner[i[match]] = j[match]
+        # |ta - tb| in place, larger minus smaller: no uint64 overflow.
+        lo = np.minimum(ta, tb)
+        np.maximum(ta, tb, out=ta)
+        ta -= lo
+        match = ta <= width
+        # nonzero()[0] skips flatnonzero's Python wrapper, and the live
+        # arrays are compacted only once a cluster retires: a long
+        # cluster's sweep is thousands of one-element steps, where each
+        # numpy call costs more than its work.
+        k = match.nonzero()[0]
+        matched.add(i[k], j[k])
         i += match | a_first
         j += match | ~a_first
-        live = np.flatnonzero((i < a_end) & (j < b_end))
-        i, a_end, j, b_end = i[live], a_end[live], j[live], b_end[live]
+        live = ((i < a_end) & (j < b_end)).nonzero()[0]
+        if live.shape[0] < i.shape[0]:
+            i, a_end, j, b_end = i[live], a_end[live], j[live], b_end[live]
 
 
 def _sorted_u64(t_a: np.ndarray, t_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,8 +327,13 @@ def match_events(
     idx_a, idx_b = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     a0 = b0 = 0
     for (ta,), (tb,), i, j in _settled_blocks([(t_a,)], [(t_b,)], width):
+        # The pairs come in the order found; partner[i] = j puts them in
+        # sweep order.
+        partner = np.full(ta.shape[0], -1, dtype=np.int64)
+        partner[i] = j
+        i = np.flatnonzero(partner >= 0)
         idx_a.append(i + a0)
-        idx_b.append(j + b0)
+        idx_b.append(partner[i] + b0)
         a0 += ta.shape[0]
         b0 += tb.shape[0]
     return np.concatenate(idx_a), np.concatenate(idx_b)
@@ -324,6 +374,22 @@ def _sign_counts(sign: np.ndarray) -> tuple[int, int]:
     return sign.shape[0] - minus, minus
 
 
+def _sign_cells(block) -> np.ndarray:
+    """The four sign cells of one settled block's matches, in BlockCounts
+    order, from the signs of its pairs: Minus is 1, so each cell follows
+    from the matches and those with A, B and both on Minus."""
+    (_, sign_a), (_, sign_b), i, j = block
+    sa, sb = sign_a[i], sign_b[j]
+    minus_a, minus_b = np.count_nonzero(sa), np.count_nonzero(sb)
+    minus_both = np.count_nonzero(sa & sb)
+    return np.array((
+        i.shape[0] - minus_a - minus_b + minus_both,
+        minus_b - minus_both,
+        minus_a - minus_both,
+        minus_both,
+    ))
+
+
 def count_coincidences(
     stream_a: "EventStream | TtgReader",
     stream_b: "EventStream | TtgReader",
@@ -354,10 +420,12 @@ def count_coincidences(
         return map(select, stream.chunks())
 
     cells = np.zeros(4, dtype=np.int64)
-    for (_, sign_a), (_, sign_b), i, j in _settled_blocks(
+    # Nor does it hold a block: its matches, and its columns, views of the
+    # chunks read, are freed once counted, before the next block is matched.
+    for block_cells in map(_sign_cells, _settled_blocks(
         selected(stream_a, 0), selected(stream_b, 1), np.uint64(window.width_ticks)
-    ):
-        cells += np.bincount((sign_a[i].astype(np.intp) << 1) | sign_b[j], minlength=4)
+    )):
+        cells += block_cells
     return BlockCounts.from_arrays(cells, singles.ravel())
 
 

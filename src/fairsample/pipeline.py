@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coincidence import CoincidenceWindow, count_coincidences
+from .coincidence import CoincidenceWindow, _is_int, count_coincidences
 from .config import (
     NUMBER,
     ConfigError,
@@ -99,8 +99,8 @@ def _usable_cpus() -> int:
 
 
 def _check_jobs(jobs) -> None:
-    # type(), not isinstance(): a bool is an int to Python, but no count.
-    if jobs is not None and (type(jobs) is not int or jobs < 1):
+    # A Python or numpy integer; a bool is an int to Python, but no count.
+    if jobs is not None and not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1 or None, got {jobs!r}")
 
 

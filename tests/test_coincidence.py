@@ -309,7 +309,8 @@ def _streamed_matches(reader_a, reader_b, win):
     for (t_a, _), (t_b, _), i, j in coincidence._settled_blocks(
         columns(reader_a), columns(reader_b), np.uint64(win.width_ticks)
     ):
-        pairs += zip((i + a0).tolist(), (j + b0).tolist())
+        # A block's matches come in the order found; sorted, in sweep order.
+        pairs += sorted(zip((i + a0).tolist(), (j + b0).tolist()))
         a0 += t_a.shape[0]
         b0 += t_b.shape[0]
     return pairs
@@ -404,6 +405,28 @@ def test_small_merge_blocks_equal_naive_oracle(block, size):
     # takes BLOCK / 2 events per station.
     with mock.patch.object(timetags, "BLOCK", 2 * size):
         _assert_same_as_naive(*block)
+
+
+@settings(max_examples=200)
+@given(
+    block=bursts(), size=st.sampled_from([1, 2, 3, 8]), top=st.booleans(),
+    huge=st.booleans(), data=st.data(),
+)
+def test_count_through_carried_clusters_equals_naive(block, size, top, huge, data):
+    # The counter through small blocks, where clusters are carried over
+    # and blocks widen, optionally at the top of the uint64 range and
+    # with a window that spans all of it.
+    t_a, t_b, width = block
+    if top:
+        shift = U64_MAX - data.draw(st.integers(0, 2)) - max(t_a + t_b, default=0)
+        t_a, t_b = [t + shift for t in t_a], [t + shift for t in t_b]
+    win = CoincidenceWindow(U64_MAX if huge else width)
+    n = len(t_a) + len(t_b)
+    sign = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    a = _stream(t_a, sign[:len(t_a)])
+    b = _stream(t_b, sign[len(t_a):], station=Station.BOB)
+    with mock.patch.object(timetags, "BLOCK", 2 * size):
+        assert count_coincidences(a, b, win) == count_coincidences_naive(a, b, win)
 
 
 @pytest.mark.parametrize(

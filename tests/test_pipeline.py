@@ -274,7 +274,7 @@ def pool(monkeypatch):
     return recorder
 
 
-@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", True])
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, "2", True, np.bool_(True)])
 def test_bad_jobs_are_refused_before_any_file_is_written(fair_run, tmp_path, pool, jobs):
     run_dir, cfg, _ = fair_run
     out = tmp_path / "run"
@@ -284,6 +284,19 @@ def test_bad_jobs_are_refused_before_any_file_is_written(fair_run, tmp_path, poo
         analyze_run(run_dir / "manifest.json", output_dir=out, jobs=jobs)
     assert not out.exists()
     assert pool.max_workers == []
+
+
+def test_numpy_integer_jobs_write_the_files_of_python_integer_jobs(tmp_path):
+    cfg = config_from_dict(small_doc(pairs_per_point=2000))
+    digests = []
+    for name, jobs in (("python", 2), ("numpy", np.int64(2))):
+        out = tmp_path / name
+        analyze_run(simulate_run(cfg, out, jobs=jobs), jobs=jobs)
+        digests.append({
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()
+        })
+    assert len(digests[0]) == 2 * len(ANGLES_DEG) + 7
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -954,6 +967,25 @@ def test_cli_rejects_bad_option_values_before_any_work(tmp_path, capsys, argv):
         main(argv)
     assert exc.value.code == EXIT_CONFIG
     assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, text, kwargs", [
+    ("--window", "-1", {"window_ticks": -1}),
+    ("--window", str(2**64), {"window_ticks": 2**64}),
+    ("--window", "1.5", {"window_ticks": 1.5}),
+    ("--alpha-level", "0", {"alpha_level": 0.0}),
+    ("--alpha-level", "1", {"alpha_level": 1.0}),
+    ("--alpha-level", "nan", {"alpha_level": math.nan}),
+    ("--alpha-level", "inf", {"alpha_level": math.inf}),
+])
+def test_cli_and_library_refuse_the_same_analysis_values(tmp_path, capsys, option, text, kwargs):
+    manifest = tmp_path / "absent" / "manifest.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--manifest", str(manifest), option, text])
+    assert exc.value.code == EXIT_CONFIG
+    assert option in capsys.readouterr().err
+    with pytest.raises(ValueError, match="window width|alpha_level"):
+        analyze_run(manifest, **kwargs)
 
 
 def _violated_nosignalling_doc() -> dict:
