@@ -11,9 +11,9 @@ The matcher's cost depends on how events cluster: a cluster is a run of
 the merged A+B timeline that no gap wider than the window splits, and the
 number of vectorized steps grows with the longest cluster.  The printed
 share of events in clusters of more than 2 says which regime was measured
-(with the defaults, most events sit in such clusters).  A cluster that
-spans no more than the window is resolved without the sweep; the share of
-two-station clusters that are, is printed too.
+(with the defaults, most events sit in such clusters).  The longest
+cluster that holds both stations is printed too: its events bound the
+steps of the sweep.
 
 The benchmark is informational — it is deliberately not a test, so a slow
 container never turns into a red suite.
@@ -48,31 +48,31 @@ def synth_stream(rng: np.random.Generator, station: Station, n: int, mean_gap: f
 
 
 def _clusters(t_a: np.ndarray, t_b: np.ndarray, window: int):
-    """A events, B events and span in ticks of each cluster of the merged timeline."""
+    """A events and B events of each cluster of the merged timeline."""
     t = np.concatenate((t_a, t_b))
     if t.size == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
+        return empty, empty
     order = np.argsort(t, kind="stable")
     t = t[order]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(t) > np.uint64(window)) + 1))
     ends = np.append(starts[1:], t.size)
     n_a = np.add.reduceat((order < t_a.size).astype(np.int64), starts)
-    return n_a, ends - starts - n_a, t[ends - 1] - t[starts]
+    return n_a, ends - starts - n_a
 
 
 def cluster_gt2_share(t_a: np.ndarray, t_b: np.ndarray, window: int) -> float:
     """Share of all events that sit in clusters of more than 2 events."""
-    n_a, n_b, _ = _clusters(t_a, t_b, window)
+    n_a, n_b = _clusters(t_a, t_b, window)
     sizes = n_a + n_b
     return float(sizes[sizes > 2].sum()) / max(sizes.sum(), 1)
 
 
-def narrow_share(t_a: np.ndarray, t_b: np.ndarray, window: int) -> float:
-    """Share of two-station clusters that span no more than the window."""
-    n_a, n_b, span = _clusters(t_a, t_b, window)
+def longest_cluster(t_a: np.ndarray, t_b: np.ndarray, window: int) -> int:
+    """Events in the longest cluster that holds both stations (0: none)."""
+    n_a, n_b = _clusters(t_a, t_b, window)
     both = (n_a > 0) & (n_b > 0)
-    return float(np.count_nonzero(both & (span <= window))) / max(np.count_nonzero(both), 1)
+    return int((n_a + n_b)[both].max(initial=0))
 
 
 def best_time(fn, repeats: int) -> float:
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
     print(f"stream size       : {args.events:,} events/side, mean gap {args.mean_gap:g} ticks")
     print(f"window            : +/- {args.window} ticks")
     print(f"clusters > 2      : {cluster_gt2_share(a.t, b.t, args.window):.1%} of events")
-    print(f"no sweep needed   : {narrow_share(a.t, b.t, args.window):.1%} of two-station clusters")
+    print(f"longest cluster   : {longest_cluster(a.t, b.t, args.window):,} events, both stations")
     print(f"coincidences      : {counts.total_coincidences:,}")
     print(f"fast engine       : {dt * 1e3:8.1f} ms  ->  {rate:,.0f} events/s/core")
     print(f"reference engine  : {dt_naive * 1e3:8.1f} ms on {n:,}/side  ->  {rate_naive:,.0f} events/s/core")

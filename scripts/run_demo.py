@@ -24,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fairsample import cli
 from fairsample.config import config_from_dict
 from fairsample.fits import FitModel
 from fairsample.pipeline import analyze_run, simulate_run
@@ -84,13 +85,6 @@ def describe(name: str, arm: dict) -> None:
     )
 
 
-def _jobs(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output-dir", default="demo_output", help="where to put both runs")
@@ -98,10 +92,7 @@ def main(argv=None) -> int:
     parser.add_argument("--points", type=int, default=21, help="scan points over 0..180 deg")
     parser.add_argument("--bias", type=float, default=0.5, help="modulation depth d of the biased arm")
     parser.add_argument("--seed", type=int, default=20260815)
-    parser.add_argument(
-        "--jobs", type=_jobs, default=None,
-        help="scan points worked on at once (default: the usable CPUs)",
-    )
+    parser.add_argument("--jobs", type=cli._jobs, default=None, help=cli._JOBS_HELP)
     args = parser.parse_args(argv)
 
     out_dir = Path(args.output_dir)

@@ -17,23 +17,17 @@ between consecutive events is wider than the window; the sweep never
 matches across such a gap, so each cluster between cuts is solved on its
 own, and clusters lacking either station are dropped.
 
-Most clusters need no sweep.  In a *narrow* cluster, whose last event is
-within the window of its first, every A event is within the window of
-every B event, so each sweep step matches and advances both pointers:
-the k-th A event pairs with the k-th B event for k < min(n_A, n_B).
-That is exact, not an approximation, and these pairs are taken
-directly.  Only the *wide* clusters are swept, in lockstep: each
-iteration is one vectorized sweep step in every live wide cluster of a
-block, so the number of iterations is set by the block's longest
-cluster, not by the number of events.  Both stages work through the
-streams one block at a time.  Each narrow-cluster round k and each
-lockstep iteration adds the pairs it matched to the end of the block's
-two index arrays (A events, B events), so a block's matches come out in
-the order found, not in sweep order.  ``count_coincidences`` counts the
-four sign cells straight from those arrays, before the next block is
-read, so memory stays bounded whatever the input size, and a stream can
-come in chunks, as a TTG1 file is read.  ``match_events`` scatters each
-block's pairs into an array of partners to give them in sweep order.
+The clusters are found, then swept, one block of the streams at a time.
+The sweep runs in lockstep: each iteration is one vectorized sweep step
+in every live cluster of the block, so the number of iterations is set
+by the block's longest cluster, not by the number of events.  Each
+iteration adds the pairs it matched to the end of the block's two index
+arrays (A events, B events), so a block's matches come out in the order
+found, not in sweep order.  ``count_coincidences`` counts the four sign
+cells straight from those arrays, before the next block is read, so
+memory stays bounded whatever the input size, and a stream can come in
+chunks, as a TTG1 file is read.  ``match_events`` scatters each block's
+pairs into an array of partners to give them in sweep order.
 
 ``match_events_naive`` re-implements the matching policy by explicit
 per-event enumeration and exists as an independent oracle for tests and
@@ -76,54 +70,28 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-class _Matches:
-    """The (i, j) index pairs matched in one block, in the order found.
-
-    Each round of the narrow-cluster pairing and each lockstep step adds
-    its pairs at the end of two arrays sized for the most matches the
-    block's clusters can hold, so a long cluster's thousands of one-pair
-    steps leave no array each.
-    """
-
-    def __init__(self, size: int) -> None:
-        self.i = np.empty(size, dtype=np.intp)
-        self.j = np.empty(size, dtype=np.intp)
-        self.n = 0
-
-    def add(self, i: np.ndarray, j: np.ndarray) -> None:
-        m = self.n + i.shape[0]
-        self.i[self.n:m] = i
-        self.j[self.n:m] = j
-        self.n = m
-
-
 def _block_clusters(
     t_a: np.ndarray, t_b: np.ndarray, width: np.uint64, final: bool,
-) -> tuple[_Matches, np.ndarray, int, int]:
-    """Match the narrow clusters of one block; return its wide ones.
+) -> tuple[tuple, int, int]:
+    """Find the clusters of one block that hold events of both stations.
 
     A cluster is a run of the merged timeline that no gap wider than the
     window splits.  Every event of a cluster lies more than ``width`` away
     from every event of another, so the sweep never matches across
     clusters and enters each one with both pointers at its first events.
 
-    A cluster is narrow when its last event is within ``width`` of its
-    first.  Every comparison inside it then matches, so the sweep pairs
-    its k-th A event with its k-th B event for k < min(n_A, n_B).  Returns
-    the block's match list, holding these pairs and with room for those of
-    the wide clusters; a (4, k) array of the ranges a_lo, a_hi, b_lo, b_hi
-    of the wide clusters that hold events of both stations, indexed within
-    the block; then the numbers of A and B events settled.  Unless the
-    block is ``final``, its last cluster may go on past the block, so that
-    cluster is left to the next block, and none of its events is in the
-    match list or the ranges.
+    Returns the ranges a_lo, a_hi, b_lo, b_hi of those clusters, as a tuple
+    of four arrays indexed within the block, then the numbers of A and B
+    events settled.  Unless the block is ``final``, its last cluster may go
+    on past the block, so that cluster is left to the next block and is
+    not among the ranges.
     """
     na = t_a.shape[0]
     n = na + t_b.shape[0]
-    t = np.concatenate((t_a, t_b))
+    merged = np.concatenate((t_a, t_b))
     # A stable sort of two sorted runs is one timsort merge, O(n).
-    order = t.argsort(kind="stable")
-    merged = t.take(order)
+    order = merged.argsort(kind="stable")
+    merged = merged.take(order)
     # joined[p + 1] says whether merged events p and p + 1 share a cluster:
     # the gap between them, taken in place, is within the window.  With a
     # False at either end, joined changes value exactly at the first and
@@ -148,34 +116,17 @@ def _block_clusters(
     # the smaller of the two: for an A event, order[p] < na <= p + na -
     # order[p]; for a B event, p + na - order[p] <= na <= order[p].
     o_first, o_last = order[first], order[last]
-    narrow = t[o_last] - t[o_first] <= width
     if stop == n:
         a_done = na
     else:
         o_stop = int(order[stop])
         a_done = min(o_stop, stop + na - o_stop)
-    del t, order  # spent: the block's largest arrays go before the next ones
+    del order  # spent: the block's largest array goes before the next ones
     a_lo = np.minimum(o_first, first + na - o_first)
     a_hi = np.minimum(o_last + 1, last + na - o_last)
     b_lo, b_hi = first - a_lo, last + 1 - a_hi
-    pairs = np.minimum(a_hi - a_lo, b_hi - b_lo)
-
-    # A cluster matches min(n_A, n_B) times at most, a narrow one exactly.
-    matched = _Matches(int(pairs.sum()))
-    # Narrow clusters: the k-th A event takes the k-th B event.  Most hold
-    # one pair, so each round k leaves fewer of them.
-    sel = np.flatnonzero(narrow & (pairs > 0))
-    i, j, left = a_lo[sel], b_lo[sel], pairs[sel]
-    while True:
-        matched.add(i, j)
-        more = np.flatnonzero(left > 1)
-        if not more.size:
-            break
-        i, j, left = i[more] + 1, j[more] + 1, left[more] - 1
-
-    wide = np.flatnonzero(~narrow & (pairs > 0))
-    ranges = np.stack((a_lo[wide], a_hi[wide], b_lo[wide], b_hi[wide]))
-    return matched, ranges, a_done, stop - a_done
+    both = np.flatnonzero((a_hi > a_lo) & (b_hi > b_lo))
+    return (a_lo[both], a_hi[both], b_lo[both], b_hi[both]), a_done, stop - a_done
 
 
 class _Pending:
@@ -249,31 +200,35 @@ def _settled_blocks(chunks_a, chunks_b, width: np.uint64):
             cut = min(ends)
             a1 = int(np.searchsorted(t_a, cut, side="right"))
             b1 = int(np.searchsorted(t_b, cut, side="right"))
-        matched, ranges, a_done, b_done = _block_clusters(
-            t_a[:a1], t_b[:b1], width, not ends
-        )
+        ranges, a_done, b_done = _block_clusters(t_a[:a1], t_b[:b1], width, not ends)
         if a_done + b_done == 0:
             size *= 2  # one cluster fills the block
             continue
-        _lockstep(t_a[:a1], t_b[:b1], width, ranges, matched)
-        n = matched.n
-        yield a.take(a_done), b.take(b_done), matched.i[:n], matched.j[:n]
-        del matched  # freed before the next block is read
+        i, j = _lockstep(t_a[:a1], t_b[:b1], width, ranges)
+        yield a.take(a_done), b.take(b_done), i, j
+        del i, j, ranges  # freed before the next block is read
     a.drain()
     b.drain()
 
 
 def _lockstep(
-    t_a: np.ndarray, t_b: np.ndarray, width: np.uint64, ranges: np.ndarray,
-    matched: _Matches,
-) -> None:
+    t_a: np.ndarray, t_b: np.ndarray, width: np.uint64, ranges: tuple,
+) -> tuple[np.ndarray, np.ndarray]:
     """Sweep every cluster of ``ranges`` at once, one step per iteration.
 
-    Each iteration adds to ``matched`` the pairs it matched, one at most
-    per live cluster, and retires the clusters that either pointer has
-    left.
+    Each iteration matches one pair at most per live cluster and retires
+    the clusters that either pointer has left, so the number of
+    iterations is set by the longest cluster.  Returns the indices (i, j)
+    of the pairs matched, in the order found.
     """
     i, a_end, j, b_end = ranges
+    # A cluster matches min(n_A, n_B) times at most.  Each step's pairs go
+    # at the end of two arrays sized for that, so a long cluster's
+    # thousands of one-pair steps leave no array each.
+    size = int(np.minimum(a_end - i, b_end - j).sum())
+    match_i = np.empty(size, dtype=np.intp)
+    match_j = np.empty(size, dtype=np.intp)
+    n = 0
     while i.shape[0]:
         ta = t_a[i]
         tb = t_b[j]
@@ -288,12 +243,16 @@ def _lockstep(
         # cluster's sweep is thousands of one-element steps, where each
         # numpy call costs more than its work.
         k = match.nonzero()[0]
-        matched.add(i[k], j[k])
+        m = n + k.shape[0]
+        match_i[n:m] = i[k]
+        match_j[n:m] = j[k]
+        n = m
         i += match | a_first
         j += match | ~a_first
         live = ((i < a_end) & (j < b_end)).nonzero()[0]
         if live.shape[0] < i.shape[0]:
             i, a_end, j, b_end = i[live], a_end[live], j[live], b_end[live]
+    return match_i[:n], match_j[:n]
 
 
 def _sorted_u64(t_a: np.ndarray, t_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,12 +274,10 @@ def match_events(
     distance |t_a[i] - t_b[j]| is within the window both events match and
     both pointers advance, otherwise the earlier event is dropped.  The
     sweep restarts at every gap wider than the window (see
-    :func:`_block_clusters`).  A cluster that spans no more than the window
-    needs no sweep: every step in it matches, so its k-th A event pairs
-    with its k-th B event for k < min(n_A, n_B).  The other clusters are
-    swept in lockstep, one pass per block: each iteration is one sweep
-    step in all of the block's wide clusters, and a cluster retires when
-    either pointer leaves its range.  Matches come out in sweep order.
+    :func:`_block_clusters`).  The clusters are swept in lockstep, one pass
+    per block: each iteration is one sweep step in all of the block's
+    clusters, and a cluster retires when either pointer leaves its range.
+    Matches come out in sweep order.
     """
     t_a, t_b = _sorted_u64(t_a, t_b)
     width = np.uint64(window.width_ticks)

@@ -215,8 +215,9 @@ class ManifestPoint:
     bob_file: Path
 
 
-def _parse_point(i: int, doc, base: Path) -> ManifestPoint:
-    """Validate one manifest point; file names must stay inside ``base``."""
+def _parse_point(i: int, doc, base: Path, root: Path) -> ManifestPoint:
+    """Validate one manifest point; file names must stay inside ``base``,
+    whose resolved path is ``root``."""
     where = f"points[{i}]"
     index = json_field(doc, "index", (int,), where)
     angles = []
@@ -225,7 +226,6 @@ def _parse_point(i: int, doc, base: Path) -> ManifestPoint:
         if not math.isfinite(value):
             raise ValueError(f"{where}.{key}: must be a finite number, got {value!r}")
         angles.append(math.radians(value))
-    root = base.resolve()
     files = []
     for key in ("alice_file", "bob_file"):
         name = json_field(doc, key, where=where)
@@ -267,7 +267,8 @@ def load_manifest(
             cfg = config_from_dict(config_doc)
         except ConfigError as exc:
             raise ValueError(f"config.{exc}") from None
-        points = [_parse_point(i, pd, base) for i, pd in enumerate(doc["points"])]
+        root = base.resolve()
+        points = [_parse_point(i, pd, base, root) for i, pd in enumerate(doc["points"])]
         # The fits need one non-varied angle: checked before any matching.
         key = "beta_deg" if cfg.varied == Station.ALICE else "alpha_deg"
         fixed = [pt.beta if key == "beta_deg" else pt.alpha for pt in points]

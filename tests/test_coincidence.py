@@ -475,7 +475,7 @@ def test_dense_generated_stream_equals_naive_oracle():
 
 
 # ---------------------------------------------------------------------------
-# match_events: narrow clusters, resolved without the sweep, vs the oracle
+# match_events: clusters within the window and wider, vs the oracle
 # ---------------------------------------------------------------------------
 
 
@@ -503,15 +503,6 @@ def test_narrow_and_wide_clusters_equal_naive_oracle(block, size):
         _assert_same_as_naive(*block)
 
 
-def _swept_clusters(t_a, t_b, width):
-    """Match against the oracle; return how many clusters the sweep saw."""
-    with mock.patch.object(
-        coincidence, "_lockstep", wraps=coincidence._lockstep
-    ) as sweep:
-        pairs = _assert_same_as_naive(t_a, t_b, width)
-    return pairs, sum(call.args[3].shape[1] for call in sweep.call_args_list)
-
-
 @pytest.mark.parametrize(
     "t_a, t_b, width, expected",
     [
@@ -529,21 +520,18 @@ def _swept_clusters(t_a, t_b, width):
     ids=["span-eq-window", "span-eq-window-3a", "zero-window-ties",
          "zero-window-mixed", "u64-max", "u64-max-span-2**63"],
 )
-def test_narrow_clusters_pair_kth_with_kth_without_the_sweep(t_a, t_b, width, expected):
-    (ia, ib), swept = _swept_clusters(t_a, t_b, width)
+def test_clusters_within_the_window_pair_kth_with_kth(t_a, t_b, width, expected):
+    ia, ib = _assert_same_as_naive(t_a, t_b, width)
     assert list(zip(ia.tolist(), ib.tolist())) == expected
-    assert swept == 0
 
 
-def test_clusters_one_tick_wider_than_the_window_are_swept():
+def test_clusters_one_tick_wider_than_the_window_follow_the_sweep():
     # Each input is one cluster spanning 11 ticks, one more than the window.
-    (ia, ib), swept = _swept_clusters([0, 11], [5, 11], 10)
+    ia, ib = _assert_same_as_naive([0, 11], [5, 11], 10)
     assert list(zip(ia.tolist(), ib.tolist())) == [(0, 0), (1, 1)]
-    assert swept == 1
     # A = 0 is 11 before B = 11 and expires; k-th pairing would keep it.
-    (ia, ib), swept = _swept_clusters([0, 6], [11, 11], 10)
+    ia, ib = _assert_same_as_naive([0, 6], [11, 11], 10)
     assert list(zip(ia.tolist(), ib.tolist())) == [(1, 0)]
-    assert swept == 1
 
 
 def test_match_ties_across_stations():

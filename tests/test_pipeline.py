@@ -707,6 +707,29 @@ def test_cli_analyze_point_file_outside_run_dir(tmp_path, capsys):
     assert "inside the run directory" in capsys.readouterr().err
 
 
+def test_cli_analyze_point_file_symlinked_outside_run_dir(tmp_path, capsys):
+    path, doc = _simulated_manifest(tmp_path)
+    # The name stays inside the run directory; the file it names does not.
+    victim = path.parent / doc["points"][0]["alice_file"]
+    outside = tmp_path / "x.ttg"
+    outside.write_bytes(victim.read_bytes())
+    victim.unlink()
+    victim.symlink_to(outside)
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
+    assert "inside the run directory" in capsys.readouterr().err
+
+
+def test_cli_analyze_through_a_symlinked_run_dir(tmp_path):
+    path, _ = _simulated_manifest(tmp_path)
+    link = tmp_path / "link"
+    link.symlink_to(path.parent)
+    for manifest, out in ((path, "direct"), (link / "manifest.json", "via_link")):
+        code = main(["analyze", "--manifest", str(manifest), "--output-dir", str(tmp_path / out)])
+        assert code == EXIT_OK
+    counts = [(tmp_path / out / "counts.csv").read_bytes() for out in ("direct", "via_link")]
+    assert counts[0] == counts[1]
+
+
 def test_cli_analyze_rejects_swapped_station_files(tmp_path, capsys):
     # Each file is a valid stream: only its header's station byte shows
     # that it holds the other station's events.

@@ -844,7 +844,7 @@ def test_generate_slices_spread_the_dark_counts_over_slices():
 
 
 def test_count_coincidences_on_files_working_set_is_bounded(tmp_path):
-    # About 18.1 MB; the chunks the readers and the matcher's selection
+    # About 12.8 MB; the chunks the readers and the matcher's selection
     # kept after handing them on, and a block's merge arrays kept past
     # their use, made it 26.5 MB.
     paths = tmp_path / "a.ttg", tmp_path / "b.ttg"
@@ -857,7 +857,7 @@ def test_count_coincidences_on_files_working_set_is_bounded(tmp_path):
         with _traced_peak() as peak:
             counts = count_coincidences(ra, rb, CoincidenceWindow(500))
     assert counts.total_coincidences > 10**6
-    assert peak[0] < 21e6
+    assert peak[0] < 17e6
 
 
 def test_generate_slices_join_into_the_whole_streams(monkeypatch):
