@@ -42,7 +42,7 @@ _M_TOP_PAD = -2
 _M_ARENA_MAX = -8
 # Free memory the heap keeps at its top instead of returning it to the
 # kernel.  It exceeds one scan point's working set (a dense benchmark point
-# traces at about 12 MB to analyze and 10 MB to simulate), so the arrays of
+# traces at about 12 MB to analyze and 6 MB to simulate), so the arrays of
 # each point reuse the pages the previous point freed instead of faulting
 # fresh ones in.  Pages of the pad that are never touched are never resident.
 # With one arena, every pool thread allocates from the main heap and shares

@@ -134,11 +134,13 @@ def _simulate_point(cfg: RunConfig, index: int, out_dir: Path) -> dict:
     )
     alice_name, bob_name = _point_files(index)
     tick = cfg.tick_resolution_ps
-    # Each time slice goes to both files as it is made, so the point's
-    # memory does not grow with its length.
+    # Each station's stream of each time slice goes to its file as soon as
+    # it is made, so the point's memory does not grow with its length, and
+    # Alice's stream of a slice is freed before Bob's is built.
     with ttg_writer(out_dir / alice_name, Station.ALICE, tick) as alice, \
             ttg_writer(out_dir / bob_name, Station.BOB, tick) as bob:
-        for stream_a, stream_b in generate_slices(
+        writers = {Station.ALICE: alice, Station.BOB: bob}
+        for stream in generate_slices(
             counts,
             pair_rate_hz=cfg.pair_rate_hz,
             tick_resolution_ps=tick,
@@ -146,9 +148,8 @@ def _simulate_point(cfg: RunConfig, index: int, out_dir: Path) -> dict:
             seed=_point_seed(cfg.seed, index, _ROLE_STREAMS),
             dark_rate_hz=cfg.dark_rate_hz,
         ):
-            alice.append(stream_a)
-            bob.append(stream_b)
-            del stream_a, stream_b  # freed before the next slice is made
+            writers[stream.station].append(stream)
+            del stream  # freed before the next stream is made
     return {
         "index": index,
         "alpha_deg": math.degrees(s.alpha),

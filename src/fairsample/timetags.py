@@ -13,11 +13,12 @@ angles are recorded in the run manifest, not in the events.
 
 A point's streams are generated, written, read and matched in pieces of
 at most ``BLOCK`` observed pairs or records, so that its working set does
-not grow with its length: :func:`generate_slices` yields the streams time
-slice by time slice, a :class:`TtgWriter` appends them to a file, and a
-:class:`TtgReader` reads a file back in chunks.  :func:`generate_streams`,
-:func:`write_ttg` and :func:`read_ttg` are the whole-stream forms of the
-same code.
+not grow with its length: :func:`generate_slices` yields one station's
+stream of one time slice at a time, Alice's and then Bob's, a
+:class:`TtgWriter` appends each to its station's file through a fixed
+buffer of records, and a :class:`TtgReader` reads a file back in chunks.
+:func:`generate_streams`, :func:`write_ttg` and :func:`read_ttg` are the
+whole-stream forms of the same code.
 
 The TTG1 format is this project's own container for such streams:
 
@@ -70,6 +71,8 @@ _RESERVED_MASK = 0xF8
 # file, and events in one merge of the matcher, half from each station.  It
 # bounds a point's working set whatever the point's size.
 BLOCK = 1 << 18
+# Records a TtgWriter packs and writes at once: 590 KB of buffer.
+_WRITE_RECORDS = 1 << 16
 
 
 class TtgFormatError(ValueError):
@@ -269,8 +272,8 @@ def generate_slices(
     jitter_sd_ticks: float,
     seed,
     dark_rate_hz: float = 0.0,
-) -> Iterator[tuple[EventStream, EventStream]]:
-    """Time-tag the observed pairs of a block, one time slice at a time.
+) -> Iterator[EventStream]:
+    """Time-tag the observed pairs of a block, one station's time slice at a time.
 
     ``counts`` fixes how many of its ``n_pairs_emitted`` pairs fall in each
     of the eight observed classes: the four coincidence cells, and the pairs
@@ -314,16 +317,19 @@ def generate_slices(
     (:func:`_redraw_end_zones`).  Both models put an anchor in an end zone
     with probability w / tau.
 
-    Each slice's events are sorted by (t, sign), and those within 120
-    jitter SDs plus one tick of its end are held back into the next slice,
-    so that the yielded (Alice, Bob) pairs of streams join into each
-    station's sorted stream: a later slice's photon lies at most 120 SD
-    before its pair's uniform time.  Draws go slice by slice: the uniform
-    times of Alice's pairs and then of the pairs seen at Bob only (after
-    the first slice's, tau), then Bob's offsets, then the redrawn end-zone
-    pairs of Alice and of Bob, then Alice's and Bob's dark counts: number,
-    times, signs.  A one-slice block draws no numbers for its split, nor
-    does a slice without dark counts for them.
+    Each slice yields two streams, Alice's and then Bob's, and the
+    generator keeps no reference to a stream it has yielded: a caller that
+    drops Alice's stream before asking for Bob's has freed it before Bob's
+    is built.  Each slice's events are sorted by (t, sign), and those
+    within 120 jitter SDs plus one tick of its end are held back into the
+    next slice, so that a station's yielded streams join into its sorted
+    stream: a later slice's photon lies at most 120 SD before its pair's
+    uniform time.  Draws go slice by slice: the uniform times of Alice's
+    pairs and then of the pairs seen at Bob only (after the first slice's,
+    tau), then Bob's offsets, then the redrawn end-zone pairs of Alice and
+    of Bob, then Alice's and Bob's dark counts: number, times, signs.  A
+    one-slice block draws no numbers for its split, nor does a slice
+    without dark counts for them.
     """
     n = counts.n_pairs_emitted
     check_timing(n, pair_rate_hz, tick_resolution_ps, jitter_sd_ticks, dark_rate_hz)
@@ -348,9 +354,6 @@ def generate_slices(
     last_key = [0, 0]
     slice_ticks = tau = 0.0
     for k, sizes in enumerate(per_slice):
-        # A slice's streams are dropped here when the caller asks for the
-        # next one, before anything of it is drawn.
-        streams = []
         final = k == n_slices - 1
         # Arrays are updated in place and dropped as soon as they are spent,
         # so a slice holds few of its full-size arrays at once.
@@ -436,12 +439,11 @@ def generate_slices(
             idx = np.zeros(t.shape[0], dtype=np.uint8)
             # The sort gives the (t, sign) order, sign is one bit and every
             # setting is 0: nothing is left for EventStream to scan.
-            streams.append(
-                EventStream(station, tick_resolution_ps, t, sign, idx, validate=False)
-            )
-        # Leave streams as the one holder of the slice's arrays.
-        del t, sign, idx
-        yield tuple(streams)
+            stream = [EventStream(station, tick_resolution_ps, t, sign, idx, validate=False)]
+            # Keep no reference to the stream given out, so that the caller
+            # can free it before the next station's buffer is made.
+            del t, sign, idx
+            yield stream.pop()
 
 
 def generate_streams(
@@ -453,15 +455,13 @@ def generate_streams(
     dark_rate_hz: float = 0.0,
 ) -> tuple[EventStream, EventStream]:
     """Both stations' whole streams: :func:`generate_slices` joined."""
-    slices = list(
-        generate_slices(
-            counts, pair_rate_hz, tick_resolution_ps, jitter_sd_ticks, seed,
-            dark_rate_hz,
-        )
-    )
-    return (
-        _joined([s[0] for s in slices], Station.ALICE, tick_resolution_ps),
-        _joined([s[1] for s in slices], Station.BOB, tick_resolution_ps),
+    slices = {Station.ALICE: [], Station.BOB: []}
+    for stream in generate_slices(
+        counts, pair_rate_hz, tick_resolution_ps, jitter_sd_ticks, seed, dark_rate_hz
+    ):
+        slices[stream.station].append(stream)
+    return tuple(
+        _joined(slices[station], station, tick_resolution_ps) for station in slices
     )
 
 
@@ -488,14 +488,30 @@ class TtgWriter:
                 f"does not fit a file of {self.station.name} at "
                 f"{self.tick_resolution_ps} ps"
             )
-        records = np.empty(len(stream), dtype=RECORD_DTYPE)
-        records["t"] = stream.t
-        records["flags"] = (
-            (stream.sign & _SIGN_BIT)
-            | ((stream.setting_index << _SETTING_SHIFT) & _SETTING_MASK)
-        ).astype(np.uint8)
-        self._fh.write(records.data)
-        self.count += records.shape[0]
+        n = len(stream)
+        if not n:
+            return
+        # One buffer of at most _WRITE_RECORDS records is packed and written
+        # in turn, so writing adds no copy of the whole stream.  The setting
+        # bits are made in a contiguous scratch array: byte operations on
+        # the records' strided flags field are slow.
+        size = min(n, _WRITE_RECORDS)
+        records = np.empty(size, dtype=RECORD_DTYPE)
+        scratch = np.empty(size, dtype=np.uint8)
+        for lo in range(0, n, size):
+            part = records[: n - lo]
+            hi = lo + part.shape[0]
+            bits = scratch[: part.shape[0]]
+            part["t"] = stream.t[lo:hi]
+            np.left_shift(
+                stream.setting_index[lo:hi], _SETTING_SHIFT, out=bits, casting="unsafe"
+            )
+            bits &= _SETTING_MASK
+            np.bitwise_or(
+                bits, stream.sign[lo:hi] & _SIGN_BIT, out=part["flags"], casting="unsafe"
+            )
+            self._fh.write(part.data)
+        self.count += n
 
 
 @contextmanager

@@ -487,6 +487,33 @@ def test_writer_appends_chunks_into_the_file_write_ttg_writes(tmp_path):
     assert (tmp_path / "parts.ttg").read_bytes() == (tmp_path / "whole.ttg").read_bytes()
 
 
+def _reference_records(s):
+    """The records of ``s`` packed at once in a structured array."""
+    records = np.empty(len(s), dtype=timetags.RECORD_DTYPE)
+    records["t"] = s.t
+    records["flags"] = s.sign | (s.setting_index << 1)
+    return records.tobytes()
+
+
+@pytest.mark.parametrize("length", [0, 1, 4, 5, 6, 17])
+def test_writer_packs_records_across_its_buffer_borders(tmp_path, monkeypatch, length):
+    # A buffer of L = 5 records: lengths 0, 1, L - 1, L, L + 1 and 3L + 2.
+    monkeypatch.setattr(timetags, "_WRITE_RECORDS", 5)
+    rng = np.random.default_rng(length)
+    t = np.cumsum(rng.integers(1, 2**40, length, dtype=np.uint64), dtype=np.uint64)
+    k = np.arange(length)
+    s = _stream(t, k % 2, setting=1 + k % 3)
+    path = tmp_path / "w.ttg"
+    with ttg_writer(path, s.station, s.tick_resolution_ps) as writer:
+        writer.append(s)
+        writer.append(_stream([], []))
+    raw = path.read_bytes()
+    assert raw[:24] == struct.pack("<4sBBHQQ", b"TTG1", 1, 0, 0, 1000, length)
+    assert raw[24:] == _reference_records(s)
+    assert writer.count == length
+    assert _streams_equal(read_ttg(path), s)
+
+
 @pytest.mark.parametrize(
     "station, tick", [(Station.BOB, 500), (Station.BOB, 1000), (Station.ALICE, 500)]
 )
@@ -820,26 +847,43 @@ def _traced_peak():
 
 
 def test_generate_slices_working_set_is_bounded():
-    # Each slice is dropped before the next is made, as the pipeline does.
-    # About 6.8 MB at 2**18 pairs a slice; one buffer of keys per station
-    # replaced a slice's concatenated copies, which peaked at 11.4 MB.
+    # Each stream is dropped before the next is made, as the pipeline does.
+    # About 5.0 MB at 2**18 pairs a slice.  Alice's finished stream, held
+    # while Bob's keys were built, made it 6.8 MB, and a slice's
+    # concatenated copies before one buffer of keys per station 11.4 MB.
     with _traced_peak() as peak:
-        for a, b in generate_slices(*_MULTI_SLICE):
-            del a, b
-    assert peak[0] < 8e6
+        for s in generate_slices(*_MULTI_SLICE):
+            del s
+    assert peak[0] < 6e6
+
+
+def test_generate_slices_into_files_working_set_is_bounded(tmp_path):
+    # Generation and writing together, as the pipeline simulates a point:
+    # about 5.1 MB.  Yielding a slice's two streams at once and packing a
+    # copy of each whole stream to write it made it 9.8 MB.
+    with _traced_peak() as peak:
+        with ttg_writer(tmp_path / "a.ttg", Station.ALICE, 1000) as wa, \
+                ttg_writer(tmp_path / "b.ttg", Station.BOB, 1000) as wb:
+            writers = {Station.ALICE: wa, Station.BOB: wb}
+            for s in generate_slices(*_MULTI_SLICE):
+                writers[s.station].append(s)
+                del s
+    assert wa.count > 10**6 and wb.count > 10**6
+    assert peak[0] < 7e6
 
 
 def test_generate_slices_spread_the_dark_counts_over_slices():
     # 10**6 emitted pairs, none observed, and 4 * 10**6 expected dark counts
-    # per station: the dark counts set 16 slices, about 2**18 a slice.  In
-    # the one slice the observed pairs alone set, they traced 104 MB.
+    # per station: the dark counts set 16 slices, about 2**18 a slice, each
+    # yielded as Alice's stream and then Bob's.  In the one slice the
+    # observed pairs alone set, they traced 104 MB.
     counts = BlockCounts(0, 0, 0, 0, 0, 0, 0, 0, n_pairs_emitted=10**6)
-    n_slices = 0
+    stations = []
     with _traced_peak() as peak:
-        for a, b in generate_slices(counts, 1e6, 1000, 50.0, 7, dark_rate_hz=2e6):
-            n_slices += 1
-            del a, b
-    assert n_slices == 16
+        for s in generate_slices(counts, 1e6, 1000, 50.0, 7, dark_rate_hz=2e6):
+            stations.append(s.station)
+            del s
+    assert stations == [Station.ALICE, Station.BOB] * 16
     assert peak[0] < 8e6
 
 
@@ -850,9 +894,9 @@ def test_count_coincidences_on_files_working_set_is_bounded(tmp_path):
     paths = tmp_path / "a.ttg", tmp_path / "b.ttg"
     with ttg_writer(paths[0], Station.ALICE, 1000) as wa, \
             ttg_writer(paths[1], Station.BOB, 1000) as wb:
-        for a, b in generate_slices(*_MULTI_SLICE):
-            wa.append(a)
-            wb.append(b)
+        writers = {Station.ALICE: wa, Station.BOB: wb}
+        for s in generate_slices(*_MULTI_SLICE):
+            writers[s.station].append(s)
     with open_ttg(paths[0]) as ra, open_ttg(paths[1]) as rb:
         with _traced_peak() as peak:
             counts = count_coincidences(ra, rb, CoincidenceWindow(500))
@@ -868,12 +912,14 @@ def test_generate_slices_join_into_the_whole_streams(monkeypatch):
     observed = counts.total_singles - counts.total_coincidences
     args = (counts, 1e6, 10**6, 2.0, 24, 3e5)
     slices = list(generate_slices(*args))
-    assert len(slices) == -(-observed // 1000) > 10
+    n_slices = -(-observed // 1000)
+    assert n_slices > 10
+    # Each slice yields Alice's stream, then Bob's.
+    assert [s.station for s in slices] == [Station.ALICE, Station.BOB] * n_slices
     whole = generate_streams(*args)
     for k, station in enumerate((Station.ALICE, Station.BOB)):
-        t = np.concatenate([s[k].t for s in slices])
-        sign = np.concatenate([s[k].sign for s in slices])
-        assert all(s[k].station == station for s in slices)
+        t = np.concatenate([s.t for s in slices[k::2]])
+        sign = np.concatenate([s.sign for s in slices[k::2]])
         joined = EventStream(station, 10**6, t, sign, np.zeros_like(sign))
         assert _streams_equal(joined, whole[k])
 
