@@ -7,8 +7,10 @@
 
 `report` prints the report.md that `analyze` wrote into DIR.
 Exit codes: 0 success, 2 configuration error (a bad config file or option
-value), 3 data error (missing or corrupt files, including a manifest whose
-embedded config is malformed).
+value), 3 data error (missing or corrupt files, including a malformed
+manifest or one of a schema other than 2).  `analyze` reads only the
+manifest's ``data`` block, its optional ``model`` block and its point list,
+and echoes the ``simulation`` block's policy, so it needs no run config.
 ``--jobs`` defaults to the number of CPUs the process may use; outputs are
 identical at any value, and ``--jobs 1`` works on one point at a time.
 The default output directory for `simulate` is taken from --output-dir,
@@ -106,13 +108,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
 
-    p_ana = sub.add_parser("analyze", help="analyze a simulated run")
+    p_ana = sub.add_parser("analyze", help="analyze a run's TTG1 files")
     p_ana.add_argument("--manifest", required=True, help="run manifest path")
     p_ana.add_argument(
         "--window",
         type=_window,
         default=None,
-        help="coincidence window in ticks (default: value from the run config)",
+        help="coincidence window in ticks (default: the manifest's data.window_ticks)",
     )
     p_ana.add_argument(
         "--alpha-level",

@@ -89,8 +89,12 @@ def _block_clusters(
     na = t_a.shape[0]
     n = na + t_b.shape[0]
     merged = np.concatenate((t_a, t_b))
-    # A stable sort of two sorted runs is one timsort merge, O(n).
-    order = merged.argsort(kind="stable")
+    # A stable sort of two sorted runs is one timsort merge, O(n).  Flipping
+    # the top bit maps uint64 order onto int64 order, which numpy sorts
+    # without holding the interpreter lock (it holds it for uint64 keys);
+    # the flip adds 2**63 modulo 2**64, so the wrapped gaps stay the same.
+    merged ^= np.uint64(1 << 63)
+    order = merged.view(np.int64).argsort(kind="stable")
     merged = merged.take(order)
     # joined[p + 1] says whether merged events p and p + 1 share a cluster:
     # the gap between them, taken in place, is within the window.  With a

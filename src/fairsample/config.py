@@ -24,7 +24,7 @@ from .timetags import TimingError, check_timing
 
 SCHEMA_VERSION = 1
 
-_STATION_NAMES = {"alice": Station.ALICE, "bob": Station.BOB}
+STATION_NAMES = {"alice": Station.ALICE, "bob": Station.BOB}
 
 
 class ConfigError(ValueError):
@@ -179,7 +179,7 @@ def config_from_dict(doc: dict) -> RunConfig:
 
     scan_doc = json_field(doc, "scan", (dict,))
     varied_name = json_field(scan_doc, "varied", where="scan")
-    if not isinstance(varied_name, str) or varied_name not in _STATION_NAMES:
+    if not isinstance(varied_name, str) or varied_name not in STATION_NAMES:
         raise ConfigError("scan.varied", "must be 'alice' or 'bob'")
     angles = json_field(scan_doc, "angles_deg", (list,), "scan")
 
@@ -187,7 +187,7 @@ def config_from_dict(doc: dict) -> RunConfig:
         source=source,
         efficiencies=efficiencies,
         policy=policy,
-        varied=_STATION_NAMES[varied_name],
+        varied=STATION_NAMES[varied_name],
         angles_deg=tuple(
             json_field(angles, i, NUMBER, "scan.angles_deg")
             for i in range(len(angles))

@@ -9,15 +9,26 @@ a write that fails part-way leaves the previous file or none.
 
 Analysis is strictly file-based — it reads the manifest and the TTG1
 files, never in-memory simulation state — so third-party streams can be
-analyzed by writing a manifest by hand.  Such a manifest must hold a
-complete and valid ``config`` block: analysis uses only its coincidence
-window, ``scan.varied``, ``source.p`` and the sampling policy, and
-validates and echoes the rest.  ``report.md`` is rendered from the
-no-signalling document in the call that writes it, never read back; the
-document's ``report`` is serialized from the ``fits`` dataclasses.  Each
-point is analyzed into one record on a thread pool, by default one thread
-per usable CPU; outputs are ordered by point index regardless of
-scheduling, and are identical at any number of jobs.
+analyzed by writing a manifest by hand.  A manifest of schema 2 has these
+blocks:
+
+- ``data`` (required): ``varied``, the scanned station, and
+  ``window_ticks``, the default coincidence window;
+- ``points`` (required): each point's ``index``, angles and two file names;
+- ``model`` (optional): the source's ``p``.  It alone gives the
+  model-derived outputs: the ``corr_model`` column, the report's deviation
+  and model CHSH lines and ``nosignalling.json``'s ``run.p``; without it
+  they are nan, left out and null;
+- ``simulation`` (written by ``simulate``): the config, the RNG and the file
+  format.  Analysis only echoes it: the policy's ``kind`` and ``d`` go as
+  they are into ``run`` and the report header, null when absent.
+
+``report.md`` is rendered from the no-signalling document in the call that
+writes it, never read back; the document's ``report`` is serialized from
+the ``fits`` dataclasses.  Each point is analyzed into one record on a
+thread pool, by default one thread per usable CPU; outputs are ordered by
+point index regardless of scheduling, and are identical at any number of
+jobs.
 """
 
 from __future__ import annotations
@@ -35,14 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coincidence import CoincidenceWindow, _is_int, count_coincidences
-from .config import (
-    NUMBER,
-    ConfigError,
-    RunConfig,
-    config_from_dict,
-    config_to_dict,
-    json_field,
-)
+from .config import NUMBER, STATION_NAMES, RunConfig, config_to_dict, json_field
 from .detection import COUNT_NAMES, SAMPLER_NAME, SAMPLER_VERSION, simulate_block
 from .estimator import (
     AllZeroRatios,
@@ -65,7 +69,7 @@ from .timetags import TtgFormatError, generate_slices, open_ttg, ttg_writer
 
 MANIFEST_NAME = "manifest.json"
 REPORT_NAME = "report.md"
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 NOSIGNALLING_SCHEMA_VERSION = 3
 
 _ROLE_COUNTS = 0
@@ -184,20 +188,27 @@ def simulate_run(cfg: RunConfig, output_dir, jobs: "int | None" = None) -> Path:
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "kind": "fairsample-run",
-        "config": config_to_dict(cfg),
-        "rng": {
-            "algorithm": "PCG64",
-            "sampler": {"name": SAMPLER_NAME, "version": SAMPLER_VERSION},
-            "seeding": "SeedSequence((seed, point_index, role)); "
-                       "role 0 = the block's multinomial category counts, "
-                       "role 1 = the Gamma(n + 1) emission horizon, one uniform "
-                       "emission time per observed pair, one N(0, 2 sd^2) offset "
-                       "per coincidence pair for Bob's photon, per-photon jitter "
-                       "for the pairs redrawn in the end zones, within "
-                       "min(40 sd, tau / 2) of either end of [0, tau), and "
-                       "dark counts",
+        "data": {
+            "varied": cfg.varied.name.lower(),
+            "window_ticks": cfg.coincidence_window_ticks,
         },
-        "format": {"name": "TTG1", "version": 1},
+        "model": {"p": cfg.source.p},
+        "simulation": {
+            "config": config_to_dict(cfg),
+            "rng": {
+                "algorithm": "PCG64",
+                "sampler": {"name": SAMPLER_NAME, "version": SAMPLER_VERSION},
+                "seeding": "SeedSequence((seed, point_index, role)); "
+                           "role 0 = the block's multinomial category counts, "
+                           "role 1 = the Gamma(n + 1) emission horizon, one "
+                           "uniform emission time per observed pair, one "
+                           "N(0, 2 sd^2) offset per coincidence pair for Bob's "
+                           "photon, per-photon jitter for the pairs redrawn in "
+                           "the end zones, within min(40 sd, tau / 2) of either "
+                           "end of [0, tau), and dark counts",
+            },
+            "format": {"name": "TTG1", "version": 1},
+        },
         "points": points,
     }
     with atomic_write(manifest_path, encoding="utf-8") as fh:
@@ -240,14 +251,32 @@ def _parse_point(i: int, doc, base: Path, root: Path) -> ManifestPoint:
     return ManifestPoint(index, angles[0], angles[1], files[0], files[1])
 
 
-def load_manifest(
-    manifest_path,
-) -> tuple[dict, RunConfig, Path, list[ManifestPoint]]:
-    """Read and validate a manifest.
+@dataclass(frozen=True)
+class Manifest:
+    """What analysis reads of a run manifest."""
 
-    Returns (document, typed config, base directory, validated points).
-    A malformed document, embedded config or point raises ValueError that
-    names the manifest path and the JSON path of the fault.
+    base: Path  # the directory the manifest lies in
+    varied: Station
+    window: CoincidenceWindow  # the default one
+    model: "SourceState | None"
+    # The simulation's policy kind and depth, echoed as written.
+    policy: object
+    d: object
+    points: tuple[ManifestPoint, ...]
+
+
+def _echo(doc, *path):
+    """The value at ``path`` in ``doc``, or None where the path leads nowhere."""
+    for key in path:
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
+
+
+def load_manifest(manifest_path) -> Manifest:
+    """Read and validate a manifest of schema 2.
+
+    A malformed document, block or point raises ValueError that names the
+    manifest path and the JSON path of the fault.
     """
     path = Path(manifest_path)
     base = path.parent
@@ -263,15 +292,27 @@ def load_manifest(
             )
         if not isinstance(doc.get("points"), list):
             raise ValueError("manifest has no point list")
-        config_doc = json_field(doc, "config", (dict,))
+        data = json_field(doc, "data", (dict,))
+        varied = json_field(data, "varied", (str,), "data")
+        if varied not in STATION_NAMES:
+            raise ValueError("data.varied: must be 'alice' or 'bob'")
+        width = json_field(data, "window_ticks", (int,), "data")
         try:
-            cfg = config_from_dict(config_doc)
-        except ConfigError as exc:
-            raise ValueError(f"config.{exc}") from None
+            window = CoincidenceWindow(width)
+        except ValueError as exc:
+            raise ValueError(f"data.window_ticks: {exc}") from None
+        model = None
+        if "model" in doc:
+            p = json_field(json_field(doc, "model", (dict,)), "p", NUMBER, "model")
+            try:
+                model = SourceState(p)
+            except ValueError as exc:
+                raise ValueError(f"model.p: {exc}") from None
+        simulation = json_field(doc, "simulation", (dict,), default=None)
         root = base.resolve()
         points = [_parse_point(i, pd, base, root) for i, pd in enumerate(doc["points"])]
         # The fits need one non-varied angle: checked before any matching.
-        key = "beta_deg" if cfg.varied == Station.ALICE else "alpha_deg"
+        key = "beta_deg" if varied == "alice" else "alpha_deg"
         fixed = [pt.beta if key == "beta_deg" else pt.alpha for pt in points]
         seen = set()
         for i, pt in enumerate(points):
@@ -286,7 +327,11 @@ def load_manifest(
                 )
     except (ValueError, RecursionError) as exc:  # too deeply nested to parse
         raise ValueError(f"{path}: {exc}") from None
-    return doc, cfg, base, points
+    policy = _echo(simulation, "config", "policy")
+    return Manifest(
+        base, STATION_NAMES[varied], window, model,
+        _echo(policy, "kind"), _echo(policy, "d"), tuple(points),
+    )
 
 
 class _Row(NamedTuple):
@@ -301,7 +346,7 @@ class _Row(NamedTuple):
 
 
 def _analyze_point(
-    point: ManifestPoint, window: CoincidenceWindow, source: SourceState
+    point: ManifestPoint, window: CoincidenceWindow, model: "SourceState | None"
 ) -> _Row:
     index, alpha, beta = point.index, point.alpha, point.beta
     try:
@@ -331,8 +376,8 @@ def _analyze_point(
     # The estimate's own uncertainties, or counting ones where it has none.
     sigma = est.sigma if est is not None else counting_uncertainties(counts)
     corr = correlation_standard(counts) if counts.total_coincidences else math.nan
-    model = correlation_qt(source, SettingsPair(alpha, beta))
-    return _Row(index, pt, note, sigma, corr, model)
+    corr_model = math.nan if model is None else correlation_qt(model, SettingsPair(alpha, beta))
+    return _Row(index, pt, note, sigma, corr, corr_model)
 
 
 def _fmt(value: float) -> str:
@@ -415,18 +460,23 @@ def _render_report(ns: dict, deviations: list) -> str:
     """
     deviations = [d for d in deviations if math.isfinite(d)]
     run = ns["run"]
-    chsh = chsh_value(SourceState(run["p"]), *map(math.radians, CANONICAL_CHSH_DEG))
-    lines = [
-        "# Run summary",
-        "",
-        f"- source p = {run['p']}, policy = {run['policy']} (d = {run['d']})",
+    p = run["p"]
+    header = [f"source p = {p}"] if p is not None else []
+    if run["policy"] is not None:
+        header.append(f"policy = {run['policy']} (d = {run['d']})")
+    lines = ["# Run summary", ""]
+    if header:
+        lines.append(f"- {', '.join(header)}")
+    lines += [
         f"- varied station: {run['varied']}; scan points: {run['n_points']}; "
         f"coincidence window: {run['window_ticks']} ticks",
         "",
         "## Correlation",
         "",
     ]
-    if deviations:
+    if p is None:
+        lines.append("- no model given (manifest `model.p`): no model curve to compare with")
+    elif deviations:
         rms = math.sqrt(sum(d * d for d in deviations) / len(deviations))
         worst = max(abs(d) for d in deviations)
         lines += [
@@ -435,16 +485,16 @@ def _render_report(ns: dict, deviations: list) -> str:
         ]
     else:
         lines.append("- no correlation points available")
-    lines += [
-        "",
-        f"- model CHSH at canonical settings "
-        f"({', '.join(f'{v:g}°' for v in CANONICAL_CHSH_DEG)}): {chsh:.4f} "
-        "(settings not covered by a single-scan run; value is the model "
-        "prediction for this source)",
-        "",
-        "## No-signalling test (singles-normalized marginals)",
-        "",
-    ]
+    if p is not None:
+        chsh = chsh_value(SourceState(p), *map(math.radians, CANONICAL_CHSH_DEG))
+        lines += [
+            "",
+            f"- model CHSH at canonical settings "
+            f"({', '.join(f'{v:g}°' for v in CANONICAL_CHSH_DEG)}): {chsh:.4f} "
+            "(settings not covered by a single-scan run; value is the model "
+            "prediction for this source)",
+        ]
+    lines += ["", "## No-signalling test (singles-normalized marginals)", ""]
     report = ns["report"]
     if report is None:
         lines.append(f"- {ns['fit_note'] or 'fits unavailable'}")
@@ -484,7 +534,7 @@ def analyze_run(
     output_dir=None,
     jobs: "int | None" = None,
 ) -> AnalysisResult:
-    """Run matching + estimation + fits over a simulated run on disk.
+    """Run matching + estimation + fits over a run on disk.
 
     Writes counts.csv, correlation.csv, evenodd_standard.csv,
     marginals_singles.csv, nosignalling.json and report.md, rendered from
@@ -497,14 +547,14 @@ def analyze_run(
     _check_jobs(jobs)
     check_alpha_level(alpha_level)
     window = CoincidenceWindow(window_ticks) if window_ticks is not None else None
-    _, cfg, base, points = load_manifest(manifest_path)
+    manifest = load_manifest(manifest_path)
     if window is None:
-        window = CoincidenceWindow(cfg.coincidence_window_ticks)
-    out_dir = Path(output_dir) if output_dir is not None else base
+        window = manifest.window
+    out_dir = Path(output_dir) if output_dir is not None else manifest.base
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = sorted(
-        _map_points(lambda pt: _analyze_point(pt, window, cfg.source), points, jobs),
+        _map_points(lambda pt: _analyze_point(pt, window, manifest.model), manifest.points, jobs),
         key=lambda row: row.index,
     )
     scan = ScanResult(points=tuple(row.pt for row in rows))
@@ -513,7 +563,7 @@ def analyze_run(
     report: "NoSignallingReport | None" = None
     fit_note: "str | None" = None
     try:
-        report = nosignalling_stats(scan, cfg.varied, alpha_level=alpha_level)
+        report = nosignalling_stats(scan, manifest.varied, alpha_level=alpha_level)
     except InsufficientPoints as exc:
         fit_note = f"fits skipped: insufficient points ({exc})"
 
@@ -548,12 +598,12 @@ def analyze_run(
         "schema_version": NOSIGNALLING_SCHEMA_VERSION,
         "kind": "fairsample-nosignalling",
         "run": {
-            "p": cfg.source.p,
-            "policy": cfg.policy.kind.value,
-            "d": cfg.policy.d,
-            "varied": "alice" if cfg.varied == Station.ALICE else "bob",
+            "p": manifest.model.p if manifest.model is not None else None,
+            "policy": manifest.policy,
+            "d": manifest.d,
+            "varied": manifest.varied.name.lower(),
             "window_ticks": window.width_ticks,
-            "n_points": len(points),
+            "n_points": len(manifest.points),
         },
         "alpha_level": alpha_level,
         "report": _jsonable(report),

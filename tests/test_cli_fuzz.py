@@ -1,7 +1,9 @@
 """The CLI's exit-code contract under malformed inputs.
 
 Configs, manifests and TTG1 files are mutated (truncated, bytes replaced,
-JSON values swapped for other types or deleted) and fed to ``cli.main``.
+JSON values swapped for other types or deleted) and fed to ``cli.main``;
+manifests of schema 2 are also mutated within the blocks analysis reads
+(``data``, ``model``, ``points``), and a manifest of schema 1 is refused.
 Every run must end with a documented exit code (0, 2 or 3) and write
 no traceback to stderr; ``analyze`` and ``report`` read data files only and
 never exit 2, and ``simulate`` into a writable directory can meet a fault
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 import hypothesis.strategies as st
 
-from fairsample.cli import EXIT_CONFIG, EXIT_OK, main
+from fairsample.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 BASE_CONFIG = {
     "schema_version": 1,
@@ -46,8 +48,9 @@ EXIT_CODES = {0, 2, 3}
 # that point outside a run directory.
 JSON_VALUES = st.sampled_from(
     [
-        None, True, False, 0, 1, -1, 3, 0.5, -0.0, 1e-300, 2**63, 2**64, 10**400, -10**400,
-        math.nan, math.inf, -math.inf, "", "x", "alice", "fair", "../escape.ttg",
+        None, True, False, 0, 1, -1, 3, 0.5, -0.0, 1e-300, 2**63, 2**64 - 1, 2**64, 10**400,
+        -10**400, math.nan, math.inf, -math.inf, "", "x", "alice", "bob", "fair",
+        "../escape.ttg",
         [], [0.0], [90.0, 0.0], {}, {"p": 1.0},
     ]
 )
@@ -82,12 +85,17 @@ def mutated_bytes(draw, data: bytes, max_replaced: int):
 
 
 @st.composite
-def mutated_json(draw, doc):
-    """``doc`` as JSON text with one byte-level or one value-level change."""
-    if draw(st.booleans()):
+def mutated_json(draw, doc, blocks=None):
+    """``doc`` as JSON text with one byte-level or one value-level change.
+
+    With ``blocks``, the change is to a value at or under one of those
+    top-level keys.
+    """
+    if blocks is None and draw(st.booleans()):
         return draw(mutated_bytes(json.dumps(doc).encode(), max_replaced=1))
     doc = copy.deepcopy(doc)
-    path = draw(st.sampled_from(list(_paths(doc))))
+    paths = [path for path in _paths(doc) if blocks is None or path[:1] in blocks]
+    path = draw(st.sampled_from(paths))
     if not path:
         return json.dumps(draw(JSON_VALUES)).encode()
     parent = doc
@@ -155,6 +163,35 @@ def test_mutated_manifest(base_run, data):
     with _copy_of(base_run) as run:
         (run / "manifest.json").write_bytes(data.draw(mutated_json(doc)))
         _analyze_and_report(run / "manifest.json")
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_analysis_blocks(base_run, data):
+    # The blocks analysis reads, of a simulated manifest or of one that holds
+    # the data alone, with or without the model; ``simulation`` is only echoed.
+    doc = json.loads((base_run / "manifest.json").read_text())
+    for key in data.draw(st.sets(st.sampled_from(["model", "simulation"]))):
+        del doc[key]
+    blocks = [(key,) for key in ("data", "model", "points") if key in doc]
+    with _copy_of(base_run) as run:
+        (run / "manifest.json").write_bytes(data.draw(mutated_json(doc, blocks)))
+        _analyze_and_report(run / "manifest.json")
+
+
+def test_schema_1_manifest_is_refused(base_run):
+    # The layout before schema 2: a whole config, the RNG and the format
+    # at the top level.
+    doc = json.loads((base_run / "manifest.json").read_text())
+    old = {"schema_version": 1, "kind": doc["kind"], **doc["simulation"], "points": doc["points"]}
+    err = io.StringIO()
+    with _copy_of(base_run) as run:
+        (run / "manifest.json").write_text(json.dumps(old))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["analyze", "--manifest", str(run / "manifest.json")]) == EXIT_DATA
+        assert not (run / "counts.csv").exists()
+    assert "unsupported manifest schema version 1, expected 2" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 @FUZZ

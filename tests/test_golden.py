@@ -3,7 +3,9 @@
 Two small fixed configs run through ``cli.main``, and the sha256 of every
 file written and of what the commands printed is pinned.  So a change that
 alters one printed digit, the order of a table's columns or of a report's
-fields fails here, not only in a comparison made by hand.  A pin changes
+fields fails here, not only in a comparison made by hand.  A manifest of
+the data alone, written over the files of one of them, must give the same
+tables and verdict.  A pin changes
 only with a stated reason: a new sampler version, a new schema version or
 a changed output format.
 
@@ -56,7 +58,7 @@ GOLDEN = {
             "correlation.csv": "44ab544baab66310ca585a2812036ef6c07ab71025c63a850e504fdb212ad941",
             "counts.csv": "7beb15e6f0c837297e2d0a467b09fb4b4e98ff41e2d50d4e0be8c313bfae5728",
             "evenodd_standard.csv": "86216baf60b0b26bad0cebde99e7cdb82bbc07ea7ffdb2d0899ce433b76d8b13",
-            "manifest.json": "0e65b3f1c75c6d7f756521a249fa26a22207be87a8c93855dac6b8649c11be25",
+            "manifest.json": "cee4e292613e2659f5a212c4215a63e8cff14b36dd9a4b41afe7b9313955b5a7",
             "marginals_singles.csv": "36fca973e05b6de6b3642cceaf272f4daa122ae9f81b1523e82abdbcc3e662fc",
             "nosignalling.json": "7135154703c10a1c3b5d7252c81cbbeb74d637f50990bee9ee2d57f3e2a14f2f",
             "point_000_alice.ttg": "02c545055f049238f18f2422c8625ec3581b8129a7528917b1dcf553dadec74d",
@@ -96,7 +98,7 @@ GOLDEN = {
             "correlation.csv": "ba040084f5c7672a6481494a62acc55f65735842ae20e7d5297aa93b006a7897",
             "counts.csv": "3bec333569fa017d0e03d4a1bbe88b56932e1ec05f91cef875e2303293f505d0",
             "evenodd_standard.csv": "e5184a89dae50e80639f832d5f0a8a754ecddd4f4ac1644e9f2fb2f9cf17f023",
-            "manifest.json": "3a4b679f59445845c2fa1a92a9c1143dd1d8564b62132e3db959e9d0e6fe9e38",
+            "manifest.json": "8d5c66936cc06ebb370c116ad760bd6ae3e3d3abf0836207827339a14526d76b",
             "marginals_singles.csv": "95c630ed30d823da3013b9edb03998b32e5ab3b1fa9b506c6af071c9d8e6b2c2",
             "nosignalling.json": "dc6593378c7966b591e1a31eaf7d30c06d84993e533a968c0a286419d636c27b",
             "point_000_alice.ttg": "e8f7ad6e552d743db62fa51cb36a539b807f2eaf4f1633be15b9bbf98c61df94",
@@ -140,3 +142,38 @@ def test_cli_run_writes_the_pinned_files_and_output(name, tmp_path, monkeypatch,
     digests["<stdout>"] = _sha256(printed.out.encode())
     digests["<stderr>"] = _sha256(printed.err.encode())
     assert digests == expected
+
+
+@pytest.mark.parametrize(
+    "blocks", [("data", "points"), ("data", "model", "points")], ids=["data-only", "with-model"]
+)
+def test_a_manifest_of_the_data_alone_reproduces_the_run(blocks, tmp_path, monkeypatch):
+    # Third-party time tags come with no simulation: written over the
+    # unfair_dark run's own files, such a manifest gives its counts,
+    # estimates and verdict byte for byte, and with a model its
+    # correlation table too.
+    doc, block, expected = GOLDEN["unfair_dark"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(timetags, "BLOCK", block)
+    Path("run.json").write_text(json.dumps(doc))
+    run = Path("run")
+    assert main(["simulate", "--config", "run.json", "--output-dir", "run"]) == EXIT_OK
+    assert main(["analyze", "--manifest", "run/manifest.json"]) == EXIT_OK
+    manifest = json.loads((run / "manifest.json").read_text())
+    (run / "data.json").write_text(
+        json.dumps({key: manifest[key] for key in ("schema_version", "kind") + blocks})
+    )
+    assert main(["analyze", "--manifest", "run/data.json", "--output-dir", "data"]) == EXIT_OK
+    same = ["counts.csv", "evenodd_standard.csv", "marginals_singles.csv"]
+    if "model" in blocks:
+        same.append("correlation.csv")
+    for name in same:
+        assert _sha256((Path("data") / name).read_bytes()) == expected[name], name
+    simulated, given = (
+        json.loads((Path(where) / "nosignalling.json").read_bytes()) for where in ("run", "data")
+    )
+    assert _sha256((run / "nosignalling.json").read_bytes()) == expected["nosignalling.json"]
+    p = manifest["model"]["p"] if "model" in blocks else None
+    assert given.pop("run") == dict(simulated.pop("run"), p=p, policy=None, d=None)
+    # The verdict, the p-values and every other fit figure.
+    assert given == simulated

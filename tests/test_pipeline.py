@@ -16,7 +16,8 @@ import pytest
 
 from fairsample import cli, pipeline, timetags
 from fairsample.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, OUTPUT_DIR_ENV, main
-from fairsample.config import config_from_dict, config_to_dict
+from fairsample.coincidence import CoincidenceWindow
+from fairsample.config import config_from_dict
 from fairsample.detection import SAMPLER_NAME, SAMPLER_VERSION
 from fairsample.pipeline import _render_report, analyze_run, load_manifest, simulate_run
 from fairsample.quantum import Station
@@ -60,16 +61,27 @@ def fair_run(tmp_path_factory):
 
 def test_manifest_contents(fair_run):
     run_dir, cfg, _ = fair_run
-    doc, loaded_cfg, base, points = load_manifest(run_dir / "manifest.json")
-    assert base == run_dir
-    assert loaded_cfg == cfg
+    doc = json.loads((run_dir / "manifest.json").read_text())
+    manifest = load_manifest(run_dir / "manifest.json")
+    points = manifest.points
+    assert manifest.base == run_dir
+    assert manifest.varied == cfg.varied
+    assert manifest.window == CoincidenceWindow(cfg.coincidence_window_ticks)
+    assert manifest.model == cfg.source
+    assert (manifest.policy, manifest.d) == ("fair", 0.0)
     assert doc["kind"] == "fairsample-run"
-    assert doc["rng"]["algorithm"] == "PCG64"
-    assert doc["rng"]["sampler"] == {"name": SAMPLER_NAME, "version": SAMPLER_VERSION}
+    assert doc["schema_version"] == 2
+    assert list(doc) == ["schema_version", "kind", "data", "model", "simulation", "points"]
+    assert doc["data"] == {"varied": "alice", "window_ticks": cfg.coincidence_window_ticks}
+    assert doc["model"] == {"p": cfg.source.p}
+    simulation = doc["simulation"]
+    assert config_from_dict(simulation["config"]) == cfg
+    assert simulation["rng"]["algorithm"] == "PCG64"
+    assert simulation["rng"]["sampler"] == {"name": SAMPLER_NAME, "version": SAMPLER_VERSION}
     assert SAMPLER_VERSION == 5
-    assert "multinomial" in doc["rng"]["seeding"]
-    assert "Gamma(n + 1)" in doc["rng"]["seeding"]
-    assert doc["format"] == {"name": "TTG1", "version": 1}
+    assert "multinomial" in simulation["rng"]["seeding"]
+    assert "Gamma(n + 1)" in simulation["rng"]["seeding"]
+    assert simulation["format"] == {"name": "TTG1", "version": 1}
     assert len(doc["points"]) == len(ANGLES_DEG)
     for i, pt in enumerate(doc["points"]):
         assert pt["index"] == i
@@ -95,10 +107,10 @@ def test_simulation_is_byte_deterministic(tmp_path):
 
 def test_load_manifest_rejects_other_documents(tmp_path):
     bad = tmp_path / "manifest.json"
-    bad.write_text(json.dumps({"kind": "something-else", "schema_version": 1, "points": []}))
+    bad.write_text(json.dumps({"kind": "something-else", "schema_version": 2, "points": []}))
     with pytest.raises(ValueError, match="not a run manifest"):
         load_manifest(bad)
-    bad.write_text(json.dumps({"kind": "fairsample-run", "schema_version": 1}))
+    bad.write_text(json.dumps({"kind": "fairsample-run", "schema_version": 2}))
     with pytest.raises(ValueError, match="point list"):
         load_manifest(bad)
 
@@ -371,11 +383,6 @@ def test_report_fair_run(fair_run):
 
 def _write_manifest(tmp_path, points):
     """A hand-written run of (index, alpha_deg, Alice stream, Bob stream) points."""
-    cfg = config_from_dict(small_doc(scan={
-        "varied": "alice",
-        "angles_deg": [alpha for _, alpha, _, _ in points],
-        "fixed_angle_deg": 0.0,
-    }))
     entries = []
     for i, (index, alpha, a, b) in enumerate(points):
         names = (f"pt{i}_a.ttg", f"pt{i}_b.ttg")
@@ -392,11 +399,10 @@ def _write_manifest(tmp_path, points):
             }
         )
     manifest = {
-        "schema_version": 1,
+        "schema_version": 2,
         "kind": "fairsample-run",
-        "config": config_to_dict(cfg),
-        "rng": {"algorithm": "PCG64", "seeding": "external"},
-        "format": {"name": "TTG1", "version": 1},
+        "data": {"varied": "alice", "window_ticks": 120},
+        "model": {"p": 1.0},
         "points": entries,
     }
     path = tmp_path / "manifest.json"
@@ -822,7 +828,7 @@ def test_load_manifest_rejects_malformed_points(tmp_path, key, value):
         load_manifest(path)
 
 
-@pytest.mark.parametrize("version", [True, 1.0, 2], ids=["true", "1.0", "2"])
+@pytest.mark.parametrize("version", [True, 1.0, 2.0], ids=["true", "1.0", "2.0"])
 def test_load_manifest_reads_schema_version_as_integer(tmp_path, version):
     path, doc = _simulated_manifest(tmp_path)
     doc["schema_version"] = version
@@ -834,14 +840,20 @@ def test_load_manifest_reads_schema_version_as_integer(tmp_path, version):
 @pytest.mark.parametrize(
     "mutate, message",
     [
-        (lambda doc: doc.pop("config"), "config: missing required field"),
-        (lambda doc: doc["config"]["source"].update(p=5), "config.source.p: "),
-        (lambda doc: doc["config"].update(seed="x"), "config.seed: must be an integer"),
+        (lambda doc: doc.pop("data"), "data: missing required field"),
+        (lambda doc: doc["data"].update(varied="carol"), "data.varied: must be 'alice' or 'bob'"),
+        (lambda doc: doc["data"].update(window_ticks="x"), "data.window_ticks: must be an integer"),
+        (lambda doc: doc["data"].update(window_ticks=2**64), "data.window_ticks: window width"),
+        (lambda doc: doc["model"].update(p=5), "model.p: p must be in [0, 1], got 5"),
+        (lambda doc: doc["model"].pop("p"), "model.p: missing required field"),
+        (lambda doc: doc.update(model=None), "model: must be an object"),
+        (lambda doc: doc.update(simulation=[]), "simulation: must be an object"),
     ],
-    ids=["no-config", "p-5", "seed-string"],
+    ids=["no-data", "varied-carol", "window-string", "window-2**64", "p-5", "no-p",
+         "model-null", "simulation-array"],
 )
 def test_cli_analyze_bad_manifest_config_is_a_data_error(tmp_path, capsys, mutate, message):
-    # The user gave no config here: the manifest's echo of one is data.
+    # The user gave no config here: the manifest's blocks are data.
     path, doc = _simulated_manifest(tmp_path)
     mutate(doc)
     path.write_text(json.dumps(doc))
@@ -855,9 +867,9 @@ def test_cli_analyze_bad_manifest_config_is_a_data_error(tmp_path, capsys, mutat
     "mutate, field",
     [
         (lambda doc: doc["points"][1].update(alpha_deg=10**400), "points[1].alpha_deg"),
-        (lambda doc: doc["config"].update(pairs_per_point=10**400), "config.pairs_per_point"),
+        (lambda doc: doc["data"].update(window_ticks=10**400), "data.window_ticks"),
     ],
-    ids=["alpha-10**400", "config-pairs-10**400"],
+    ids=["alpha-10**400", "data-window-10**400"],
 )
 def test_cli_analyze_names_an_integer_beyond_float_range(tmp_path, capsys, mutate, field):
     path, doc = _simulated_manifest(tmp_path)
@@ -886,13 +898,61 @@ def test_cli_analyze_refuses_too_deeply_nested_json(tmp_path, capsys):
 def test_scan_points_counted_from_the_point_list(tmp_path, capsys):
     # A hand-written manifest may echo a config of fewer angles than it has points.
     path, doc = _simulated_manifest(tmp_path)
-    doc["config"]["scan"]["angles_deg"] = [0.0]
+    doc["simulation"]["config"]["scan"]["angles_deg"] = [0.0]
     path.write_text(json.dumps(doc))
     assert main(["analyze", "--manifest", str(path)]) == EXIT_OK
     ns = json.loads((path.parent / "nosignalling.json").read_text())
     assert ns["run"]["n_points"] == len(doc["points"]) == len(ANGLES_DEG)
     assert main(["report", "--dir", str(path.parent)]) == EXIT_OK
     assert f"scan points: {len(ANGLES_DEG)};" in (path.parent / "report.md").read_text()
+
+
+def test_analysis_reads_no_simulation_config(tmp_path, capsys):
+    # A config the simulator would refuse, and one of another window and
+    # station: analysis echoes the policy and reads nothing else of it.
+    path, doc = _simulated_manifest(tmp_path)
+    assert main(["analyze", "--manifest", str(path), "--output-dir", str(tmp_path / "as_written")]) == EXIT_OK
+    config = doc["simulation"]["config"]
+    config.update(seed="x", coincidence_window_ticks=1, pairs_per_point=-1)
+    config["scan"]["varied"] = "bob"
+    del config["efficiencies"]
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--manifest", str(path), "--output-dir", str(tmp_path / "edited")]) == EXIT_OK
+    for name in ("counts.csv", "correlation.csv", "evenodd_standard.csv",
+                 "marginals_singles.csv", "nosignalling.json", "report.md"):
+        assert (tmp_path / "edited" / name).read_bytes() == (
+            tmp_path / "as_written" / name).read_bytes(), name
+
+
+def test_data_only_manifest_leaves_out_the_model_outputs(tmp_path, capsys):
+    path, doc = _simulated_manifest(tmp_path)
+    path.write_text(json.dumps({
+        key: doc[key] for key in ("schema_version", "kind", "data", "points")
+    }))
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_OK
+    run = json.loads((path.parent / "nosignalling.json").read_text())["run"]
+    assert run == {"p": None, "policy": None, "d": None, "varied": "alice",
+                   "window_ticks": 120, "n_points": len(ANGLES_DEG)}
+    rows = (path.parent / "correlation.csv").read_text().splitlines()
+    assert rows[0].endswith(",corr_model")
+    assert all(row.endswith(",nan") for row in rows[1:])
+    report = (path.parent / "report.md").read_text()
+    assert "source p" not in report and "policy" not in report
+    assert "RMS deviation" not in report and "model CHSH" not in report
+    assert "- no model given (manifest `model.p`)" in report
+    assert "**Verdict: fair sampling consistent**" in report
+
+
+def test_report_echoes_a_policy_without_a_model(tmp_path, capsys):
+    path, doc = _simulated_manifest(tmp_path)
+    del doc["model"]
+    doc["simulation"] = {"config": {"policy": {"kind": "unfair_malus", "d": 0.25}}}
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--manifest", str(path)]) == EXIT_OK
+    run = json.loads((path.parent / "nosignalling.json").read_text())["run"]
+    assert (run["p"], run["policy"], run["d"]) == (None, "unfair_malus", 0.25)
+    report = (path.parent / "report.md").read_text()
+    assert "\n- policy = unfair_malus (d = 0.25)\n" in report
 
 
 def test_cli_analyze_names_a_point_off_the_fixed_angle_before_matching(
