@@ -4,8 +4,9 @@
 Generates two synthetic Poisson-like event streams, runs the production
 matcher over them repeatedly and reports events matched per second per
 core (the matcher is single-threaded).  The soft target is 10^7
-events/second; the naive reference engine is timed on a smaller slice for
-comparison only.
+events/second.  The naive reference engine is timed on a smaller slice,
+and its counts there are compared with the production matcher's: the
+script exits 1 when they differ.
 
 The matcher's cost depends on how events cluster: a cluster is a run of
 the merged A+B timeline that no gap wider than the window splits, and the
@@ -15,8 +16,8 @@ share of events in clusters of more than 2 says which regime was measured
 cluster that holds both stations is printed too: its events bound the
 steps of the sweep.
 
-The benchmark is informational — it is deliberately not a test, so a slow
-container never turns into a red suite.
+The timings are informational — the benchmark is deliberately not a test,
+so a slow container never turns into a red suite.
 
 Usage:
     python scripts/benchmark_coincidence.py --events 4000000
@@ -111,6 +112,9 @@ def main(argv=None) -> int:
         lambda: count_coincidences_naive(a_small, b_small, window), max(1, args.repeats // 2)
     )
     rate_naive = 2 * n / dt_naive
+    agree = count_coincidences(a_small, b_small, window) == count_coincidences_naive(
+        a_small, b_small, window
+    )
 
     print(f"stream size       : {args.events:,} events/side, mean gap {args.mean_gap:g} ticks")
     print(f"window            : +/- {args.window} ticks")
@@ -119,8 +123,9 @@ def main(argv=None) -> int:
     print(f"coincidences      : {counts.total_coincidences:,}")
     print(f"fast engine       : {dt * 1e3:8.1f} ms  ->  {rate:,.0f} events/s/core")
     print(f"reference engine  : {dt_naive * 1e3:8.1f} ms on {n:,}/side  ->  {rate_naive:,.0f} events/s/core")
+    print(f"engines agree     : {'yes' if agree else 'NO'}, on {n:,}/side")
     print(f"soft target       : 10,000,000 events/s/core -> {'met' if rate >= 1e7 else 'NOT met'}")
-    return 0
+    return 0 if agree else 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .coincidence import (
     CoincidenceWindow,
     count_coincidences,
     count_coincidences_naive,
-    match_events,
     match_events_naive,
 )
 from .config import ConfigError, RunConfig, config_from_dict, config_to_dict, load_config
@@ -68,12 +67,10 @@ from .timetags import (
     TtgReader,
     TtgWriter,
     generate_slices,
-    generate_streams,
     make_stream,
     open_ttg,
     read_ttg,
     ttg_writer,
-    write_ttg,
 )
 
 __version__ = "0.1.0"

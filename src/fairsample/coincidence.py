@@ -26,15 +26,16 @@ arrays (A events, B events), so a block's matches come out in the order
 found, not in sweep order.  ``count_coincidences`` counts the four sign
 cells straight from those arrays, before the next block is read, so
 memory stays bounded whatever the input size, and a stream can come in
-chunks, as a TTG1 file is read.  ``match_events`` scatters each block's
-pairs into an array of partners to give them in sweep order.
+chunks, as a TTG1 file is read.  No public function returns the
+production matcher's pairs: ``_settled_blocks`` yields them block by block.
 
 ``match_events_naive`` re-implements the matching policy by explicit
 per-event enumeration and exists as an independent oracle for tests and
 verification; ``count_coincidences_naive`` runs it through the same
 event selection as ``count_coincidences`` and counts the cells of its
-pairs with a ``bincount`` of its own.  In both, singles count every event
-on a channel whether or not it was matched.
+pairs with a ``bincount`` of its own, for the tests and the benchmark's
+check (``perfbench/checks.py``).  In both, singles count every event on
+a channel whether or not it was matched.
 
 Both engines raise ``ValueError`` for unsorted timestamp arrays and for
 streams of different tick resolutions.  The counts they return hold no
@@ -269,42 +270,11 @@ def _sorted_u64(t_a: np.ndarray, t_b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return t_a, t_b
 
 
-def match_events(
-    t_a: np.ndarray, t_b: np.ndarray, window: CoincidenceWindow
-) -> tuple[np.ndarray, np.ndarray]:
-    """Match two sorted uint64 timestamp arrays; returns paired indices.
-
-    The result equals a two-pointer sweep's: at each step, if the unsigned
-    distance |t_a[i] - t_b[j]| is within the window both events match and
-    both pointers advance, otherwise the earlier event is dropped.  The
-    sweep restarts at every gap wider than the window (see
-    :func:`_block_clusters`).  The clusters are swept in lockstep, one pass
-    per block: each iteration is one sweep step in all of the block's
-    clusters, and a cluster retires when either pointer leaves its range.
-    Matches come out in sweep order.
-    """
-    t_a, t_b = _sorted_u64(t_a, t_b)
-    width = np.uint64(window.width_ticks)
-    idx_a, idx_b = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    a0 = b0 = 0
-    for (ta,), (tb,), i, j in _settled_blocks([(t_a,)], [(t_b,)], width):
-        # The pairs come in the order found; partner[i] = j puts them in
-        # sweep order.
-        partner = np.full(ta.shape[0], -1, dtype=np.int64)
-        partner[i] = j
-        i = np.flatnonzero(partner >= 0)
-        idx_a.append(i + a0)
-        idx_b.append(partner[i] + b0)
-        a0 += ta.shape[0]
-        b0 += tb.shape[0]
-    return np.concatenate(idx_a), np.concatenate(idx_b)
-
-
 def _check_inputs(
     stream_a, stream_b, settings_filter: "tuple[int, int] | None"
 ) -> tuple:
-    """Refuse streams of different tick resolutions and a filter entry not
-    an integer in 0..3; return the setting index each station keeps, or None."""
+    """Refuse streams of different tick resolutions and a filter that is not
+    two integers in 0..3; return the setting index each station keeps, or None."""
     if stream_a.tick_resolution_ps != stream_b.tick_resolution_ps:
         raise ValueError(
             f"stream A has {stream_a.tick_resolution_ps} ps/tick, "
@@ -312,6 +282,10 @@ def _check_inputs(
         )
     if settings_filter is None:
         return None, None
+    if not (isinstance(settings_filter, (tuple, list)) and len(settings_filter) == 2):
+        raise ValueError(
+            f"settings_filter must be two setting indices, got {settings_filter!r}"
+        )
     for k, setting in enumerate(settings_filter):
         if not _is_int(setting) or setting not in range(4):
             raise ValueError(
@@ -407,8 +381,9 @@ def match_events_naive(
     pairs_b = []
     for i in range(t_a.shape[0]):
         ta = int(t_a[i])
-        lo = int(np.searchsorted(t_b, max(ta - w, 0), side="left"))
-        hi = int(np.searchsorted(t_b, min(ta + w, u64_max), side="right"))
+        # uint64 keys: a Python int key below 2**63 is compared in float64.
+        lo = int(np.searchsorted(t_b, np.uint64(max(ta - w, 0)), side="left"))
+        hi = int(np.searchsorted(t_b, np.uint64(min(ta + w, u64_max)), side="right"))
         for j in range(lo, hi):
             if not taken[j]:
                 taken[j] = True

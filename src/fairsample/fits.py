@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -219,8 +220,8 @@ def fit_marginal_curve(
 
 
 def check_alpha_level(alpha_level) -> None:
-    """Raise ValueError unless ``alpha_level`` lies in (0, 1); NaN does not."""
-    if not (0.0 < alpha_level < 1.0):
+    """Raise ValueError unless ``alpha_level`` is a real in (0, 1); NaN is not."""
+    if not (isinstance(alpha_level, numbers.Real) and 0.0 < alpha_level < 1.0):
         raise ValueError(f"alpha_level must be in (0, 1), got {alpha_level!r}")
 
 

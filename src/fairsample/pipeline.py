@@ -69,6 +69,11 @@ from .timetags import TtgFormatError, generate_slices, open_ttg, ttg_writer
 
 MANIFEST_NAME = "manifest.json"
 REPORT_NAME = "report.md"
+# The files analyze_run writes; simulate_run removes them with the manifest.
+_ANALYSIS_NAMES = (
+    "counts.csv", "correlation.csv", "evenodd_standard.csv", "marginals_singles.csv",
+    "nosignalling.json", REPORT_NAME,
+)
 MANIFEST_SCHEMA_VERSION = 2
 NOSIGNALLING_SCHEMA_VERSION = 3
 
@@ -175,8 +180,9 @@ def simulate_run(cfg: RunConfig, output_dir, jobs: "int | None" = None) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / MANIFEST_NAME
     # A manifest left by an earlier run would vouch for point files that
-    # this run is about to replace.
-    manifest_path.unlink(missing_ok=True)
+    # this run is about to replace, and its analysis would outlive them.
+    for name in (MANIFEST_NAME,) + _ANALYSIS_NAMES:
+        (out_dir / name).unlink(missing_ok=True)
     # Each point file then lands on a free name: on ext4, a rename over a
     # file of an earlier run took about 1 ms, onto a free name 0.03 ms.
     for index in range(cfg.n_points):
@@ -567,14 +573,7 @@ def analyze_run(
     except InsufficientPoints as exc:
         fit_note = f"fits skipped: insufficient points ({exc})"
 
-    files = {
-        "counts": out_dir / "counts.csv",
-        "correlation": out_dir / "correlation.csv",
-        "evenodd_standard": out_dir / "evenodd_standard.csv",
-        "marginals_singles": out_dir / "marginals_singles.csv",
-        "nosignalling": out_dir / "nosignalling.json",
-        "report": out_dir / REPORT_NAME,
-    }
+    files = {name.split(".")[0]: out_dir / name for name in _ANALYSIS_NAMES}
     _write_table(
         files["counts"], list(COUNT_NAMES), rows,
         lambda row: row.pt.counts.as_array().tolist(),

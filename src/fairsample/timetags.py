@@ -15,10 +15,11 @@ A point's streams are generated, written, read and matched in pieces of
 at most ``BLOCK`` observed pairs or records, so that its working set does
 not grow with its length: :func:`generate_slices` yields one station's
 stream of one time slice at a time, Alice's and then Bob's, a
-:class:`TtgWriter` appends each to its station's file through a fixed
-buffer of records, and a :class:`TtgReader` reads a file back in chunks.
-:func:`generate_streams`, :func:`write_ttg` and :func:`read_ttg` are the
-whole-stream forms of the same code.
+:class:`TtgWriter` from :func:`ttg_writer` appends each to its station's
+file through a fixed buffer of records, and a :class:`TtgReader` from
+:func:`open_ttg` reads a file back in chunks.  :func:`read_ttg`, which
+joins a file's chunks into one stream, is called by the benchmark's
+checks (``perfbench/checks.py``) only.
 
 The TTG1 format is this project's own container for such streams:
 
@@ -158,17 +159,6 @@ def make_stream(
         sign=np.ascontiguousarray(sign[order], dtype=np.uint8),
         setting_index=np.ascontiguousarray(setting_index[order], dtype=np.uint8),
     )
-
-
-def _joined(chunks: list, station: Station, tick_resolution_ps: int) -> EventStream:
-    """Consecutive chunks of one stream as one EventStream."""
-    if len(chunks) == 1:
-        return chunks[0]
-    t, sign, setting_index = (
-        np.concatenate([np.empty(0, dtype)] + [getattr(c, name) for c in chunks])
-        for name, dtype in (("t", np.uint64), ("sign", np.uint8), ("setting_index", np.uint8))
-    )
-    return EventStream(station, tick_resolution_ps, t, sign, setting_index, validate=False)
 
 
 # Signs of the observed pairs, class by class, in the layout generate_slices
@@ -446,25 +436,6 @@ def generate_slices(
             yield stream.pop()
 
 
-def generate_streams(
-    counts: BlockCounts,
-    pair_rate_hz: float,
-    tick_resolution_ps: int,
-    jitter_sd_ticks: float,
-    seed,
-    dark_rate_hz: float = 0.0,
-) -> tuple[EventStream, EventStream]:
-    """Both stations' whole streams: :func:`generate_slices` joined."""
-    slices = {Station.ALICE: [], Station.BOB: []}
-    for stream in generate_slices(
-        counts, pair_rate_hz, tick_resolution_ps, jitter_sd_ticks, seed, dark_rate_hz
-    ):
-        slices[stream.station].append(stream)
-    return tuple(
-        _joined(slices[station], station, tick_resolution_ps) for station in slices
-    )
-
-
 class TtgWriter:
     """Appends one station's records to a TTG1 file opened by :func:`ttg_writer`."""
 
@@ -529,13 +500,6 @@ def ttg_writer(path, station: Station, tick_resolution_ps: int) -> Iterator[TtgW
         fh.write(
             HEADER.pack(MAGIC, VERSION, int(station), 0, tick_resolution_ps, writer.count)
         )
-
-
-def write_ttg(stream: EventStream, path) -> int:
-    """Write a stream to a TTG1 file atomically; returns its size in bytes."""
-    with ttg_writer(path, stream.station, stream.tick_resolution_ps) as writer:
-        writer.append(stream)
-    return HEADER.size + writer.count * RECORD_DTYPE.itemsize
 
 
 class TtgReader:
@@ -679,6 +643,16 @@ def open_ttg(path) -> Iterator[TtgReader]:
 
 
 def read_ttg(path) -> EventStream:
-    """Read and validate a whole TTG1 file."""
+    """Read and validate a whole TTG1 file: its chunks joined into one stream."""
     with open_ttg(path) as reader:
-        return _joined(list(reader.chunks()), reader.station, reader.tick_resolution_ps)
+        chunks = list(reader.chunks())
+    if len(chunks) == 1:
+        return chunks[0]
+    # An empty file has no chunk: the typed empty arrays give it its dtypes.
+    t, sign, setting_index = (
+        np.concatenate([np.empty(0, dtype)] + [getattr(c, name) for c in chunks])
+        for name, dtype in (("t", np.uint64), ("sign", np.uint8), ("setting_index", np.uint8))
+    )
+    return EventStream(
+        reader.station, reader.tick_resolution_ps, t, sign, setting_index, validate=False
+    )

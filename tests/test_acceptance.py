@@ -43,7 +43,8 @@ from fairsample.quantum import (
     correlation_qt,
     joint_prob_table,
 )
-from fairsample.timetags import make_stream, read_ttg, write_ttg
+from fairsample.timetags import make_stream, read_ttg
+from stream_helpers import write_stream
 
 ANGLES_DEG = np.linspace(0.0, 180.0, 21)
 
@@ -296,7 +297,7 @@ def test_criterion_6_ttg_round_trip(tmp_path, capsys):
         tick = int(rng.choice([1, 250, 1000]))
         stream = make_stream(station, tick, t, sign, setting)
         path = tmp_path / f"s{i}.ttg"
-        write_ttg(stream, path)
+        write_stream(stream, path)
         back = read_ttg(path)
         same = (
             back.station == stream.station
@@ -306,7 +307,7 @@ def test_criterion_6_ttg_round_trip(tmp_path, capsys):
             and np.array_equal(back.setting_index, stream.setting_index)
         )
         again = tmp_path / f"s{i}_again.ttg"
-        write_ttg(back, again)
+        write_stream(back, again)
         if not (same and path.read_bytes() == again.read_bytes()):
             failures += 1
     ok = failures == 0

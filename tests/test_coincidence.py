@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,6 @@ from fairsample.coincidence import (
     CoincidenceWindow,
     count_coincidences,
     count_coincidences_naive,
-    match_events,
     match_events_naive,
 )
 from fairsample.detection import (
@@ -24,7 +24,8 @@ from fairsample.detection import (
     simulate_block,
 )
 from fairsample.quantum import SettingsPair, SourceState, Station
-from fairsample.timetags import generate_streams, make_stream, open_ttg, write_ttg
+from fairsample.timetags import make_stream, open_ttg
+from stream_helpers import joined_slices, write_stream
 
 U64_MAX = 2**64 - 1
 
@@ -41,62 +42,83 @@ def _stream(t, sign, setting=None, station=Station.ALICE, tick=1000):
     return make_stream(station, tick, t, sign, np.asarray(setting, dtype=np.uint8))
 
 
+def _streamed_matches(a, b, win):
+    """Global (A, B) index arrays, in sweep order, of the production matcher
+    on two timestamp arrays, or on two streams or open files chunk by chunk."""
+    def columns(x):
+        if hasattr(x, "chunks"):
+            return ((chunk.t,) for chunk in x.chunks())
+        return [(_t(x),)]
+
+    ia, ib, a0, b0 = [np.empty(0, np.intp)], [np.empty(0, np.intp)], 0, 0
+    for (t_a,), (t_b,), i, j in coincidence._settled_blocks(
+        columns(a), columns(b), np.uint64(win.width_ticks)
+    ):
+        # A block's matches come in the order found; sorted, in sweep order.
+        order = np.argsort(i)
+        ia.append(i[order] + a0)
+        ib.append(j[order] + b0)
+        a0 += t_a.shape[0]
+        b0 += t_b.shape[0]
+    return np.concatenate(ia), np.concatenate(ib)
+
+
 sorted_times = st.lists(st.integers(0, 5000), min_size=0, max_size=60).map(sorted)
 windows = st.integers(0, 300).map(CoincidenceWindow)
 
 
 # ---------------------------------------------------------------------------
-# match_events: pinned behavior
+# The production matcher's pairs: pinned behavior
 # ---------------------------------------------------------------------------
 
 
 def test_match_empty_inputs():
-    ia, ib = match_events(_t([]), _t([1, 2]), CoincidenceWindow(5))
+    ia, ib = _streamed_matches(_t([]), _t([1, 2]), CoincidenceWindow(5))
     assert len(ia) == 0 and len(ib) == 0
 
 
 def test_match_window_is_inclusive():
-    ia, ib = match_events(_t([100]), _t([110]), CoincidenceWindow(10))
+    ia, ib = _streamed_matches(_t([100]), _t([110]), CoincidenceWindow(10))
     assert list(ia) == [0] and list(ib) == [0]
-    ia, ib = match_events(_t([100]), _t([111]), CoincidenceWindow(10))
+    ia, ib = _streamed_matches(_t([100]), _t([111]), CoincidenceWindow(10))
     assert len(ia) == 0
 
 
 def test_match_prefers_earliest_partner_not_nearest():
     # B at 95 is further from A=100 than B at 104, but it comes first in time
     # and is inside the window, so it wins; 104 stays unmatched.
-    ia, ib = match_events(_t([100]), _t([95, 104]), CoincidenceWindow(10))
+    ia, ib = _streamed_matches(_t([100]), _t([95, 104]), CoincidenceWindow(10))
     assert list(ia) == [0]
     assert list(ib) == [0]
 
 
 def test_match_consumes_partners_one_to_one():
-    ia, ib = match_events(_t([100, 101]), _t([100]), CoincidenceWindow(5))
+    ia, ib = _streamed_matches(_t([100, 101]), _t([100]), CoincidenceWindow(5))
     assert list(ia) == [0]
     assert list(ib) == [0]
 
 
 def test_match_skips_expired_b_events():
-    ia, ib = match_events(_t([100, 200, 300]), _t([105, 450]), CoincidenceWindow(10))
+    ia, ib = _streamed_matches(_t([100, 200, 300]), _t([105, 450]), CoincidenceWindow(10))
     assert list(ia) == [0]
     assert list(ib) == [0]
 
 
 def test_match_near_u64_max():
-    ia, ib = match_events(_t([U64_MAX - 1]), _t([U64_MAX]), CoincidenceWindow(1))
+    ia, ib = _streamed_matches(_t([U64_MAX - 1]), _t([U64_MAX]), CoincidenceWindow(1))
     assert len(ia) == 1
-    ia, ib = match_events(_t([U64_MAX - 1]), _t([U64_MAX]), CoincidenceWindow(0))
+    ia, ib = _streamed_matches(_t([U64_MAX - 1]), _t([U64_MAX]), CoincidenceWindow(0))
     assert len(ia) == 0
 
 
 def test_match_huge_window_no_overflow():
-    ia, ib = match_events(_t([0, U64_MAX]), _t([2**63]), CoincidenceWindow(2**63))
+    ia, ib = _streamed_matches(_t([0, U64_MAX]), _t([2**63]), CoincidenceWindow(2**63))
     assert list(ia) == [0]
 
 
 def test_match_rejects_unsorted_input():
     with pytest.raises(ValueError, match="t_a is not sorted"):
-        match_events(_t([5, 3]), _t([1]), CoincidenceWindow(1))
+        match_events_naive(_t([5, 3]), _t([1]), CoincidenceWindow(1))
     with pytest.raises(ValueError, match="t_b is not sorted"):
         match_events_naive(_t([1]), _t([5, 3]), CoincidenceWindow(1))
 
@@ -118,14 +140,14 @@ def test_window_takes_numpy_integers():
 
 
 # ---------------------------------------------------------------------------
-# match_events: properties against the exhaustive oracle
+# The production matcher's pairs: properties against the exhaustive oracle
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=150)
 @given(t_a=sorted_times, t_b=sorted_times, win=windows)
 def test_fast_engine_equals_naive_oracle(t_a, t_b, win):
-    fast = match_events(_t(t_a), _t(t_b), win)
+    fast = _streamed_matches(_t(t_a), _t(t_b), win)
     naive = match_events_naive(_t(t_a), _t(t_b), win)
     assert np.array_equal(fast[0], naive[0])
     assert np.array_equal(fast[1], naive[1])
@@ -134,7 +156,7 @@ def test_fast_engine_equals_naive_oracle(t_a, t_b, win):
 @settings(max_examples=100)
 @given(t_a=sorted_times, t_b=sorted_times, win=windows)
 def test_matches_are_one_to_one_and_in_window(t_a, t_b, win):
-    ia, ib = match_events(_t(t_a), _t(t_b), win)
+    ia, ib = _streamed_matches(_t(t_a), _t(t_b), win)
     assert len(ia) == len(ib) <= min(len(t_a), len(t_b))
     assert len(set(ia.tolist())) == len(ia)
     assert len(set(ib.tolist())) == len(ib)
@@ -145,16 +167,16 @@ def test_matches_are_one_to_one_and_in_window(t_a, t_b, win):
 @settings(max_examples=60)
 @given(t_a=sorted_times, t_b=sorted_times, w=st.integers(0, 150), extra=st.integers(1, 150))
 def test_match_count_monotone_in_window(t_a, t_b, w, extra):
-    narrow = match_events(_t(t_a), _t(t_b), CoincidenceWindow(w))
-    wide = match_events(_t(t_a), _t(t_b), CoincidenceWindow(w + extra))
+    narrow = _streamed_matches(_t(t_a), _t(t_b), CoincidenceWindow(w))
+    wide = _streamed_matches(_t(t_a), _t(t_b), CoincidenceWindow(w + extra))
     assert len(narrow[0]) <= len(wide[0])
 
 
 @settings(max_examples=60)
 @given(t_a=sorted_times, t_b=sorted_times, win=windows, shift=st.integers(0, 10**9))
 def test_match_invariant_under_time_shift(t_a, t_b, win, shift):
-    base = match_events(_t(t_a), _t(t_b), win)
-    moved = match_events(_t([t + shift for t in t_a]), _t([t + shift for t in t_b]), win)
+    base = _streamed_matches(_t(t_a), _t(t_b), win)
+    moved = _streamed_matches(_t([t + shift for t in t_a]), _t([t + shift for t in t_b]), win)
     assert np.array_equal(base[0], moved[0])
     assert np.array_equal(base[1], moved[1])
 
@@ -233,13 +255,20 @@ def test_count_settings_filter_matches_naive():
 
 
 @pytest.mark.parametrize(
-    "flt, bad", [((4, 0), 0), ((-1, 0), 0), ((0, 7), 1), ((True, 0), 0), ((0, 1.0), 1)]
+    "flt, bad",
+    [((4, 0), 0), ((-1, 0), 0), ((0, 7), 1), ((True, 0), 0), ((0, 1.0), 1),
+     ((0,), None), ((0, 0, 0), None)],
 )
 def test_count_rejects_a_settings_filter_index_outside_0_to_3(flt, bad):
     # Such an index selects no event, which would read as a silent station.
+    # A filter of one entry or of three is refused as well: the first would
+    # fail on a missing index, the second would drop its third entry.
     a = _stream([10], [0])
     b = _stream([10], [0], station=Station.BOB)
-    message = rf"settings_filter\[{bad}\] must be a setting index in 0\.\.3, got {flt[bad]}"
+    if bad is None:
+        message = "settings_filter must be two setting indices, got " + re.escape(str(flt))
+    else:
+        message = rf"settings_filter\[{bad}\] must be a setting index in 0\.\.3, got {flt[bad]}"
     for count in (count_coincidences, count_coincidences_naive):
         with pytest.raises(ValueError, match=message):
             count(a, b, CoincidenceWindow(0), settings_filter=flt)
@@ -251,7 +280,7 @@ def test_every_count_is_a_python_int():
         SourceState(1.0), EfficiencyConfig(0.6, 0.5, 0.55, 0.65), SamplingPolicy(),
         SettingsPair(0.3, 0.0), 1000, seed=3,
     )
-    a, b = generate_streams(block, 1e3, 1000, 0.0, seed=4)
+    a, b = joined_slices(block, 1e3, 1000, 0.0, seed=4)
     window = CoincidenceWindow(0)
     for counts in (block, count_coincidences(a, b, window), count_coincidences_naive(a, b, window)):
         fields = dataclasses.asdict(counts)
@@ -300,39 +329,23 @@ def test_count_conserves_events(pair, win):
 # ---------------------------------------------------------------------------
 
 
-def _streamed_matches(reader_a, reader_b, win):
-    """Global (A, B) index pairs of matching two open files chunk by chunk."""
-    def columns(reader):
-        return ((chunk.t, chunk.sign) for chunk in reader.chunks())
-
-    pairs, a0, b0 = [], 0, 0
-    for (t_a, _), (t_b, _), i, j in coincidence._settled_blocks(
-        columns(reader_a), columns(reader_b), np.uint64(win.width_ticks)
-    ):
-        # A block's matches come in the order found; sorted, in sweep order.
-        pairs += sorted(zip((i + a0).tolist(), (j + b0).tolist()))
-        a0 += t_a.shape[0]
-        b0 += t_b.shape[0]
-    return pairs
-
-
 @settings(max_examples=150, deadline=None)
 @given(pair=stream_pairs(), win=windows, chunk=st.sampled_from([1, 7, 64, 2**10, None]))
 def test_streamed_counter_equals_whole_stream_matching(tmp_path_factory, pair, win, chunk):
     # chunk None: the production size, where each file is one chunk.
     a, b = pair
-    whole = match_events(a.t, b.t, win)
-    whole = list(zip(whole[0].tolist(), whole[1].tolist()))
+    whole = _streamed_matches(a.t, b.t, win)
     naive = match_events_naive(a.t, b.t, win)
-    assert whole == list(zip(naive[0].tolist(), naive[1].tolist()))
+    assert np.array_equal(whole[0], naive[0]) and np.array_equal(whole[1], naive[1])
     expected = count_coincidences_naive(a, b, win)
     assert count_coincidences(a, b, win) == expected
     run = tmp_path_factory.mktemp("streamed")
-    write_ttg(a, run / "a.ttg")
-    write_ttg(b, run / "b.ttg")
+    write_stream(a, run / "a.ttg")
+    write_stream(b, run / "b.ttg")
     with mock.patch.object(timetags, "BLOCK", chunk or timetags.BLOCK), \
             open_ttg(run / "a.ttg") as reader_a, open_ttg(run / "b.ttg") as reader_b:
-        assert _streamed_matches(reader_a, reader_b, win) == whole
+        streamed = _streamed_matches(reader_a, reader_b, win)
+        assert np.array_equal(streamed[0], whole[0]) and np.array_equal(streamed[1], whole[1])
         assert count_coincidences(reader_a, reader_b, win) == expected
 
 
@@ -342,8 +355,8 @@ def test_streamed_counter_reads_both_files_to_the_end(tmp_path, monkeypatch, chu
     # still count as singles, and a fault among them is still found.
     a = _stream([1, 2], [0, 0])
     b = _stream(list(range(1, 11)), [1] * 10, station=Station.BOB)
-    write_ttg(a, tmp_path / "a.ttg")
-    write_ttg(b, tmp_path / "b.ttg")
+    write_stream(a, tmp_path / "a.ttg")
+    write_stream(b, tmp_path / "b.ttg")
     monkeypatch.setattr(timetags, "BLOCK", chunk)
     with open_ttg(tmp_path / "a.ttg") as reader_a, open_ttg(tmp_path / "b.ttg") as reader_b:
         counts = count_coincidences(reader_a, reader_b, CoincidenceWindow(0))
@@ -358,13 +371,14 @@ def test_streamed_counter_reads_both_files_to_the_end(tmp_path, monkeypatch, chu
 
 
 # ---------------------------------------------------------------------------
-# match_events: dense regime (clusters of more than two events) vs the oracle
+# The production matcher's pairs: dense regime (clusters of more than two
+# events) vs the oracle
 # ---------------------------------------------------------------------------
 
 
 def _assert_same_as_naive(t_a, t_b, width):
     win = CoincidenceWindow(width)
-    fast = match_events(_t(t_a), _t(t_b), win)
+    fast = _streamed_matches(_t(t_a), _t(t_b), win)
     naive = match_events_naive(_t(t_a), _t(t_b), win)
     assert np.array_equal(fast[0], naive[0])
     assert np.array_equal(fast[1], naive[1])
@@ -409,17 +423,24 @@ def test_small_merge_blocks_equal_naive_oracle(block, size):
 
 @settings(max_examples=200)
 @given(
-    block=bursts(), size=st.sampled_from([1, 2, 3, 8]), top=st.booleans(),
-    huge=st.booleans(), data=st.data(),
+    block=bursts(), size=st.sampled_from([1, 2, 3, 8]),
+    place=st.sampled_from(["low", "top", "straddle"]), huge=st.booleans(), data=st.data(),
 )
-def test_count_through_carried_clusters_equals_naive(block, size, top, huge, data):
+def test_count_through_carried_clusters_equals_naive(block, size, place, huge, data):
     # The counter through small blocks, where clusters are carried over
-    # and blocks widen, optionally at the top of the uint64 range and
-    # with a window that spans all of it.
+    # and blocks widen, optionally at the top of the uint64 range or on
+    # both sides of 2**63, and with a window that spans all of it.
     t_a, t_b, width = block
-    if top:
-        shift = U64_MAX - data.draw(st.integers(0, 2)) - max(t_a + t_b, default=0)
+    last = max(t_a + t_b, default=0)
+    if place == "top":
+        shift = U64_MAX - data.draw(st.integers(0, 2)) - last
         t_a, t_b = [t + shift for t in t_a], [t + shift for t in t_b]
+    elif place == "straddle":
+        # Times from cut on end at 2**64 - 1, those before it just below
+        # 2**63: a merge that compared them as int64 would put them last.
+        cut = data.draw(st.integers(min(1, last), last))
+        shifts = (2**63 - cut, U64_MAX - last)
+        t_a, t_b = ([t + shifts[t >= cut] for t in ts] for ts in (t_a, t_b))
     win = CoincidenceWindow(U64_MAX if huge else width)
     n = len(t_a) + len(t_b)
     sign = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
@@ -458,7 +479,7 @@ def test_dense_generated_stream_equals_naive_oracle():
         16_000,
         np.random.SeedSequence(31),
     )
-    a, b = generate_streams(
+    a, b = joined_slices(
         counts, pair_rate_hz=1e6, tick_resolution_ps=1000, jitter_sd_ticks=50.0,
         seed=np.random.SeedSequence(32), dark_rate_hz=2e5,
     )
@@ -475,7 +496,8 @@ def test_dense_generated_stream_equals_naive_oracle():
 
 
 # ---------------------------------------------------------------------------
-# match_events: clusters within the window and wider, vs the oracle
+# The production matcher's pairs: clusters within the window and wider, vs
+# the oracle
 # ---------------------------------------------------------------------------
 
 
@@ -574,3 +596,5 @@ def test_match_u64_max_timestamps(width):
     # At width 2**63 all three events form one cluster, and 0 is more than
     # the window before U64_MAX although U64_MAX - 0 wraps to within it.
     _assert_same_as_naive([U64_MAX], [0, 2**63], width)
+    # Keys on both sides of 2**63, which float64 cannot tell apart.
+    _assert_same_as_naive([2**63 - 2], [2**63 - 1, U64_MAX], width)

@@ -25,8 +25,8 @@ from fairsample.quantum import (
     Station,
     joint_prob_table,
 )
-from fairsample.timetags import generate_streams
 from pair_oracle import channel_efficiency, sample_pair_outcome
+from stream_helpers import joined_slices
 
 FAIR = SamplingPolicy(PolicyKind.FAIR)
 ETA_MIXED = EfficiencyConfig(0.10, 0.05, 0.08, 0.08)
@@ -186,14 +186,14 @@ def test_sample_frequencies_match_table():
 
 
 # ---------------------------------------------------------------------------
-# Event mode: simulate_block, then generate_streams
+# Event mode: simulate_block, then generate_slices
 # ---------------------------------------------------------------------------
 
 
 def _event_mode(state, eff, policy, s, n_pairs, seed, jitter=0.0):
     """Block counts of one point and the two streams built from them."""
     counts = simulate_block(state, eff, policy, s, n_pairs, seed)
-    a, b = generate_streams(counts, 1e3, 1, jitter, seed=(seed, 1))
+    a, b = joined_slices(counts, 1e3, 1, jitter, seed=(seed, 1))
     return counts, a, b
 
 
@@ -205,7 +205,7 @@ def test_count_detections_by_hand():
         n_pp=0, n_pm=1, n_mp=0, n_mm=1, s_a_plus=2, s_a_minus=1, s_b_plus=1, s_b_minus=2,
         n_pairs_emitted=6,
     )
-    a, b = generate_streams(counts, 1e3, 1, 0.0, seed=5)
+    a, b = joined_slices(counts, 1e3, 1, 0.0, seed=5)
     assert sorted(a.sign) == [0, 0, 1] and sorted(b.sign) == [0, 1, 1]
     shared = np.intersect1d(a.t, b.t)
     assert shared.shape == (2,)
@@ -291,7 +291,7 @@ def test_detections_reject_negative_pairs():
         simulate_block(SINGLET, ETA_MIXED, FAIR, SettingsPair(0.0, 0.0), -1, seed=1)
     negative = BlockCounts(0, 0, 0, 0, 0, 0, 0, 0, n_pairs_emitted=-1)
     with pytest.raises(ValueError):
-        generate_streams(negative, 1e3, 1, 0.0, seed=1)
+        joined_slices(negative, 1e3, 1, 0.0, seed=1)
 
 
 # ---------------------------------------------------------------------------

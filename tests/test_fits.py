@@ -376,8 +376,9 @@ def test_wandering_fixed_angle_rejected():
         nosignalling_stats(ScanResult(points=points), varied=Station.ALICE)
 
 
-@pytest.mark.parametrize("alpha_level", [0.0, 1.0, -0.5, math.nan])
+@pytest.mark.parametrize("alpha_level", [0.0, 1.0, -0.5, math.nan, "0.05", None])
 def test_alpha_level_validated(alpha_level):
+    # A string or None is a bad value like NaN: no TypeError from the comparison.
     scan = _scan(lambda a: 0.5, rng=np.random.default_rng(12))
     with pytest.raises(ValueError):
         nosignalling_stats(scan, varied=Station.ALICE, alpha_level=alpha_level)

@@ -21,7 +21,8 @@ from fairsample.config import config_from_dict
 from fairsample.detection import SAMPLER_NAME, SAMPLER_VERSION
 from fairsample.pipeline import _render_report, analyze_run, load_manifest, simulate_run
 from fairsample.quantum import Station
-from fairsample.timetags import make_stream, read_ttg, write_ttg
+from fairsample.timetags import make_stream, read_ttg
+from stream_helpers import write_stream
 
 ANGLES_DEG = [0.0, 30.0, 60.0, 90.0, 120.0, 150.0, 180.0]
 
@@ -386,8 +387,8 @@ def _write_manifest(tmp_path, points):
     entries = []
     for i, (index, alpha, a, b) in enumerate(points):
         names = (f"pt{i}_a.ttg", f"pt{i}_b.ttg")
-        write_ttg(a, tmp_path / names[0])
-        write_ttg(b, tmp_path / names[1])
+        write_stream(a, tmp_path / names[0])
+        write_stream(b, tmp_path / names[1])
         entries.append(
             {
                 "index": index,
@@ -786,7 +787,7 @@ def test_analysis_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
 def test_cli_analyze_names_the_point_of_a_tick_mismatch(tmp_path, capsys):
     path, _ = _simulated_manifest(tmp_path)
     victim = path.parent / "point_002_bob.ttg"
-    write_ttg(dataclasses.replace(read_ttg(victim), tick_resolution_ps=500), victim)
+    write_stream(dataclasses.replace(read_ttg(victim), tick_resolution_ps=500), victim)
     assert main(["analyze", "--manifest", str(path)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "point 2: stream A has 1000 ps/tick, stream B has 500 ps/tick" in err
@@ -988,6 +989,22 @@ def test_cli_analyze_window_and_alpha_flags(tmp_path, capsys):
 
 def test_cli_report_empty_dir(tmp_path, capsys):
     assert main(["report", "--dir", str(tmp_path)]) == EXIT_DATA
+    assert "no analysis artifacts found" in capsys.readouterr().err
+
+
+def test_simulate_removes_the_analysis_of_the_run_it_replaces(tmp_path, capsys):
+    # Else report would print the unfair run's "policy = unfair_malus
+    # (d = 0.9)" for the fair run that replaced it.
+    out = tmp_path / "out"
+    unfair = small_doc(pairs_per_point=2000, policy={"kind": "unfair_malus", "d": 0.9})
+    cfg_path = _write_cfg(tmp_path, unfair)
+    assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(out)]) == EXIT_OK
+    assert main(["analyze", "--manifest", str(out / "manifest.json")]) == EXIT_OK
+    cfg_path = _write_cfg(tmp_path, small_doc(pairs_per_point=2000))
+    assert main(["simulate", "--config", str(cfg_path), "--output-dir", str(out)]) == EXIT_OK
+    assert [p.name for p in out.iterdir() if p.suffix != ".ttg"] == ["manifest.json"]
+    capsys.readouterr()
+    assert main(["report", "--dir", str(out)]) == EXIT_DATA
     assert "no analysis artifacts found" in capsys.readouterr().err
 
 

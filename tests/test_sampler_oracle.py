@@ -29,7 +29,6 @@ from fairsample.detection import (
     simulate_block,
 )
 from fairsample.quantum import OutcomeSign, SettingsPair, SourceState, Station, joint_prob_table
-from fairsample.timetags import generate_streams
 from pair_oracle import (
     HiddenVariable,
     count_oracle,
@@ -38,6 +37,7 @@ from pair_oracle import (
     per_pair_detections,
     photon_ticks,
 )
+from stream_helpers import joined_slices
 
 N_PAIRS = 300_000
 P_MIN = 1e-3
@@ -159,7 +159,7 @@ def _event_mode_matches_oracle(name, oracle_runs):
     # probability about 3e-4.
     k = list(CASES).index(name)
     block = simulate_block(*CASES[name], N_PAIRS, seed=(73, k))
-    a, b = generate_streams(block, 1e3, 1, 0.0, seed=(73, k, 1))
+    a, b = joined_slices(block, 1e3, 1, 0.0, seed=(73, k, 1))
     matched = count_coincidences(a, b, CoincidenceWindow(0))
     matched = dataclasses.replace(matched, n_pairs_emitted=N_PAIRS)
     oracle = count_oracle(oracle_runs[name])
@@ -184,7 +184,7 @@ def test_zero_pairs_match_oracle():
     assert count_oracle(per_pair_detections(*case, 0, seed=1)) == zero
     block = simulate_block(*case, 0, seed=1)
     assert block == zero
-    a, b = generate_streams(block, 250.0, 1000, 50.0, seed=1)
+    a, b = joined_slices(block, 250.0, 1000, 50.0, seed=1)
     assert len(a) == len(b) == 0
 
 
@@ -192,7 +192,7 @@ def _thinned_emission_gaps_match_oracle():
     # Sparse observation (about 14% of pairs), as in the quick-start run.
     n, rate, tick = 200_000, 250.0, 1000
     block = simulate_block(*CASES["fair"], n, seed=74)
-    a, b = generate_streams(block, rate, tick, 0.0, seed=75)
+    a, b = joined_slices(block, rate, tick, 0.0, seed=75)
     # Without jitter a pair seen at both stations has one tick in both
     # streams, so the union of the two is the observed pairs' clock.
     seen = np.union1d(a.t, b.t).astype(np.float64)
@@ -288,7 +288,7 @@ def test_jittered_streams_match_per_photon_oracle(name, monkeypatch):
         det = per_pair_detections(*CASES["unequal_eta"], 200, seed=(81, k, i))
         counts = count_oracle(det)
         seed = (82, k, i)
-        streams = generate_streams(counts, rate, 1000, JITTER_SD, seed)
+        streams = joined_slices(counts, rate, 1000, JITTER_SD, seed)
         samples["sampler"].append(_jitter_statistics(
             [s.t.astype(np.float64) for s in streams], _horizon(counts, mean_gap, seed)
         ))

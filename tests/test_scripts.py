@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from fairsample.detection import BlockCounts
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -22,6 +24,16 @@ def test_benchmark_coincidence_runs(capsys):
     out = capsys.readouterr().out
     assert "clusters > 2" in out and "events/s/core" in out
     assert "longest cluster" in out
+    assert "engines agree     : yes, on 1,000/side" in out
+
+
+def test_benchmark_coincidence_fails_when_the_engines_differ(capsys, monkeypatch):
+    # A reference engine that finds nothing: the counts differ.
+    bench = _load("benchmark_coincidence")
+    monkeypatch.setattr(bench, "count_coincidences_naive", lambda *args: BlockCounts(*[0] * 8))
+    argv = ["--events", "1000", "--repeats", "1", "--naive-events", "1000"]
+    assert bench.main(argv) == 1
+    assert "engines agree     : NO" in capsys.readouterr().out
 
 
 def test_run_demo_runs(tmp_path, capsys):

@@ -29,14 +29,13 @@ from fairsample.timetags import (
     EventStream,
     TtgFormatError,
     generate_slices,
-    generate_streams,
     make_stream,
     open_ttg,
     read_ttg,
     ttg_writer,
-    write_ttg,
 )
 from pair_oracle import OracleDetections, count_oracle
+from stream_helpers import joined_slices, write_stream
 
 HEADER_SIZE = 24
 RECORD_SIZE = 9
@@ -150,16 +149,15 @@ def test_make_stream_rejects_negative_and_fractional_timestamps():
 
 def test_empty_stream_writes_header_only(tmp_path):
     path = tmp_path / "empty.ttg"
-    n = write_ttg(_stream([], []), path)
-    assert n == HEADER_SIZE
+    write_stream(_stream([], []), path)
     assert path.stat().st_size == HEADER_SIZE
 
 
 def test_header_and_record_bytes(tmp_path):
     path = tmp_path / "one.ttg"
     s = _stream([5], [1], setting=[2], station=Station.ALICE, tick=1000)
-    n = write_ttg(s, path)
-    assert n == HEADER_SIZE + RECORD_SIZE
+    write_stream(s, path)
+    assert path.stat().st_size == HEADER_SIZE + RECORD_SIZE
     raw = path.read_bytes()
     magic, version, station, reserved, tick, count = struct.unpack("<4sBBHQQ", raw[:HEADER_SIZE])
     assert magic == b"TTG1"
@@ -176,18 +174,19 @@ def test_header_and_record_bytes(tmp_path):
 def test_byte_count_matches_file_size(tmp_path):
     s = _stream([1, 2, 3, 4], [0, 1, 0, 1])
     path = tmp_path / "four.ttg"
-    assert write_ttg(s, path) == HEADER_SIZE + 4 * RECORD_SIZE == path.stat().st_size
+    write_stream(s, path)
+    assert path.stat().st_size == HEADER_SIZE + 4 * RECORD_SIZE
 
 
 @settings(max_examples=60)
 @given(s=streams())
 def test_round_trip_and_reserialization(tmp_path_factory, s):
     path = tmp_path_factory.mktemp("ttg") / "s.ttg"
-    write_ttg(s, path)
+    write_stream(s, path)
     first = path.read_bytes()
     back = read_ttg(path)
     assert _streams_equal(s, back)
-    write_ttg(back, path)
+    write_stream(back, path)
     assert path.read_bytes() == first
 
 
@@ -207,7 +206,7 @@ def ttg_file(tmp_path):
     def build(mutate, n_events=3):
         s, _ = _valid_bytes(n_events)
         path = tmp_path / "t.ttg"
-        write_ttg(s, path)
+        write_stream(s, path)
         raw = bytearray(path.read_bytes())
         mutate(raw)
         path.write_bytes(bytes(raw))
@@ -254,7 +253,7 @@ def test_zero_tick_resolution_in_header(ttg_file):
 def test_truncated_header(tmp_path):
     s, _ = _valid_bytes()
     path = tmp_path / "t.ttg"
-    write_ttg(s, path)
+    write_stream(s, path)
     path.write_bytes(path.read_bytes()[:10])
     with pytest.raises(TtgFormatError, match="header needs 24") as err:
         read_ttg(path)
@@ -264,7 +263,7 @@ def test_truncated_header(tmp_path):
 def test_truncated_mid_record(tmp_path):
     s, _ = _valid_bytes(3)
     path = tmp_path / "t.ttg"
-    write_ttg(s, path)
+    write_stream(s, path)
     # Keep the header, two full records, and 4 stray bytes of the third.
     path.write_bytes(path.read_bytes()[: HEADER_SIZE + 2 * RECORD_SIZE + 4])
     with pytest.raises(TtgFormatError, match="header promises 3 records but only 2") as err:
@@ -275,7 +274,7 @@ def test_truncated_mid_record(tmp_path):
 def test_missing_records_relative_to_count(tmp_path):
     s, _ = _valid_bytes(3)
     path = tmp_path / "t.ttg"
-    write_ttg(s, path)
+    write_stream(s, path)
     path.write_bytes(path.read_bytes()[: HEADER_SIZE + 2 * RECORD_SIZE])
     with pytest.raises(TtgFormatError, match="header promises 3 records but only 2") as err:
         read_ttg(path)
@@ -317,7 +316,7 @@ def test_read_normalizes_equal_timestamp_sign_order(tmp_path):
     # non-decreasing in t, so it parses; the stream comes back normalized.
     s = _stream([5, 5], [0, 1])
     path = tmp_path / "t.ttg"
-    write_ttg(s, path)
+    write_stream(s, path)
     raw = bytearray(path.read_bytes())
     rec0 = raw[HEADER_SIZE : HEADER_SIZE + RECORD_SIZE]
     raw[HEADER_SIZE : HEADER_SIZE + RECORD_SIZE] = raw[HEADER_SIZE + RECORD_SIZE :]
@@ -381,7 +380,7 @@ def test_record_defects_past_the_first_chunk(tmp_path, monkeypatch, defect, reco
     mutate, message, offset = _record_defects(record)[defect]
     path = tmp_path / "long.ttg"
     t = np.arange(10, 10 + N_LONG, dtype=np.uint64)
-    write_ttg(_stream(t, np.arange(N_LONG) % 2, station=Station.BOB, tick=500), path)
+    write_stream(_stream(t, np.arange(N_LONG) % 2, station=Station.BOB, tick=500), path)
     path.write_bytes(bytes(mutate(bytearray(path.read_bytes()))))
     with pytest.raises(TtgFormatError, match=message) as whole:
         read_ttg(path)
@@ -395,7 +394,7 @@ def test_record_defects_past_the_first_chunk(tmp_path, monkeypatch, defect, reco
 @pytest.mark.parametrize("chunk", [1, 7, 16])
 def test_trailing_data_past_the_first_chunk(tmp_path, monkeypatch, chunk):
     path = tmp_path / "long.ttg"
-    write_ttg(_stream(np.arange(N_LONG, dtype=np.uint64), np.zeros(N_LONG)), path)
+    write_stream(_stream(np.arange(N_LONG, dtype=np.uint64), np.zeros(N_LONG)), path)
     path.write_bytes(path.read_bytes() + b"\x00" * 5)
     monkeypatch.setattr(timetags, "BLOCK", chunk)
     with pytest.raises(TtgFormatError, match="5 unexpected bytes") as err:
@@ -407,7 +406,7 @@ def test_reader_names_the_earliest_of_two_defects(tmp_path, monkeypatch):
     # Reserved bits at record 20 and an out-of-order timestamp at record 5:
     # the one nearer the start of the file is named, whatever the chunks.
     path = tmp_path / "two.ttg"
-    write_ttg(_stream(np.arange(10, 10 + N_LONG, dtype=np.uint64), np.zeros(N_LONG)), path)
+    write_stream(_stream(np.arange(10, 10 + N_LONG, dtype=np.uint64), np.zeros(N_LONG)), path)
     raw = bytearray(path.read_bytes())
     raw[HEADER_SIZE + 20 * RECORD_SIZE + 8] |= 0x80
     raw[HEADER_SIZE + 5 * RECORD_SIZE] = 0
@@ -446,7 +445,7 @@ def test_read_reorders_a_minus_first_tie_that_straddles_chunks(tmp_path, monkeyp
 def test_read_keeps_canonical_file_order(tmp_path):
     s = _stream([1, 1, 4, 4, 4], [0, 1, 0, 0, 1], setting=[3, 2, 1, 0, 3])
     path = tmp_path / "c.ttg"
-    write_ttg(s, path)
+    write_stream(s, path)
     assert _streams_equal(read_ttg(path), s)
 
 
@@ -474,9 +473,9 @@ def test_read_returns_contiguous_arrays_that_own_their_memory(tmp_path, sign):
     assert list(back.sign[:4]) == [0, 1, 0, 1]
 
 
-def test_writer_appends_chunks_into_the_file_write_ttg_writes(tmp_path):
+def test_writer_appends_chunks_into_the_file_one_append_writes(tmp_path):
     s = _stream(np.arange(0, 60, 3), np.arange(20) % 2, setting=np.arange(20) % 4)
-    write_ttg(s, tmp_path / "whole.ttg")
+    write_stream(s, tmp_path / "whole.ttg")
     with ttg_writer(tmp_path / "parts.ttg", s.station, s.tick_resolution_ps) as writer:
         for k in range(0, 21, 6):
             writer.append(dataclasses.replace(
@@ -554,7 +553,7 @@ def _detections(detected_a, detected_b, sign_a=None, sign_b=None):
 
 def test_generate_streams_empty():
     det = _detections([], [])
-    a, b = generate_streams(det, 1e4, 1000, 0.0, seed=1)
+    a, b = joined_slices(det, 1e4, 1000, 0.0, seed=1)
     assert len(a) == 0 and len(b) == 0
     assert a.station == Station.ALICE and b.station == Station.BOB
     assert a.tick_resolution_ps == 1000
@@ -562,7 +561,7 @@ def test_generate_streams_empty():
 
 def test_generate_streams_single_pair_no_jitter():
     det = _detections([True], [True])
-    a, b = generate_streams(det, 1e4, 1000, 0.0, seed=2)
+    a, b = joined_slices(det, 1e4, 1000, 0.0, seed=2)
     assert len(a) == len(b) == 1
     assert a.t[0] == b.t[0]
     assert a.setting_index[0] == 0 and b.setting_index[0] == 0
@@ -584,7 +583,7 @@ def test_generate_streams_pass_full_validation():
     # observed pairs the ties also fall across slice borders.
     for block in (timetags.BLOCK, 1 << 10):
         with mock.patch.object(timetags, "BLOCK", block):
-            streams = generate_streams(
+            streams = joined_slices(
                 counts, 1e6, 10**6, 2.0, seed=12, dark_rate_hz=5e5
             )
         for s in streams:
@@ -595,7 +594,7 @@ def test_generate_streams_pass_full_validation():
 def test_generate_streams_mean_emission_gap():
     n = 100_000
     det = _detections([True] * n, [True] * n)
-    a, _ = generate_streams(det, 1e4, 1000, 0.0, seed=3)
+    a, _ = joined_slices(det, 1e4, 1000, 0.0, seed=3)
     gaps = np.diff(a.t.astype(np.int64))
     mean = float(np.mean(gaps))
     # Exponential gaps with mean 10^12/(tick_ps · rate) = 1e5 ticks.
@@ -605,7 +604,7 @@ def test_generate_streams_mean_emission_gap():
 
 def test_generate_streams_only_detected_events_appear():
     det = _detections([True, False, True], [False, True, True])
-    a, b = generate_streams(det, 1e4, 1000, 0.0, seed=4)
+    a, b = joined_slices(det, 1e4, 1000, 0.0, seed=4)
     assert len(a) == 2 and len(b) == 2
     # Third pair is detected on both sides with zero jitter: shared tick.
     assert np.intersect1d(a.t, b.t).shape == (1,)
@@ -615,7 +614,7 @@ def test_generate_streams_only_detected_events_appear():
 def test_generate_streams_dark_counts():
     n = 10_000
     det = _detections([False] * n, [False] * n)
-    a, b = generate_streams(det, 1e4, 1000, 0.0, seed=5, dark_rate_hz=3000.0)
+    a, b = joined_slices(det, 1e4, 1000, 0.0, seed=5, dark_rate_hz=3000.0)
     # Duration is n/pair_rate = 1 s; two channels per station at 3 kHz each.
     lam = 2 * 3000.0
     for stream in (a, b):
@@ -631,7 +630,7 @@ def test_generate_streams_dark_counts_in_many_slices(monkeypatch):
     monkeypatch.setattr(timetags, "BLOCK", 1 << 10)
     n = 10_000
     det = _detections([True] * n, [True] * n)
-    a, _ = generate_streams(det, 1e4, 1000, 0.0, seed=9, dark_rate_hz=3000.0)
+    a, _ = joined_slices(det, 1e4, 1000, 0.0, seed=9, dark_rate_hz=3000.0)
     dark = a.t[a.sign == 1].astype(np.float64)
     assert dark.shape[0] == pytest.approx(3000.0, abs=4 * math.sqrt(3000.0))
     assert stats.kstest(dark / 1e9, "uniform").pvalue > 1e-3
@@ -639,15 +638,15 @@ def test_generate_streams_dark_counts_in_many_slices(monkeypatch):
 
 def test_generate_streams_deterministic():
     det = _detections([True] * 500, [True] * 500)
-    a1, b1 = generate_streams(det, 1e4, 1000, 25.0, seed=6)
-    a2, b2 = generate_streams(det, 1e4, 1000, 25.0, seed=6)
+    a1, b1 = joined_slices(det, 1e4, 1000, 25.0, seed=6)
+    a2, b2 = joined_slices(det, 1e4, 1000, 25.0, seed=6)
     assert _streams_equal(a1, a2) and _streams_equal(b1, b2)
 
 
 def test_generate_streams_jitter_spreads_pair_offsets():
     n = 20_000
     det = _detections([True] * n, [True] * n)
-    a, b = generate_streams(det, 1e3, 1000, 50.0, seed=7)
+    a, b = joined_slices(det, 1e3, 1000, 50.0, seed=7)
     dt = a.t.astype(np.int64) - b.t.astype(np.int64)
     # Two independent 50-tick jitters: offset spread is 50·√2 ticks.
     assert float(np.std(dt)) == pytest.approx(50.0 * math.sqrt(2.0), rel=0.05)
@@ -660,7 +659,7 @@ def test_generate_streams_orders_ties_like_make_stream():
     n = 20_000
     rng = np.random.default_rng(8)
     det = _detections([True] * n, [True] * n, rng.integers(0, 2, n), rng.integers(0, 2, n))
-    for stream in generate_streams(det, 1e5, 10**6, 0.3, seed=8, dark_rate_hz=3e4):
+    for stream in joined_slices(det, 1e5, 10**6, 0.3, seed=8, dark_rate_hz=3e4):
         assert np.count_nonzero(np.diff(stream.t) == 0) > 1000
         perm = rng.permutation(len(stream))
         again = make_stream(
@@ -680,7 +679,7 @@ def test_generate_streams_rejects_times_beyond_2_63_ticks():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^n_pairs_emitted must keep the emission clock"):
-                generate_streams(det, 0.5e-6, 1, 0.0, seed=seed)
+                joined_slices(det, 0.5e-6, 1, 0.0, seed=seed)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -694,7 +693,7 @@ def test_generate_streams_rejects_non_finite_parameters(name, value):
     args = {"pair_rate_hz": 1e4, "jitter_sd_ticks": 50.0, "dark_rate_hz": 10.0, name: value}
     det = _detections([True] * 20, [True] * 20)
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
-        generate_streams(det, tick_resolution_ps=1000, seed=1, **args)
+        joined_slices(det, tick_resolution_ps=1000, seed=1, **args)
 
 
 @pytest.mark.parametrize("n, rate, jitter, dark_rate, name", [
@@ -717,19 +716,19 @@ def test_generate_streams_rejects_times_float64_cannot_hold(
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     counts = BlockCounts(1, 0, 0, 0, 1, 0, 1, 0, n_pairs_emitted=n)
     with pytest.raises(ValueError, match=f"^{name} must keep"):
-        generate_streams(counts, rate, 1, jitter, seed=1, dark_rate_hz=dark_rate)
+        joined_slices(counts, rate, 1, jitter, seed=1, dark_rate_hz=dark_rate)
 
 
 def test_generate_streams_rejects_more_observed_pairs_than_emitted():
     # A hand-built block left at the default n_pairs_emitted = 0.
     counts = BlockCounts(1, 0, 0, 0, 1, 0, 1, 0)
     with pytest.raises(ValueError, match="n_pairs_emitted"):
-        generate_streams(counts, 1e4, 1000, 0.0, seed=1)
+        joined_slices(counts, 1e4, 1000, 0.0, seed=1)
     at_limit = BlockCounts(1, 0, 0, 0, 2, 0, 1, 1, n_pairs_emitted=3)
-    a, b = generate_streams(at_limit, 1e4, 1000, 0.0, seed=1)
+    a, b = joined_slices(at_limit, 1e4, 1000, 0.0, seed=1)
     assert len(a) == 2 and len(b) == 2
     with pytest.raises(ValueError, match="n_pairs_emitted"):
-        generate_streams(dataclasses.replace(at_limit, n_pairs_emitted=2), 1e4, 1000, 0.0, seed=1)
+        joined_slices(dataclasses.replace(at_limit, n_pairs_emitted=2), 1e4, 1000, 0.0, seed=1)
 
 
 @st.composite
@@ -757,7 +756,7 @@ def block_counts(draw):
 )
 def test_generate_streams_hold_the_singles(counts, jitter, seed, block):
     with mock.patch.object(timetags, "BLOCK", block):
-        a, b = generate_streams(counts, 1e4, 1000, jitter, seed=seed)
+        a, b = joined_slices(counts, 1e4, 1000, jitter, seed=seed)
     for s in (a, b):
         EventStream(s.station, s.tick_resolution_ps, s.t, s.sign, s.setting_index)
     assert (np.count_nonzero(a.sign == 0), np.count_nonzero(a.sign == 1)) == (
@@ -775,7 +774,7 @@ def test_generate_streams_reproduce_block_counts():
     eff = EfficiencyConfig(0.10, 0.05, 0.08, 0.08)
     s = SettingsPair(math.radians(30.0), 0.0)
     counts = simulate_block(SourceState(1.0), eff, SamplingPolicy(), s, 10**6, seed=41)
-    a, b = generate_streams(counts, 250.0, 1000, 0.0, seed=42)
+    a, b = joined_slices(counts, 250.0, 1000, 0.0, seed=42)
     matched = count_coincidences(a, b, CoincidenceWindow(0))
     assert dataclasses.replace(matched, n_pairs_emitted=10**6) == counts
 
@@ -793,7 +792,7 @@ def test_one_slice_draws_as_sampler_5():
     # generator of sampler 5 first drew them.
     counts = _dense_counts(100_000, seed=21)
     digest = hashlib.sha256()
-    for s in generate_streams(counts, 1e6, 1000, 50.0, seed=22, dark_rate_hz=2e5):
+    for s in joined_slices(counts, 1e6, 1000, 50.0, seed=22, dark_rate_hz=2e5):
         digest.update(s.t.tobytes() + s.sign.tobytes() + s.setting_index.tobytes())
     assert digest.hexdigest() == (
         "c36bc722bc87a73186ebb6b41a4e3954c1449141fb4ea1a59ca1ae13eb9493ce"
@@ -808,7 +807,7 @@ def test_many_slices_draw_as_sampler_5():
     # Six slices, each with held-back events and dark counts: the streams
     # are pinned as the generator of sampler 5 first drew them.
     digest = hashlib.sha256()
-    for s in generate_streams(*_MULTI_SLICE):
+    for s in joined_slices(*_MULTI_SLICE):
         digest.update(s.t.tobytes() + s.sign.tobytes() + s.setting_index.tobytes())
     assert digest.hexdigest() == (
         "3be9a752d8c27fde2b6d1bf6fcbfe5f1a5531efb68b21c674e81e878932a430f"
@@ -825,7 +824,7 @@ def test_many_slices_without_dark_counts_draw_as_sampler_5(jitter, want):
     # them before its dark-count draws lost their guards.
     counts, rate, tick, _, seed, _ = _MULTI_SLICE
     digest = hashlib.sha256()
-    for s in generate_streams(counts, rate, tick, jitter, seed, 0.0):
+    for s in joined_slices(counts, rate, tick, jitter, seed, 0.0):
         digest.update(s.t.tobytes() + s.sign.tobytes() + s.setting_index.tobytes())
     assert digest.hexdigest() == want
 
@@ -916,7 +915,7 @@ def test_generate_slices_join_into_the_whole_streams(monkeypatch):
     assert n_slices > 10
     # Each slice yields Alice's stream, then Bob's.
     assert [s.station for s in slices] == [Station.ALICE, Station.BOB] * n_slices
-    whole = generate_streams(*args)
+    whole = joined_slices(*args)
     for k, station in enumerate((Station.ALICE, Station.BOB)):
         t = np.concatenate([s.t for s in slices[k::2]])
         sign = np.concatenate([s.sign for s in slices[k::2]])
@@ -930,9 +929,9 @@ def test_generate_slices_hold_back_keeps_jittered_events_in_order(monkeypatch):
     # streams sorted; without it, the first misplaced event raises.
     det = _detections([True] * 2000, [True] * 2000)
     monkeypatch.setattr(timetags, "BLOCK", 100)
-    a, b = generate_streams(det, 1e8, 1000, 1e4, seed=25)
+    a, b = joined_slices(det, 1e8, 1000, 1e4, seed=25)
     for s in (a, b):
         EventStream(s.station, s.tick_resolution_ps, s.t, s.sign, s.setting_index)
     monkeypatch.setattr(timetags, "_HOLD_BACK_SD", 0.0)
     with pytest.raises(RuntimeError, match="hold-back"):
-        generate_streams(det, 1e8, 1000, 1e4, seed=25)
+        joined_slices(det, 1e8, 1000, 1e4, seed=25)
