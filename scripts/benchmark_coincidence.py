@@ -14,7 +14,9 @@ number of vectorized steps grows with the longest cluster.  The printed
 share of events in clusters of more than 2 says which regime was measured
 (with the defaults, most events sit in such clusters).  The longest
 cluster that holds both stations is printed too: its events bound the
-steps of the sweep.
+steps of the sweep.  The traced peak of one fast-engine call, taken
+apart from the timed calls, shows what the longest cluster costs in
+memory: the matcher holds one block plus that cluster.
 
 The timings are informational — the benchmark is deliberately not a test,
 so a slow container never turns into a red suite.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -85,6 +88,16 @@ def best_time(fn, repeats: int) -> float:
     return best
 
 
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc during one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--events", type=int, default=4_000_000, help="events per side")
@@ -104,6 +117,7 @@ def main(argv=None) -> int:
     dt = best_time(lambda: count_coincidences(a, b, window), args.repeats)
     total = 2 * args.events
     rate = total / dt
+    peak = traced_peak(lambda: count_coincidences(a, b, window))
 
     n = args.naive_events
     a_small = synth_stream(rng, Station.ALICE, n, args.mean_gap)
@@ -122,6 +136,7 @@ def main(argv=None) -> int:
     print(f"longest cluster   : {longest_cluster(a.t, b.t, args.window):,} events, both stations")
     print(f"coincidences      : {counts.total_coincidences:,}")
     print(f"fast engine       : {dt * 1e3:8.1f} ms  ->  {rate:,.0f} events/s/core")
+    print(f"fast engine peak  : {peak / 1e6:8.2f} MB traced, one call")
     print(f"reference engine  : {dt_naive * 1e3:8.1f} ms on {n:,}/side  ->  {rate_naive:,.0f} events/s/core")
     print(f"engines agree     : {'yes' if agree else 'NO'}, on {n:,}/side")
     print(f"soft target       : 10,000,000 events/s/core -> {'met' if rate >= 1e7 else 'NOT met'}")

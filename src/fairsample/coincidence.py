@@ -24,10 +24,13 @@ by the block's longest cluster, not by the number of events.  Each
 iteration adds the pairs it matched to the end of the block's two index
 arrays (A events, B events), so a block's matches come out in the order
 found, not in sweep order.  ``count_coincidences`` counts the four sign
-cells straight from those arrays, before the next block is read, so
-memory stays bounded whatever the input size, and a stream can come in
-chunks, as a TTG1 file is read.  No public function returns the
-production matcher's pairs: ``_settled_blocks`` yields them block by block.
+cells straight from those arrays, before the next block is read, so a
+stream can come in chunks, as a TTG1 file is read.  Memory is bounded by
+one block plus the longest cluster, not by the input alone: a cluster
+that does not fit its block doubles the block until it does, so a window
+that makes a whole point one cluster holds the whole point.  No public
+function returns the production matcher's pairs: ``_settled_blocks``
+yields them block by block.
 
 ``match_events_naive`` re-implements the matching policy by explicit
 per-event enumeration and exists as an independent oracle for tests and
@@ -335,7 +338,8 @@ def count_coincidences(
 
     Either stream may be an open :class:`~fairsample.timetags.TtgReader`:
     its file is then read and matched chunk by chunk, so memory stays
-    bounded whatever its length.  With ``settings_filter = (setting_a,
+    within one block plus the longest cluster of the merged timeline,
+    whatever the file's length.  With ``settings_filter = (setting_a,
     setting_b)`` only events carrying those setting indices take part, in
     matching and in the singles totals.  Singles count every selected
     event on a channel, matched or not.

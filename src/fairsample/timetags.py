@@ -13,11 +13,12 @@ angles are recorded in the run manifest, not in the events.
 
 A point's streams are generated, written, read and matched in pieces of
 at most ``BLOCK`` observed pairs or records, so that its working set does
-not grow with its length: :func:`generate_slices` yields one station's
-stream of one time slice at a time, Alice's and then Bob's, a
-:class:`TtgWriter` from :func:`ttg_writer` appends each to its station's
-file through a fixed buffer of records, and a :class:`TtgReader` from
-:func:`open_ttg` reads a file back in chunks.  :func:`read_ttg`, which
+not grow with its length beyond its longest cluster (see ``BLOCK``):
+:func:`generate_slices` yields one station's stream of one time slice at
+a time, Alice's and then Bob's, a :class:`TtgWriter` from
+:func:`ttg_writer` appends each to its station's file through a fixed
+buffer of records, and a :class:`TtgReader` from :func:`open_ttg` reads a
+file back in chunks.  :func:`read_ttg`, which
 joins a file's chunks into one stream, is called by the benchmark's
 checks (``perfbench/checks.py``) only.
 
@@ -69,8 +70,10 @@ _SETTING_MASK = 0x06
 _RESERVED_MASK = 0xF8
 
 # Observed pairs per generated time slice, records per chunk read from a
-# file, and events in one merge of the matcher, half from each station.  It
-# bounds a point's working set whatever the point's size.
+# file, and events in one merge of the matcher, half from each station.  A
+# point's working set is one block plus the longest cluster of its merged
+# timeline: the matcher doubles its block until a cluster fits, so a window
+# that makes the whole point one cluster holds the whole point.
 BLOCK = 1 << 18
 # Records a TtgWriter packs and writes at once: 590 KB of buffer.
 _WRITE_RECORDS = 1 << 16
@@ -314,12 +317,17 @@ def generate_slices(
     within 120 jitter SDs plus one tick of its end are held back into the
     next slice, so that a station's yielded streams join into its sorted
     stream: a later slice's photon lies at most 120 SD before its pair's
-    uniform time.  Draws go slice by slice: the uniform times of Alice's
-    pairs and then of the pairs seen at Bob only (after the first slice's,
-    tau), then Bob's offsets, then the redrawn end-zone pairs of Alice and
-    of Bob, then Alice's and Bob's dark counts: number, times, signs.  A
-    one-slice block draws no numbers for its split, nor does a slice
-    without dark counts for them.
+    uniform time.  A station's slice is sorted as one key per event,
+    2(t - origin) + sign: uint32 from the slice's lowest time when the
+    slice's span lets every key fit, uint64 from 0 otherwise.  Either
+    width gives the same order, so the streams do not depend on it.
+
+    Draws go slice by slice: the uniform times of Alice's pairs and then
+    of the pairs seen at Bob only (after the first slice's, tau), then
+    Bob's offsets, then the redrawn end-zone pairs of Alice and of Bob,
+    then Alice's and Bob's dark counts: number, times, signs.  A one-slice
+    block draws no numbers for its split, nor does a slice without dark
+    counts for them.
     """
     n = counts.n_pairs_emitted
     check_timing(n, pair_rate_hz, tick_resolution_ps, jitter_sd_ticks, dark_rate_hz)
@@ -362,9 +370,10 @@ def generate_slices(
             if k:
                 times += k
             times *= slice_ticks
-        # Bob's photon of a coincidence pair: Alice's time plus N(0, 2 sd**2).
-        # abs() takes a jitter of -0.0, which numpy refuses as a scale, as 0.
-        bob[:n_ab] = rng.normal(0.0, math.sqrt(2.0) * abs(jitter_sd_ticks), n_ab)
+        # Bob's photon of a coincidence pair: Alice's time plus N(0, 2 sd**2),
+        # from the standard normals that normal(0, scale) would scale.
+        rng.standard_normal(out=bob[:n_ab])
+        bob[:n_ab] *= math.sqrt(2.0) * jitter_sd_ticks
         bob[:n_ab] += alice[n_a:]
         if jitter_sd_ticks > 0.0 and (k * slice_ticks < end_zone or end >= tau - end_zone):
             _redraw_end_zones(rng, alice, tau, jitter_sd_ticks, bob, n_a)
@@ -384,48 +393,83 @@ def generate_slices(
             zip((Station.ALICE, Station.BOB), (_SIGNS_A, _SIGNS_B), (sizes[:6], sizes[2:]))
         ):
             n_dark = rng.poisson(dark_mean * share)
-            # One buffer t of keys 2t + sign: the events held back, the
-            # photons in class order, then the dark counts.  One in-place
+            dark = rng.uniform(dark_lo, dark_hi, n_dark)
+            # The slice's lowest and highest time, from its events held back
+            # (sorted), its photons (rounded) and its dark counts (truncated,
+            # none below dark_lo).
+            kept, photons = held[s], floats[s]
+            n_held, n_hits = kept.shape[0], photons.shape[0]
+            ends = [(int(kept[0]) >> 1, int(kept[-1]) >> 1)] if n_held else []
+            if n_hits:
+                ends.append((int(photons.min()), int(photons.max())))
+            if n_dark:
+                ends.append((math.floor(dark_lo), int(dark.max())))
+            low = min((lo for lo, _ in ends), default=0)
+            high = max((hi for _, hi in ends), default=0)
+            # One buffer of keys 2(t - origin) + sign: the events held back,
+            # the photons in class order, then the dark counts.  One in-place
             # sort of it orders the events by (t, sign) as make_stream does,
-            # without its index and gathered arrays.  Under check_timing's
-            # bound t stays below 2**63 (see there), so the keys fit.
-            n_held, n_hits = held[s].shape[0], floats[s].shape[0]
-            t = np.empty(n_held + n_hits + n_dark, dtype=np.uint64)
-            t[:n_held] = held[s]
-            photons, dark = t[n_held : n_held + n_hits], t[n_held + n_hits :]
-            photons[...] = floats[s]
+            # without its index and gathered arrays.  Where the slice's span
+            # lets them, the keys are uint32 from the lowest time, which sort
+            # faster; otherwise they are uint64 from 0, which fit: under
+            # check_timing's bound t stays below 2**63 (see there).  A float
+            # time less the whole origin is exact either way: below 2**53 a
+            # float's spacing divides 1, and above it a 32-bit span keeps the
+            # origin over half the time (Sterbenz's lemma).
+            narrow = 2 * (high - low) + 1 < 2**32
+            origin = low if narrow else 0
+            t = np.empty(n_held + n_hits + n_dark, dtype=np.uint32 if narrow else np.uint64)
+            np.subtract(kept, np.uint64(2 * origin), out=t[:n_held])
+            keys = t[n_held : n_held + n_hits]
+            if origin:
+                photons -= origin
+            keys[...] = photons
             # The station's floats go before the next station's buffer is made.
             floats[s] = None
-            photons <<= np.uint64(1)
+            del kept, photons
+            keys <<= 1
             class_end = np.cumsum(classes_k)
             for lo, hi, sign in zip(class_end - classes_k, class_end, signs):
                 if sign:
-                    photons[lo:hi] |= np.uint64(1)
-            dark[...] = rng.uniform(dark_lo, dark_hi, n_dark)
-            dark <<= np.uint64(1)
-            dark |= rng.integers(0, 2, n_dark, dtype=np.uint64)
-            del photons, dark
+                    keys[lo:hi] |= 1
+            # The dark times less the origin truncate as the times would.
+            if origin:
+                dark -= origin
+            keys = t[n_held + n_hits :]
+            keys[...] = dark
+            del dark
+            keys <<= 1
+            # Either key type draws the same 32-bit numbers for the signs.
+            keys |= rng.integers(0, 2, n_dark, dtype=t.dtype)
+            del keys
             t.sort()
             if not final:
                 # Later slices' events are at least end - 120 SD - 1/2 after
                 # rounding, so every event below the cut is final.
                 cut = end - hold_back
                 below = math.ceil(cut) if cut > 0.0 else 0
-                keep = int(np.searchsorted(t, np.uint64(2 * below)))
-                held[s] = t[keep:].copy()
+                if below <= origin:
+                    keep = 0
+                elif below > high:
+                    keep = t.shape[0]
+                else:
+                    keep = int(np.searchsorted(t, t.dtype.type(2 * (below - origin))))
+                held[s] = np.add(t[keep:], np.uint64(2 * origin), dtype=np.uint64)
                 t = t[:keep]
             if t.shape[0]:
-                if t[0] < last_key[s]:
+                if int(t[0]) + 2 * origin < last_key[s]:
                     raise RuntimeError(
                         f"slice {k}: an event lies before the events already "
                         "given out, past the jitter hold-back"
                     )
-                last_key[s] = int(t[-1])
+                last_key[s] = int(t[-1]) + 2 * origin
             sign = np.bitwise_and(
-                t, np.uint64(1), out=np.empty(t.shape[0], dtype=np.uint8),
-                casting="unsafe",
+                t, 1, out=np.empty(t.shape[0], dtype=np.uint8), casting="unsafe"
             )
-            t >>= np.uint64(1)
+            # 32-bit keys are widened here, and their buffer freed.
+            t = np.right_shift(t, 1, out=np.empty(t.shape[0], dtype=np.uint64) if narrow else t)
+            if origin:
+                t += origin
             idx = np.zeros(t.shape[0], dtype=np.uint8)
             # The sort gives the (t, sign) order, sign is one bit and every
             # setting is 0: nothing is left for EventStream to scan.

@@ -24,6 +24,7 @@ def test_benchmark_coincidence_runs(capsys):
     out = capsys.readouterr().out
     assert "clusters > 2" in out and "events/s/core" in out
     assert "longest cluster" in out
+    assert "fast engine peak  :" in out and "MB traced, one call" in out
     assert "engines agree     : yes, on 1,000/side" in out
 
 

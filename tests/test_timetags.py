@@ -829,6 +829,48 @@ def test_many_slices_without_dark_counts_draw_as_sampler_5(jitter, want):
     assert digest.hexdigest() == want
 
 
+def test_slices_of_both_key_widths_draw_as_sampler_5(monkeypatch):
+    # Five pairs at 1 kHz and 1 ps ticks last D = 5 * 10**9 ticks, and dark
+    # counts at 2 * 10**5 Hz a channel, about 2000 a station, make ten
+    # slices of at most 200.  Seed 8 draws tau = 2.6 * 10**9: the first
+    # nine slices span tau / 10 each and sort 32-bit keys, and the last one,
+    # which reaches to D, spans over 2**31 ticks, so that its keys
+    # 2(t - origin) + sign need 64 bits.  The streams are pinned as the
+    # generator of sampler 5 first drew them, with 64-bit keys only.
+    monkeypatch.setattr(timetags, "BLOCK", 200)
+    det = _detections([True] * 5, [True] * 5, [0, 1, 1, 0, 1], [1, 1, 0, 0, 0])
+    slices = list(generate_slices(det, 1e3, 1, 50.0, 8, dark_rate_hz=2e5))
+    digest = hashlib.sha256()
+    for s in slices:
+        digest.update(s.t.tobytes() + s.sign.tobytes() + s.setting_index.tobytes())
+    assert digest.hexdigest() == (
+        "f4a9b460cdf03d97232c0f318ed66beefcd758e82f446e0447269e10f7bbaddb"
+    )
+    for mine in (slices[0::2], slices[1::2]):
+        spans = [int(s.t[-1]) - int(s.t[0]) for s in mine]
+        assert len(spans) == 10
+        assert max(spans[:-1]) < 2**30 and spans[-1] > 2**31
+
+
+def test_keys_past_2_53_ticks_draw_as_sampler_5():
+    # Twenty pairs on a clock just under 2**53 ticks make one slice, and
+    # seed 6 draws a horizon past 2**53, where every float time is even.
+    # The slice spans far more than 2**31 ticks, so its keys are 64-bit and
+    # count from 0: a float time past 2**53 less an odd lowest time would
+    # round.  The streams are pinned as the generator of sampler 5 first
+    # drew them.
+    n = 20
+    det = _detections([True] * n, [True] * n, [0, 1] * 10, [1, 1, 0, 0] * 5)
+    alice, bob = generate_slices(det, n * 1e12 / (2**53 - 10**5), 1, 50.0, 6)
+    assert int(alice.t[-1]) > 2**53
+    digest = hashlib.sha256()
+    for s in (alice, bob):
+        digest.update(s.t.tobytes() + s.sign.tobytes())
+    assert digest.hexdigest() == (
+        "33d8c2e21da9cc43cb579686bd7dd416e949fd132a399ddac62f6e7c664df0de"
+    )
+
+
 @contextlib.contextmanager
 def _traced_peak():
     """Trace allocations in the block; the yielded list gets the peak in bytes."""
