@@ -27,8 +27,10 @@ found, not in sweep order.  ``count_coincidences`` counts the four sign
 cells straight from those arrays, before the next block is read, so a
 stream can come in chunks, as a TTG1 file is read.  Memory is bounded by
 one block plus the longest cluster, not by the input alone: a cluster
-that does not fit its block doubles the block until it does, so a window
-that makes a whole point one cluster holds the whole point.  No public
+that does not fit its block doubles that block until it does, and the
+next block is back to ``BLOCK``, so a window that makes a whole point one
+cluster holds the whole point, and a long cluster widens only its own
+block.  No public
 function returns the production matcher's pairs: ``_settled_blocks``
 yields them block by block.
 
@@ -137,48 +139,6 @@ def _block_clusters(
     return (a_lo[both], a_hi[both], b_lo[both], b_hi[both]), a_done, stop - a_done
 
 
-class _Pending:
-    """One station's events not yet settled, refilled from its chunks.
-
-    ``cols`` holds parallel arrays, timestamps first, of the events read
-    from ``chunks`` (tuples of such arrays) and not yet taken.
-    """
-
-    def __init__(self, chunks) -> None:
-        self._chunks = iter(chunks)
-        self.cols: tuple = ()
-        self.exhausted = False
-
-    def __len__(self) -> int:
-        return self.cols[0].shape[0] if self.cols else 0
-
-    def fill(self, n: int) -> None:
-        """Read chunks until ``n`` events are pending or none are left."""
-        while len(self) < n and not self.exhausted:
-            chunk = next(self._chunks, None)
-            if chunk is None:
-                self.exhausted = True
-            elif not len(self):
-                self.cols = chunk
-            else:
-                self.cols = tuple(np.concatenate(c) for c in zip(self.cols, chunk))
-
-    def more(self, k: int) -> bool:
-        """Whether events beyond the first ``k`` pending ones may exist."""
-        return k < len(self) or not self.exhausted
-
-    def take(self, k: int) -> tuple:
-        """Remove the first ``k`` pending events and return their columns."""
-        head = tuple(c[:k] for c in self.cols)
-        self.cols = tuple(c[k:] for c in self.cols)
-        return head
-
-    def drain(self) -> None:
-        """Read, and drop, every chunk not yet read."""
-        for _ in self._chunks:
-            pass
-
-
 def _settled_blocks(chunks_a, chunks_b, width: np.uint64):
     """Match two streams given in chunks, one block of settled events at a time.
 
@@ -190,33 +150,52 @@ def _settled_blocks(chunks_a, chunks_b, width: np.uint64):
     each station, besides a cluster carried over; its own last cluster may
     go on past it, so that cluster's events are in no match and stay
     pending for the next block, as does every event once one station has
-    none left.  Both chunk sequences are read to their end.
+    none left.  A cluster that fills a whole block doubles that block until
+    the cluster ends inside it; the next block holds ``BLOCK`` again.  Both
+    chunk sequences are read to their end.
     """
-    a, b = _Pending(chunks_a), _Pending(chunks_b)
-    size = max(1, timetags.BLOCK // 2)
+    chunks = iter(chunks_a), iter(chunks_b)
+    # Each station's columns read and not yet settled, and whether its
+    # chunks are used up.
+    cols, ended = [(), ()], [False, False]
+    share = size = max(1, timetags.BLOCK // 2)
     while True:
-        a.fill(size)
-        b.fill(size)
-        if not (len(a) and len(b)):
+        for s in (0, 1):
+            while not ended[s] and (not cols[s] or cols[s][0].shape[0] < size):
+                chunk = next(chunks[s], None)
+                if chunk is None:
+                    ended[s] = True
+                elif cols[s]:
+                    cols[s] = tuple(map(np.concatenate, zip(cols[s], chunk)))
+                else:
+                    cols[s] = chunk
+                del chunk  # else the last chunk read outlives the block beside its copy
+        if not all(c and c[0].shape[0] for c in cols):
             break
-        t_a, t_b = a.cols[0], b.cols[0]
-        a1, b1 = min(size, len(a)), min(size, len(b))
+        (t_a, *_), (t_b, *_) = cols
+        a1, b1 = min(size, t_a.shape[0]), min(size, t_b.shape[0])
         # Take every event up to the earlier block end, so that no event
         # left for later precedes one taken.
-        ends = [t[k - 1] for t, k, q in ((t_a, a1, a), (t_b, b1, b)) if q.more(k)]
+        ends = [t[k - 1] for t, k, e in zip((t_a, t_b), (a1, b1), ended)
+                if k < t.shape[0] or not e]
         if ends:
             cut = min(ends)
             a1 = int(np.searchsorted(t_a, cut, side="right"))
             b1 = int(np.searchsorted(t_b, cut, side="right"))
         ranges, a_done, b_done = _block_clusters(t_a[:a1], t_b[:b1], width, not ends)
         if a_done + b_done == 0:
-            size *= 2  # one cluster fills the block
+            size *= 2  # one cluster fills the block: widen this block only
             continue
         i, j = _lockstep(t_a[:a1], t_b[:b1], width, ranges)
-        yield a.take(a_done), b.take(b_done), i, j
-        del i, j, ranges  # freed before the next block is read
-    a.drain()
-    b.drain()
+        done = a_done, b_done
+        head = [tuple(c[:k] for c in col) for col, k in zip(cols, done)]
+        cols = [tuple(c[k:] for c in col) for col, k in zip(cols, done)]
+        yield *head, i, j
+        del head, i, j, ranges  # freed before the next block is read
+        size = share
+    for rest in chunks:
+        for _ in rest:
+            pass
 
 
 def _lockstep(

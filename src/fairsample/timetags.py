@@ -72,8 +72,9 @@ _RESERVED_MASK = 0xF8
 # Observed pairs per generated time slice, records per chunk read from a
 # file, and events in one merge of the matcher, half from each station.  A
 # point's working set is one block plus the longest cluster of its merged
-# timeline: the matcher doubles its block until a cluster fits, so a window
-# that makes the whole point one cluster holds the whole point.
+# timeline: the matcher doubles a block until its cluster fits, for that
+# block only, so a window that makes the whole point one cluster holds the
+# whole point.
 BLOCK = 1 << 18
 # Records a TtgWriter packs and writes at once: 590 KB of buffer.
 _WRITE_RECORDS = 1 << 16

@@ -468,6 +468,35 @@ def test_match_across_merge_blocks(t_a, t_b, width, pairs):
     assert list(zip(ia.tolist(), ib.tolist())) == pairs
 
 
+def test_long_cluster_widens_only_its_own_block():
+    # One cluster of 6000 events per station, then 20 000 far-apart pairs,
+    # read in chunks of BLOCK events.  The cluster's block doubles to 8000
+    # events per station; the blocks after it are back to BLOCK.  When the
+    # widening stayed, each of them held 15 998 events.
+    block = 1000
+    t_a = _t(np.concatenate((np.arange(0, 12_000, 2), 20_000 + 100 * np.arange(20_000))))
+    t_b = t_a + np.uint64(1)
+    rng = np.random.default_rng(5)
+    a = _stream(t_a, rng.integers(0, 2, t_a.size))
+    b = _stream(t_b, rng.integers(0, 2, t_b.size), station=Station.BOB)
+    win = CoincidenceWindow(1)
+
+    def chunks(s):
+        return [(s.t[k:k + block], s.sign[k:k + block]) for k in range(0, s.t.size, block)]
+
+    sizes, cells = [], np.zeros(4, dtype=np.int64)
+    with mock.patch.object(timetags, "BLOCK", block):
+        for settled in coincidence._settled_blocks(chunks(a), chunks(b), np.uint64(1)):
+            sizes.append(settled[0][0].size + settled[1][0].size)
+            cells += coincidence._sign_cells(settled)
+        counted = count_coincidences(a, b, win)
+    assert sizes[0] > 12_000 and sum(sizes) == t_a.size + t_b.size
+    assert max(sizes[1:]) <= block
+    naive = count_coincidences_naive(a, b, win)
+    assert counted == naive
+    assert cells.tolist() == [naive.n_pp, naive.n_pm, naive.n_mp, naive.n_mm]
+
+
 def test_dense_generated_stream_equals_naive_oracle():
     # eta = 0.9 at 1 MHz with 200 kHz dark counts per channel: most events
     # sit in clusters of more than two, the regime of long lockstep passes.
